@@ -6,13 +6,11 @@ retrieval evaluator, and an experiment CLI.
 """
 
 from .core import (
-    Batch,
     Dataset,
     IdentityPrototypeMatrix,
     LossResult,
     Modality,
     ModalityPrototypeMatrix,
-    Sample,
     rewrite_labels,
     rewrite_labels_batch,
 )
@@ -30,13 +28,11 @@ from .losses import (
 )
 
 __all__ = [
-    "Batch",
     "Dataset",
     "IdentityPrototypeMatrix",
     "LossResult",
     "Modality",
     "ModalityPrototypeMatrix",
-    "Sample",
     "rewrite_labels",
     "rewrite_labels_batch",
     "CombinedLossConfig",

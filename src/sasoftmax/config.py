@@ -1,6 +1,9 @@
 """Flat experiment configuration: one dataclass covering data generation,
 training, and evaluation, readable from a key=value text file with every key
 overridable by a command-line flag. Unknown keys are rejected.
+
+ExperimentConfig extends TrainConfig, so a config (or `replace(cfg,
+variant=..., seed=...)`) is passed to `train` directly.
 """
 
 from __future__ import annotations
@@ -9,11 +12,14 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .data import SynthConfig
 from .errors import ContractViolation
+from .evaluation import Direction
 from .trainer import TrainConfig
+
+DIRECTIONS = tuple(d.value for d in Direction) + ("both",)
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(TrainConfig):
     # synthetic data
     num_identities: int = 60
     samples_per_identity_per_modality: int = 20
@@ -24,32 +30,18 @@ class ExperimentConfig:
     shared_offset: bool = False
     train_fraction: float = 2.0 / 3.0  # 40 train / 20 test at the default size
     split_seed: int = 7
-    # training
-    variant: str = "SAS_FM_AST"
-    alpha: float = 0.7
-    beta: float = 1.0
-    epochs: int = 100
-    batches_per_epoch: int = 10
-    p: int = 8
-    k: int = 8
-    hidden_dims: str = "64"
-    embed_dim: int = 16
-    base_lr: float = 0.01
-    milestones: str = "40,80"
-    lr_factor: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    seed: int = 1
-    am_margin: float = 0.3
-    am_scale: float = 15.0
-    circle_gamma: float = 32.0
-    circle_margin: float = 0.25
-    squared_ast: bool = False
-    alternate_batches: bool = False
+    seed: int = 1  # the CLI's training seed; TrainConfig's default is 0
     # experiment orchestration
     seeds: str = "1,2,3"
-    jobs: int = 1
     direction: str = "both"  # vis2nir | nir2vis | both
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.seed_list()  # a malformed seed list fails here, before any output
+        if self.direction not in DIRECTIONS:
+            raise ContractViolation(
+                f"direction: expected one of {', '.join(DIRECTIONS)}, got {self.direction!r}"
+            )
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(
@@ -62,58 +54,36 @@ class ExperimentConfig:
             shared_offset=self.shared_offset,
         )
 
-    def train_config(self, variant: str | None = None, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            variant=variant if variant is not None else self.variant,
-            alpha=self.alpha,
-            beta=self.beta,
-            epochs=self.epochs,
-            batches_per_epoch=self.batches_per_epoch,
-            p=self.p,
-            k=self.k,
-            hidden_dims=tuple(_parse_int_list(self.hidden_dims)),
-            embed_dim=self.embed_dim,
-            base_lr=self.base_lr,
-            milestones=tuple(_parse_int_list(self.milestones)),
-            lr_factor=self.lr_factor,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            seed=seed if seed is not None else self.seed,
-            am_margin=self.am_margin,
-            am_scale=self.am_scale,
-            circle_gamma=self.circle_gamma,
-            circle_margin=self.circle_margin,
-            squared_ast=self.squared_ast,
-            alternate_batches=self.alternate_batches,
-        )
-
     def seed_list(self) -> list[int]:
-        return _parse_int_list(self.seeds)
+        return list(_coerce(self.seeds, (), "seeds"))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(v) for v in text.split(",")]
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
-def _coerce(raw: str, pytype: type):
-    if pytype is bool:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ContractViolation(f"cannot parse boolean from {raw!r}")
-    return pytype(raw)
+def _coerce(raw: str, like, name: str):
+    """Parse `raw` into the type of `like` (a field's default value). Tuples
+    are comma-separated ints, "" being the empty tuple. `name` labels the
+    error: a flag, a key, or `file:line: key`."""
+    try:
+        if isinstance(like, bool):
+            low = raw.strip().lower()
+            if low not in _TRUE + _FALSE:
+                raise ValueError
+            return low in _TRUE
+        if isinstance(like, tuple):
+            return tuple(int(v) for v in raw.split(",")) if raw.strip() else ()
+        return type(like)(raw)
+    except ValueError:
+        kind = "comma-separated ints" if isinstance(like, tuple) else type(like).__name__
+        raise ContractViolation(f"{name}: expected {kind}, got {raw!r}") from None
 
 
 def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Read key=value lines ('#' starts a comment); unknown keys are rejected."""
     cfg = base if base is not None else ExperimentConfig()
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
-    types = {f.name: type(getattr(cfg, f.name)) for f in fields(ExperimentConfig)}
     overrides = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -123,22 +93,23 @@ def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentCo
             if "=" not in line:
                 raise ContractViolation(f"{path}:{lineno}: expected key=value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in _DEFAULTS:
                 raise ContractViolation(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = _coerce(raw, types[key])
+            overrides[key] = _coerce(raw, _DEFAULTS[key], f"{path}:{lineno}: {key}")
     return replace(cfg, **overrides)
 
 
 def save_config_file(cfg: ExperimentConfig, path) -> None:
     with open(path, "w") as fh:
         for key, value in sorted(asdict(cfg).items()):
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
             fh.write(f"{key} = {value}\n")
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: dict) -> ExperimentConfig:
     """Apply CLI overrides (already typed) onto a config."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(pairs) - known
+    unknown = set(pairs) - set(_DEFAULTS)
     if unknown:
         raise ContractViolation(f"unknown config keys: {sorted(unknown)}")
     return replace(cfg, **pairs)

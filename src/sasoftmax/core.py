@@ -1,4 +1,4 @@
-"""Shared data model: samples, datasets, batches, prototype matrices, loss results.
+"""Shared data model: datasets, prototype matrices, loss results.
 
 Column layout of the modality prototype matrix is fixed as visible-first:
 columns [0, N) are visible prototypes, columns [N, 2N) are infrared ones.
@@ -23,19 +23,6 @@ class Modality(IntEnum):
 
 _MODALITY_CODE = {Modality.VIS: "V", Modality.NIR: "N"}
 _CODE_MODALITY = {"V": Modality.VIS, "N": Modality.NIR}
-
-
-@dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    identity: int
-    modality: Modality
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.features)):
-            raise ContractViolation("sample features must be finite")
-        if self.identity < 0:
-            raise ContractViolation("identity must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -65,36 +52,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.identities)
 
-    @staticmethod
-    def from_samples(samples: list[Sample]) -> "Dataset":
-        if not samples:
-            raise ContractViolation("cannot build an empty dataset")
-        dim = len(samples[0].features)
-        feats = np.stack([s.features for s in samples]).astype(float)
-        ids = np.array([s.identity for s in samples], dtype=int)
-        mods = np.array([int(s.modality) for s in samples], dtype=int)
-        n = int(ids.max()) + 1
-        present = set(ids.tolist())
-        if present != set(range(n)):
-            raise ContractViolation("identity labels must be dense 0..N-1")
-        return Dataset(feats, ids, mods, n, dim)
-
     def indices_of(self, identity: int, modality: Modality) -> np.ndarray:
         return np.nonzero(
             (self.identities == identity) & (self.modalities == int(modality))
         )[0]
-
-
-@dataclass(frozen=True)
-class Batch:
-    embeddings: np.ndarray  # B x d
-    identities: np.ndarray
-    modalities: np.ndarray
-
-    def __post_init__(self):
-        b = self.embeddings.shape[0]
-        if len(self.identities) != b or len(self.modalities) != b:
-            raise ContractViolation("batch label arrays must match batch size")
 
 
 @dataclass

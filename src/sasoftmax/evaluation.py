@@ -29,7 +29,6 @@ class EvalReport:
     map: float
     intra_hist: np.ndarray
     inter_hist: np.ndarray
-    prototype_diag: dict | None = None
 
     @property
     def rank1(self) -> float:

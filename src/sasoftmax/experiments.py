@@ -41,7 +41,7 @@ DESK_PROTOCOL_OVERRIDES = dict(
     shared_offset=True,
     input_dim=4,
     embed_dim=4,
-    hidden_dims="",
+    hidden_dims=(),
     base_lr=0.25,
     beta=0.5,
 )
@@ -64,7 +64,7 @@ def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None) -> di
     """Train one variant with one seed; evaluate both directions on the test
     identities. Returns a flat metrics row."""
     train_set, test_set = split if split is not None else make_split(cfg)
-    state, log = train(train_set, cfg.train_config(variant=variant, seed=seed))
+    state, log = train(train_set, replace(cfg, variant=variant, seed=seed))
     rep_vn = cross_modal_eval(state.params, test_set, Direction.VIS_TO_NIR)
     rep_nv = cross_modal_eval(state.params, test_set, Direction.NIR_TO_VIS)
     emb, _ = encoder_forward(state.params, test_set.features)
@@ -149,7 +149,7 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, grid: list[float]) -> list[
     rows = []
     for seed in cfg.seed_list():
         for value in grid:
-            point = replace(cfg, **{_SWEEP_FIELD[parameter]: value})
+            point = replace(cfg, **{parameter: value})
             if parameter == "beta" and value == 0.0:
                 point = replace(point, variant="SAS_FM")
                 row = run_single(point, "SAS_FM", seed, split=split)
@@ -159,14 +159,6 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, grid: list[float]) -> list[
             row["value"] = value
             rows.append(row)
     return rows
-
-
-_SWEEP_FIELD = {
-    "alpha": "alpha",
-    "beta": "beta",
-    "am_margin": "am_margin",
-    "circle_gamma": "circle_gamma",
-}
 
 
 def save_rows_csv(rows: list[dict], path, fieldnames=None) -> None:

@@ -11,7 +11,7 @@ the two steps consume different batches.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -277,11 +277,3 @@ def train(dataset: Dataset, config: TrainConfig):
         rec.update({"epoch": epoch, "lr": lr, "probe_cosine": probe})
         log.records.append(rec)
     return state, log
-
-
-def variant_config(base: TrainConfig, variant: str, seed: int | None = None) -> TrainConfig:
-    """Derive a config for one ablation variant, optionally reseeded."""
-    kwargs = {"variant": variant}
-    if seed is not None:
-        kwargs["seed"] = seed
-    return replace(base, **kwargs)

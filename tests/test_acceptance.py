@@ -7,6 +7,7 @@ the ablation is trained once per module and shared.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,7 +197,7 @@ def test_criterion_9_determinism(tmp_path):
     dataset = generate_synthetic(cfg.synth_config())
     paths = []
     for tag in ("a", "b"):
-        _, log = train(dataset, cfg.train_config(seed=1))
+        _, log = train(dataset, replace(cfg, seed=1))
         path = tmp_path / f"log_{tag}.csv"
         log.save_csv(path)
         paths.append(path)

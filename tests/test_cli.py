@@ -1,6 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import sasoftmax
+from sasoftmax import analysis
 from sasoftmax.cli import main
+from sasoftmax.config import load_config_file
+from sasoftmax.experiments import desk_protocol, run_ablation, save_rows_csv
 
 FAST_FLAGS = [
     "--num-identities", "6",
@@ -155,3 +165,52 @@ class TestConfigHandling:
         second = tmp_path / "two"
         assert main(["ablation", "--out", str(second), "--config", str(first / "config.txt")]) == 0
         assert (first / "ablation_runs.csv").read_bytes() == (second / "ablation_runs.csv").read_bytes()
+
+
+class TestProtocol:
+    def test_desk_ablation_matches_library(self, tmp_path):
+        out = tmp_path / "abl"
+        argv = ["ablation", "--protocol", "desk", "--seeds", "1", "--epochs", "2", "--out", str(out)]
+        assert main(argv) == 0
+        cfg = desk_protocol(seeds="1", epochs=2)
+        save_rows_csv(run_ablation(cfg), tmp_path / "lib.csv")
+        assert (out / "ablation_runs.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert load_config_file(out / "config.txt") == cfg
+
+
+class TestDiagnoseCommand:
+    def test_no_ambiguous_seed_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            analysis, "check_fm_ambiguity", lambda seeds: {"num_ambiguous": 0, "per_seed": []}
+        )
+        assert main(["diagnose", "--out", str(tmp_path / "di")]) == 2
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, config_text, name",
+        [
+            (["train", "--epochs", "ten"], None, "--epochs"),
+            (["gen-data", "--shared-offset", "maybe"], None, "--shared-offset"),
+            (["eval", "--data", "d.csv"], None, "--checkpoint"),
+            (["train", "--hidden-dims", "6,x"], None, "--hidden-dims"),
+            (["ablation", "--seeds", "1,x"], None, "seeds"),
+            (["train"], "epochs = ten\n", "c.txt:1: epochs"),
+            (["eval", "--checkpoint", "c.txt", "--data", "d.csv", "--direction", "sideways"], None, "direction"),
+        ],
+    )
+    def test_exits_1_with_one_line_naming_the_value(self, tmp_path, argv, config_text, name):
+        out = tmp_path / "out"
+        argv = [*argv, "--out", str(out)]
+        if config_text is not None:
+            (tmp_path / "c.txt").write_text(config_text)
+            argv += ["--config", str(tmp_path / "c.txt")]
+        env = {**os.environ, "PYTHONPATH": str(Path(sasoftmax.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "sasoftmax.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert name in done.stderr.strip().splitlines()[-1]
+        assert not out.exists()

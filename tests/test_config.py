@@ -14,6 +14,7 @@ from sasoftmax.experiments import (
     run_sweep,
     summarize,
 )
+from sasoftmax.trainer import TrainConfig
 
 
 class TestExperimentConfig:
@@ -22,28 +23,26 @@ class TestExperimentConfig:
         synth = cfg.synth_config()
         assert synth.num_identities == 60
         assert synth.input_dim == 32
-        tc = cfg.train_config()
-        assert tc.hidden_dims == (64,)
-        assert tc.milestones == (40, 80)
-        assert tc.embed_dim == 16
-
-    def test_train_config_overrides(self):
-        cfg = ExperimentConfig()
-        tc = cfg.train_config(variant="SOFTMAX", seed=9)
-        assert tc.variant == "SOFTMAX"
-        assert tc.seed == 9
+        assert isinstance(cfg, TrainConfig)
+        assert cfg.hidden_dims == (64,)
+        assert cfg.milestones == (40, 80)
+        assert cfg.embed_dim == 16
+        assert cfg.seed == 1
 
     def test_seed_list(self):
         assert ExperimentConfig(seeds="4,5,6").seed_list() == [4, 5, 6]
 
-    def test_empty_hidden_dims_means_linear(self):
-        cfg = ExperimentConfig(hidden_dims="")
-        assert cfg.train_config().hidden_dims == ()
+    def test_empty_hidden_dims_means_linear(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("hidden_dims =\nmilestones = 40\n")
+        cfg = load_config_file(path)
+        assert cfg.hidden_dims == ()
+        assert cfg.milestones == (40,)
 
 
 class TestConfigFile:
     def test_roundtrip(self, tmp_path):
-        cfg = ExperimentConfig(alpha=0.5, hidden_dims="32,16", shared_offset=True)
+        cfg = ExperimentConfig(alpha=0.5, hidden_dims=(32, 16), milestones=(), shared_offset=True)
         path = tmp_path / "config.txt"
         save_config_file(cfg, path)
         assert load_config_file(path) == cfg

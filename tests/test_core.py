@@ -7,7 +7,6 @@ from sasoftmax.core import (
     IdentityPrototypeMatrix,
     Modality,
     ModalityPrototypeMatrix,
-    Sample,
     load_dataset_csv,
     rewrite_labels,
     rewrite_labels_batch,
@@ -89,33 +88,6 @@ class TestPrototypeMatrices:
 
 
 class TestSampleAndDataset:
-    def test_sample_validation(self):
-        with pytest.raises(ContractViolation):
-            Sample(np.array([np.inf]), 0, Modality.VIS)
-        with pytest.raises(ContractViolation):
-            Sample(np.array([1.0]), -1, Modality.VIS)
-
-    def test_from_samples_requires_dense_labels(self):
-        samples = [
-            Sample(np.array([0.0]), 0, Modality.VIS),
-            Sample(np.array([1.0]), 2, Modality.NIR),
-        ]
-        with pytest.raises(ContractViolation):
-            Dataset.from_samples(samples)
-
-    def test_from_samples_roundtrip(self):
-        samples = [
-            Sample(np.array([0.0, 1.0]), 0, Modality.VIS),
-            Sample(np.array([2.0, 3.0]), 1, Modality.NIR),
-            Sample(np.array([4.0, 5.0]), 0, Modality.NIR),
-        ]
-        ds = Dataset.from_samples(samples)
-        assert len(ds) == 3
-        assert ds.num_identities == 2
-        assert ds.input_dim == 2
-        np.testing.assert_array_equal(ds.indices_of(0, Modality.NIR), [2])
-        np.testing.assert_array_equal(ds.indices_of(0, Modality.VIS), [0])
-
     def test_csv_roundtrip_exact(self, tmp_path, rng):
         feats = rng.normal(size=(8, 3))
         ids = np.array([0, 0, 1, 1, 2, 2, 3, 3])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from sasoftmax.trainer import (
     init_train_state,
     train,
     train_step,
-    variant_config,
 )
 
 
@@ -72,13 +73,6 @@ class TestConfig:
     def test_ast_variant_requires_positive_beta(self):
         with pytest.raises(ContractViolation):
             tiny_config(variant="SAS_FM_AST", beta=0.0).loss_config()
-
-    def test_variant_config_helper(self):
-        base = tiny_config()
-        derived = variant_config(base, "SOFTMAX", seed=9)
-        assert derived.variant == "SOFTMAX"
-        assert derived.seed == 9
-        assert derived.epochs == base.epochs
 
 
 class TestRouting:
@@ -288,7 +282,7 @@ class TestTrain:
         # bounded away from zero in the crowded reference regime, so its
         # halving factor is slightly looser
         for variant, factor in (("SOFTMAX", 0.5), ("SAS_FM", 0.5), ("SAS_FM_AST", 0.55)):
-            _, log = train(train_set, cfg.train_config(variant=variant, seed=1))
+            _, log = train(train_set, replace(cfg, variant=variant, seed=1))
             losses = np.array([r["loss_total"] for r in log.records])
             smoothed = np.convolve(losses, np.ones(5) / 5, mode="valid")
             assert smoothed[-1] < factor * smoothed[0], variant
