@@ -5,7 +5,8 @@ Every ExperimentConfig key is exposed as a flag. --protocol picks the base
 config (the CLI defaults or the desk protocol), a key=value config file
 overrides it, and flags override both. Each output directory receives the
 exact effective config (config.txt) so any run can be reproduced from it;
-timestamps live only in metadata.json.
+timestamps live only in metadata.json. Input files are loaded before the
+output directory is created, so bad input leaves no output behind.
 
 Exit codes: 0 success, 1 contract violation (including usage errors),
 2 numeric failure, 3 I/O failure.
@@ -111,11 +112,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _effective_config(args)
-    out = _prepare_out(args, cfg, "train")
     if args.data is not None:
         train_set = load_dataset_csv(args.data)
     else:
         train_set, _ = experiments.make_split(cfg)
+    out = _prepare_out(args, cfg, "train")
     state, log = train(train_set, cfg)
     save_checkpoint(
         out / "checkpoint.txt",
@@ -138,9 +139,9 @@ def _direction_list(name: str) -> list[Direction]:
 
 def cmd_eval(args) -> int:
     cfg = _effective_config(args)
-    out = _prepare_out(args, cfg, "eval")
     params, w_mod, w_id = load_checkpoint(args.checkpoint)
     dataset = load_dataset_csv(args.data)
+    out = _prepare_out(args, cfg, "eval")
     report = {}
     for direction in _direction_list(cfg.direction):
         rep = cross_modal_eval(params, dataset, direction)
@@ -224,16 +225,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _effective_config(args)
-    out = _prepare_out(args, cfg, "diagnose")
     if args.checkpoint is not None:
         params, w_mod, w_id = load_checkpoint(args.checkpoint)
+        dataset = load_dataset_csv(args.data) if args.data is not None else None
+    out = _prepare_out(args, cfg, "diagnose")
+    if args.checkpoint is not None:
         diag = prototype_diagnostics(w_mod, w_id)
         analysis.save_witness_json(
             {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in diag.items()},
             out / "prototype_diagnostics.json",
         )
-        if args.data is not None:
-            dataset = load_dataset_csv(args.data)
+        if dataset is not None:
             rep = cross_modal_eval(params, dataset, Direction.VIS_TO_NIR)
             save_histogram_csv(rep.intra_hist, out / "hist_intra.csv")
             save_histogram_csv(rep.inter_hist, out / "hist_inter.csv")

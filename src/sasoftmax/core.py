@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -24,13 +25,18 @@ class Modality(IntEnum):
 _MODALITY_CODE = {Modality.VIS: "V", Modality.NIR: "N"}
 _CODE_MODALITY = {"V": Modality.VIS, "N": Modality.NIR}
 
+_NO_INDICES = np.empty(0, dtype=np.intp)
+_NO_INDICES.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Dataset:
     """Column-oriented sample store.
 
     features: M x D_in, identities: length M ints in [0, N), modalities:
-    length M ints (Modality values). Identity labels must be dense.
+    length M ints (Modality values). Identity labels must be dense. The
+    arrays are treated as immutable: the per-pool index table is built from
+    them on first use and never rebuilt.
     """
 
     features: np.ndarray
@@ -48,14 +54,31 @@ class Dataset:
             self.identities.min() < 0 or self.identities.max() >= self.num_identities
         ):
             raise ContractViolation("identity labels out of range")
+        if len(self.modalities) and not np.all(
+            (self.modalities == Modality.VIS) | (self.modalities == Modality.NIR)
+        ):
+            raise ContractViolation("modality codes must be 0 (VIS) or 1 (NIR)")
 
     def __len__(self) -> int:
         return len(self.identities)
 
+    @cached_property
+    def _pools(self) -> list[np.ndarray]:
+        """Sample indices per (identity, modality), at slot 2 * identity +
+        modality, each ascending and read-only."""
+        keys = 2 * np.asarray(self.identities, dtype=np.intp) + self.modalities
+        order = np.argsort(keys, kind="stable")
+        order.flags.writeable = False
+        bounds = np.searchsorted(keys[order], np.arange(2 * self.num_identities + 1))
+        return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
     def indices_of(self, identity: int, modality: Modality) -> np.ndarray:
-        return np.nonzero(
-            (self.identities == identity) & (self.modalities == int(modality))
-        )[0]
+        """Read-only ascending indices of the samples of one identity in one
+        modality; empty for an identity outside [0, N) or an unknown code."""
+        m = int(modality)
+        if 0 <= identity < self.num_identities and m in (Modality.VIS, Modality.NIR):
+            return self._pools[2 * identity + m]
+        return _NO_INDICES
 
 
 @dataclass
@@ -162,23 +185,35 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
+    """Read the `id,modality,f0..` CSV format; a malformed row raises
+    ContractViolation naming `path:line`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["id", "modality"]:
             raise ContractViolation(f"unexpected dataset header in {path}")
         dim = len(header) - 2
         ids, mods, rows = [], [], []
-        for row in reader:
-            ids.append(int(row[0]))
-            if row[1] not in _CODE_MODALITY:
-                raise ContractViolation(f"unknown modality code {row[1]!r}")
-            mods.append(int(_CODE_MODALITY[row[1]]))
-            rows.append([float(v) for v in row[2:]])
+        try:
+            for row in reader:
+                ids.append(int(row[0]))
+                mods.append(int(_CODE_MODALITY[row[1]]))
+                rows.append([float(v) for v in row[2:]])
+        except KeyError:
+            raise ContractViolation(
+                f"{path}:{reader.line_num}: unknown modality code {row[1]!r}"
+            ) from None
+        except IndexError:
+            raise ContractViolation(f"{path}:{reader.line_num}: missing id or modality") from None
+        except (ValueError, csv.Error) as exc:
+            raise ContractViolation(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ContractViolation(f"empty dataset file {path}")
-    feats = np.array(rows, dtype=float)
+    try:
+        feats = np.array(rows, dtype=float)
+    except ValueError:
+        raise ContractViolation(f"ragged feature rows in {path}") from None
     if feats.shape[1] != dim:
-        raise ContractViolation("ragged feature rows")
+        raise ContractViolation(f"ragged feature rows in {path}")
     ids_arr = np.array(ids, dtype=int)
     return Dataset(feats, ids_arr, np.array(mods, dtype=int), int(ids_arr.max()) + 1, dim)

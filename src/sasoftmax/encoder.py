@@ -4,6 +4,7 @@ machinery and checkpoint serialization shared with the prototype matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,12 +128,20 @@ def _write_array(fh, name: str, arr: np.ndarray) -> None:
     fh.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
 
 
-def _read_array(fh, expect: str) -> np.ndarray:
+def _read_array(fh, path, expect: str) -> np.ndarray:
     header = fh.readline().split()
     if not header or header[0] != expect:
-        raise ContractViolation(f"checkpoint corrupt: expected {expect}")
-    shape = tuple(int(s) for s in header[1:])
-    flat = np.array([float(v) for v in fh.readline().split()])
+        raise ContractViolation(f"checkpoint {path} corrupt: expected {expect}")
+    try:
+        shape = tuple(int(s) for s in header[1:])
+        flat = np.array([float(v) for v in fh.readline().split()])
+    except ValueError as exc:
+        raise ContractViolation(f"checkpoint {path} corrupt: array {expect}: {exc}") from None
+    if any(d < 0 for d in shape) or flat.size != math.prod(shape):
+        raise ContractViolation(
+            f"checkpoint {path} corrupt: array {expect} of shape {shape} "
+            f"holds {flat.size} values"
+        )
     return flat.reshape(shape)
 
 
@@ -157,13 +166,16 @@ def load_checkpoint(path):
     with open(path) as fh:
         if fh.readline().strip() != CHECKPOINT_MAGIC:
             raise ContractViolation(f"{path} is not a {CHECKPOINT_MAGIC} checkpoint")
-        dims = [int(d) for d in fh.readline().split()]
+        try:
+            dims = [int(d) for d in fh.readline().split()]
+        except ValueError as exc:
+            raise ContractViolation(f"checkpoint {path} corrupt: layer dims: {exc}") from None
         weights, biases = [], []
         for l in range(len(dims) - 1):
-            weights.append(_read_array(fh, f"W{l}"))
-            biases.append(_read_array(fh, f"b{l}"))
-        w_mod = _read_array(fh, "modality_prototypes")
-        w_id = _read_array(fh, "identity_prototypes")
+            weights.append(_read_array(fh, path, f"W{l}"))
+            biases.append(_read_array(fh, path, f"b{l}"))
+        w_mod = _read_array(fh, path, "modality_prototypes")
+        w_id = _read_array(fh, path, "identity_prototypes")
     return (
         EncoderParams(weights, biases),
         ModalityPrototypeMatrix(w_mod),

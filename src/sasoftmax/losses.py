@@ -220,6 +220,16 @@ def ast_loss(
     return LossResult(value=value, grad_embeddings=grad)
 
 
+def _cosine_backprop(dcos, cos, xhat, what, xn, wn):
+    """Chain dL/dcos through cos_ij = xhat_i . what_j, with xhat = x / |x|
+    and what = w / |w|, to the raw embeddings and prototype columns."""
+    row_dot = np.einsum("ij,ij->i", dcos, cos)
+    grad_x = (dcos @ what.T - row_dot[:, None] * xhat) / xn[:, None]
+    col_dot = np.einsum("ij,ij->j", dcos, cos)
+    grad_w = (xhat.T @ dcos - what * col_dot[None, :]) / wn[None, :]
+    return grad_x, grad_w
+
+
 def am_softmax_loss(
     embeddings: np.ndarray,
     prototypes: IdentityPrototypeMatrix,
@@ -247,11 +257,7 @@ def am_softmax_loss(
     g = p.copy()
     g[np.arange(b), labels] -= 1.0
     g *= scale / b  # dL/dcos
-    # chain through cos_ij = xhat_i . what_j
-    row_dot = np.einsum("ij,ij->i", g, cos)
-    grad_x = (g @ what.T - row_dot[:, None] * xhat) / xn[:, None]
-    col_dot = np.einsum("ij,ij->j", g, cos)
-    grad_w = (xhat.T @ g - what * col_dot[None, :]) / wn[None, :]
+    grad_x, grad_w = _cosine_backprop(g, cos, xhat, what, xn, wn)
     return LossResult(value=value, grad_embeddings=grad_x, grad_prototypes=grad_w)
 
 
@@ -309,11 +315,7 @@ def circle_loss(
     dlogit_p = gamma * ((ap > 0.0) * (sp - dp) - ap)
     dcos = soft_n * dlogit_n * sig[:, None] / b
     dcos[rows, labels] = sig * dlogit_p / b
-
-    row_dot = np.einsum("ij,ij->i", dcos, cos)
-    grad_x = (dcos @ what.T - row_dot[:, None] * xhat) / xn[:, None]
-    col_dot = np.einsum("ij,ij->j", dcos, cos)
-    grad_w = (xhat.T @ dcos - what * col_dot[None, :]) / wn[None, :]
+    grad_x, grad_w = _cosine_backprop(dcos, cos, xhat, what, xn, wn)
     return LossResult(value=value, grad_embeddings=grad_x, grad_prototypes=grad_w)
 
 

@@ -1,11 +1,12 @@
 """Two-step asynchronous training loop.
 
-Each step runs one forward pass per batch. Step 1 updates the modality
-prototypes from the prototype-side loss with embeddings held constant.
-Step 2 updates the encoder and the identity-prototype head from the
-feature-side losses, evaluated against the modality prototypes as they were
-BEFORE step 1. A config flag switches to the alternating-batch variant where
-the two steps consume different batches.
+Each step runs one forward pass and one loss evaluation per batch, against
+the modality prototypes as they are BEFORE any update. That one result feeds
+both steps: step 1 updates the modality prototypes from the prototype-side
+gradient, with embeddings held constant; step 2 updates the encoder and the
+identity-prototype head from the feature-side gradients. A config flag
+switches to the alternating-batch variant where the two steps consume
+different batches, each still seeing pre-update prototypes.
 """
 
 from __future__ import annotations
@@ -145,30 +146,19 @@ def init_train_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     )
 
 
-def _feature_side_grads(state: TrainState, embeddings, ids, mods, config: TrainConfig, w_mod_snapshot):
-    """Gradients that flow to the encoder / identity head, computed against a
-    snapshot of the modality prototypes."""
+def _feature_side_grads(state: TrainState, embeddings, ids, config: TrainConfig):
+    """Loss and gradients of the identity-head-only variants (AM_SOFTMAX,
+    CIRCLE), which have no modality prototypes to update."""
     if config.variant == "AM_SOFTMAX":
         res = am_softmax_loss(
             embeddings, state.identity_prototypes, ids, config.am_margin, config.am_scale
         )
-        comps = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": res.value, "loss_ast": 0.0}
-        return res.value, res.grad_embeddings, res.grad_prototypes, comps
-    if config.variant == "CIRCLE":
+    else:
         res = circle_loss(
             embeddings, state.identity_prototypes, ids, config.circle_gamma, config.circle_margin
         )
-        comps = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": res.value, "loss_ast": 0.0}
-        return res.value, res.grad_embeddings, res.grad_prototypes, comps
-    res = combined_loss(
-        embeddings,
-        ModalityPrototypeMatrix(w_mod_snapshot),
-        state.identity_prototypes,
-        ids,
-        mods,
-        config.loss_config(),
-    )
-    return res.value, res.grad_embeddings, res.grad_identity_prototypes, res.components
+    comps = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": res.value, "loss_ast": 0.0}
+    return res.value, res.grad_embeddings, res.grad_prototypes, comps
 
 
 def train_step(
@@ -186,14 +176,18 @@ def train_step(
     mods = dataset.modalities[batch_indices]
     embeddings, cache = encoder_forward(state.params, x)
 
-    loss_cfg = None
-    if config.variant not in ("AM_SOFTMAX", "CIRCLE"):
+    grad_mod = None
+    if config.variant in ("AM_SOFTMAX", "CIRCLE"):
+        if not do_f_step:
+            return {"loss_total": 0.0}
+        value, grad_emb, grad_id, comps = _feature_side_grads(state, embeddings, ids, config)
+    else:
         loss_cfg = config.loss_config()
-
-    w_mod_snapshot = state.modality_prototypes.W.copy()
-
-    # step 1: prototype-side update, embeddings held constant
-    if do_w_step and loss_cfg is not None and loss_cfg.alpha > 0.0:
+        do_w_step = do_w_step and loss_cfg.alpha > 0.0
+        if not (do_w_step or do_f_step):
+            return {"loss_total": 0.0}
+        # the one loss evaluation of this step, against the pre-step-1
+        # prototypes: step 1 takes its prototype gradient, step 2 the rest
         res = combined_loss(
             embeddings,
             state.modality_prototypes,
@@ -202,45 +196,50 @@ def train_step(
             mods,
             loss_cfg,
         )
-        if not np.isfinite(res.value):
-            raise NumericError(_diverged_message(batch_indices, res.value))
+        value, grad_emb, grad_id, comps = (
+            res.value,
+            res.grad_embeddings,
+            res.grad_identity_prototypes,
+            res.components,
+        )
+        if do_w_step:
+            grad_mod = res.grad_modality_prototypes
+    if not np.isfinite(value):
+        raise NumericError(_diverged_message(batch_indices, value))
+
+    # step 1: prototype-side update, embeddings held constant
+    if grad_mod is not None:
         sgd_step(
             [state.modality_prototypes.W],
-            [res.grad_modality_prototypes],
+            [grad_mod],
             state.opt_modality,
             lr,
             config.momentum,
             config.weight_decay,
         )
+    if not do_f_step:
+        return {"loss_total": 0.0}
 
-    metrics = {"loss_total": 0.0}
-    if do_f_step:
-        # step 2: encoder + identity head, against pre-step-1 prototypes
-        value, grad_emb, grad_id, comps = _feature_side_grads(
-            state, embeddings, ids, mods, config, w_mod_snapshot
-        )
-        if not np.isfinite(value):
-            raise NumericError(_diverged_message(batch_indices, value))
-        grad_w, grad_b = encoder_backward(state.params, cache, grad_emb)
+    # step 2: encoder + identity head, from the same pre-step-1 evaluation
+    grad_w, grad_b = encoder_backward(state.params, cache, grad_emb)
+    sgd_step(
+        state.params.weights + state.params.biases,
+        grad_w + grad_b,
+        state.opt_encoder,
+        lr,
+        config.momentum,
+        config.weight_decay,
+    )
+    if grad_id is not None:
         sgd_step(
-            state.params.weights + state.params.biases,
-            grad_w + grad_b,
-            state.opt_encoder,
+            [state.identity_prototypes.W],
+            [grad_id],
+            state.opt_identity,
             lr,
             config.momentum,
             config.weight_decay,
         )
-        if grad_id is not None:
-            sgd_step(
-                [state.identity_prototypes.W],
-                [grad_id],
-                state.opt_identity,
-                lr,
-                config.momentum,
-                config.weight_decay,
-            )
-        metrics = {"loss_total": value, **comps}
-    return metrics
+    return {"loss_total": value, **comps}
 
 
 def _diverged_message(batch_indices, value) -> str:

@@ -6,19 +6,30 @@ all run on the frozen desk protocol from sasoftmax.experiments.desk_protocol;
 the ablation is trained once per module and shared.
 """
 
+import hashlib
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sasoftmax.analysis import check_eq3_grid, check_fm_ambiguity, check_softmax_failure_mode
 from sasoftmax.data import generate_synthetic
-from sasoftmax.experiments import desk_protocol, run_ablation, run_sweep, summarize
+from sasoftmax.experiments import (
+    desk_protocol,
+    run_ablation,
+    run_sweep,
+    save_rows_csv,
+    summarize,
+)
 from sasoftmax.gradcheck import check_all_losses, check_pipeline
 from sasoftmax.evaluation import cmc_map
 from sasoftmax.trainer import train
 from test_eval import brute_force_cmc_map
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references" / "desk_ablation.json"
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -26,14 +37,34 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def ablation_summary():
+def ablation_rows():
     """One full desk-protocol ablation (5 variants x 3 seeds), shared by
-    criteria 3, 4, 5 and 6."""
+    criteria 3, 4, 5 and 6 and the golden-output check."""
     start = time.monotonic()
     rows = run_ablation(desk_protocol())
-    elapsed = time.monotonic() - start
+    return rows, time.monotonic() - start
+
+
+@pytest.fixture(scope="module")
+def ablation_summary(ablation_rows):
+    rows, elapsed = ablation_rows
     summary = {r["variant"]: r for r in summarize(rows)}
     return summary, elapsed
+
+
+def test_desk_rows_bit_identical_to_references(ablation_rows, tmp_path):
+    """Each seed's rows, written as the benchmark writes them, hash to the
+    digest recorded in perfbench/references/desk_ablation.json."""
+    rows, _ = ablation_rows
+    refs = json.loads(REFERENCES.read_text())
+    mismatched = []
+    for seed in desk_protocol().seed_list():
+        path = tmp_path / f"rows-{seed}.csv"
+        save_rows_csv([r for r in rows if r["seed"] == seed], path)
+        if hashlib.sha256(path.read_bytes()).hexdigest() != refs[str(seed)]["digest"]:
+            mismatched.append(seed)
+    report("golden desk rows", not mismatched, f"seeds differing from the references: {mismatched}")
+    assert not mismatched
 
 
 def test_criterion_1_gradient_correctness():

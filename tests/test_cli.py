@@ -4,12 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sasoftmax
 from sasoftmax import analysis
 from sasoftmax.cli import main
 from sasoftmax.config import load_config_file
+from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix
+from sasoftmax.encoder import init_encoder, save_checkpoint
 from sasoftmax.experiments import desk_protocol, run_ablation, save_rows_csv
 
 FAST_FLAGS = [
@@ -186,6 +189,56 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path / "di")]) == 2
 
 
+def run_cli(argv, cwd):
+    env = {**os.environ, "PYTHONPATH": str(Path(sasoftmax.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "sasoftmax.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestMalformedInputFiles:
+    """A truncated checkpoint or a malformed dataset CSV exits 1 with one
+    line naming the file, and leaves no output directory."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        good_ckpt = tmp_path / "model.txt"
+        save_checkpoint(
+            good_ckpt,
+            init_encoder([4, 3], 0),
+            ModalityPrototypeMatrix(np.ones((3, 4))),
+            IdentityPrototypeMatrix(np.ones((3, 2))),
+        )
+        trunc = tmp_path / "trunc.txt"
+        trunc.write_bytes(good_ckpt.read_bytes()[:60])
+        good_csv = tmp_path / "good.csv"
+        good_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,1,0,0\n")
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,abc,0,0\n")
+        return {"good.txt": good_ckpt, "trunc.txt": trunc, "good.csv": good_csv, "bad.csv": bad_csv}
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["eval", "--checkpoint", "trunc.txt", "--data", "good.csv"], "trunc.txt"),
+            (["eval", "--checkpoint", "good.txt", "--data", "bad.csv"], "bad.csv:3"),
+            (["train", "--data", "bad.csv"], "bad.csv:3"),
+            (["diagnose", "--checkpoint", "trunc.txt"], "trunc.txt"),
+            (["diagnose", "--checkpoint", "good.txt", "--data", "bad.csv"], "bad.csv:3"),
+        ],
+    )
+    def test_exits_1_and_writes_nothing(self, tmp_path, inputs, argv, name):
+        out = tmp_path / "out"
+        argv = [str(inputs.get(a, a)) for a in argv] + ["--out", str(out)]
+        done = run_cli(argv, tmp_path)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and name in lines[0]
+        assert not out.exists()
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv, config_text, name",
@@ -205,11 +258,7 @@ class TestBadInput:
         if config_text is not None:
             (tmp_path / "c.txt").write_text(config_text)
             argv += ["--config", str(tmp_path / "c.txt")]
-        env = {**os.environ, "PYTHONPATH": str(Path(sasoftmax.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-m", "sasoftmax.cli", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = run_cli(argv, tmp_path)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert name in done.stderr.strip().splitlines()[-1]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sasoftmax.core import (
     Dataset,
@@ -87,6 +87,41 @@ class TestPrototypeMatrices:
         assert m.dim == 3
 
 
+def _labelled_samples(n):
+    return st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([0, 1])), max_size=40),
+    )
+
+
+class TestIndicesOf:
+    @given(st.integers(1, 6).flatmap(_labelled_samples))
+    @example((3, [(0, 0), (2, 1), (0, 1), (1, 0), (0, 0), (2, 1)]))  # 1 has no NIR, 2 no VIS
+    def test_matches_brute_force_scan(self, case):
+        n, samples = case
+        ids = np.array([i for i, _ in samples], dtype=int)
+        mods = np.array([m for _, m in samples], dtype=int)
+        ds = Dataset(np.zeros((len(samples), 1)), ids, mods, n, 1)
+        for ident in range(-2, n + 2):  # out-of-range identities must not wrap around
+            for mod in Modality:
+                got = ds.indices_of(ident, mod)
+                want = np.nonzero((ids == ident) & (mods == int(mod)))[0]
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+                assert not got.flags.writeable
+
+    def test_pool_cannot_be_mutated(self):
+        ds = Dataset(np.zeros((3, 1)), np.array([0, 0, 1]), np.array([0, 0, 1]), 2, 1)
+        pool = ds.indices_of(0, Modality.VIS)
+        with pytest.raises(ValueError):
+            pool[0] = 2
+        np.testing.assert_array_equal(ds.indices_of(0, Modality.VIS), [0, 1])
+
+    def test_unknown_modality_code_rejected(self):
+        with pytest.raises(ContractViolation, match="modality codes"):
+            Dataset(np.zeros((2, 1)), np.array([0, 0]), np.array([0, 2]), 1, 1)
+
+
 class TestSampleAndDataset:
     def test_csv_roundtrip_exact(self, tmp_path, rng):
         feats = rng.normal(size=(8, 3))
@@ -110,5 +145,28 @@ class TestSampleAndDataset:
     def test_csv_rejects_unknown_modality_code(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,modality,f0\n0,X,1.0\n")
+        with pytest.raises(ContractViolation):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, line, what",
+        [
+            ("0,V,1.0\n0,N,abc\n", 3, "abc"),
+            ("0,V,1.0\nx,N,2.0\n", 3, "'x'"),
+            ("0,V,1.0\n1,V,2.0\n0,X,1.0\n", 4, "'X'"),
+            ("0\n", 2, "missing id or modality"),
+        ],
+    )
+    def test_csv_malformed_row_names_path_and_line(self, tmp_path, body, line, what):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,modality,f0\n" + body)
+        with pytest.raises(ContractViolation, match=f"bad.csv:{line}: ") as err:
+            load_dataset_csv(path)
+        assert what in str(err.value)
+
+    @pytest.mark.parametrize("text", ["", "id,modality,f0,f1\n0,V,1.0,2.0\n1,N,1.0\n"])
+    def test_csv_empty_or_ragged_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
         with pytest.raises(ContractViolation):
             load_dataset_csv(path)

@@ -187,3 +187,32 @@ class TestCheckpoint:
         path.write_text("NOTAMODEL\n")
         with pytest.raises(ContractViolation):
             load_checkpoint(path)
+
+    def _saved(self, tmp_path):
+        params = init_encoder([4, 6, 3], 11)
+        w_mod = ModalityPrototypeMatrix(np.ones((3, 8)))
+        w_id = IdentityPrototypeMatrix(np.ones((3, 4)))
+        path = tmp_path / "model.txt"
+        save_checkpoint(path, params, w_mod, w_id)
+        return path
+
+    def test_every_truncation_is_a_contract_violation(self, tmp_path):
+        text = self._saved(tmp_path).read_text()
+        cut = tmp_path / "cut.txt"
+        for size in range(len("SASMODEL1\n"), len(text) - 1, 7):
+            cut.write_text(text[:size])
+            with pytest.raises(ContractViolation, match="cut.txt"):
+                load_checkpoint(cut)
+
+    @pytest.mark.parametrize(
+        "line, bad, what",
+        [(1, "4 six 3", "layer dims"), (3, "0.5 abc", "W0"), (2, "W0 4 x", "W0"), (7, "1.0", "W1")],
+    )
+    def test_unparsable_line_names_path_and_array(self, tmp_path, line, bad, what):
+        path = self._saved(tmp_path)
+        lines = path.read_text().split("\n")
+        lines[line] = bad
+        path.write_text("\n".join(lines))
+        with pytest.raises(ContractViolation, match="model.txt") as err:
+            load_checkpoint(path)
+        assert what in str(err.value)

@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sasoftmax import trainer
 from sasoftmax.core import ModalityPrototypeMatrix
 from sasoftmax.data import SynthConfig, generate_synthetic
 from sasoftmax.encoder import SGDState, encoder_backward, encoder_forward, sgd_step
-from sasoftmax.errors import ContractViolation
+from sasoftmax.errors import ContractViolation, NumericError
 from sasoftmax.losses import combined_loss
 from sasoftmax.trainer import (
     TRAINLOG_FIELDS,
@@ -228,6 +229,77 @@ class TestStepSemantics:
         for a, b in zip(state2.params.weights, w0):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(state2.identity_prototypes.W, i0)
+
+
+COMBINED_VARIANTS = ("SOFTMAX", "SAS", "SAS_FM", "SAS_FM_AST", "SAS_FM_WM")
+
+
+@pytest.fixture
+def loss_calls(monkeypatch):
+    """Counts the combined_loss evaluations the trainer makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].W.copy())  # the modality prototypes it saw
+        return combined_loss(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "combined_loss", counted)
+    return calls
+
+
+class TestOneLossEvaluation:
+    @pytest.mark.parametrize("variant", COMBINED_VARIANTS)
+    def test_one_call_per_step(self, variant, loss_calls):
+        ds = tiny_dataset()
+        cfg = tiny_config(variant=variant)
+        state = init_train_state(ds, cfg)
+        pre = state.modality_prototypes.W.copy()
+        train_step(state, ds, np.arange(16), cfg, lr=0.05)
+        assert len(loss_calls) == 1
+        np.testing.assert_array_equal(loss_calls[0], pre)
+
+    @pytest.mark.parametrize("variant", COMBINED_VARIANTS)
+    def test_one_call_per_step_over_a_run(self, variant, loss_calls):
+        cfg = tiny_config(variant=variant)
+        train(tiny_dataset(), cfg)
+        assert len(loss_calls) == cfg.epochs * cfg.batches_per_epoch
+
+    @pytest.mark.parametrize("variant", COMBINED_VARIANTS[1:])
+    @pytest.mark.parametrize("do_w, do_f", [(True, False), (False, True)])
+    def test_one_call_in_each_alternate_half(self, variant, do_w, do_f, loss_calls):
+        ds = tiny_dataset()
+        cfg = tiny_config(variant=variant, alternate_batches=True)
+        state = init_train_state(ds, cfg)
+        train_step(state, ds, np.arange(16), cfg, 0.05, do_w, do_f)
+        assert len(loss_calls) == 1
+
+    def test_softmax_prototype_half_evaluates_nothing(self, loss_calls):
+        """SOFTMAX has no prototype-side step, so the prototype half of an
+        alternating run has nothing to evaluate."""
+        ds = tiny_dataset()
+        cfg = tiny_config(variant="SOFTMAX", alternate_batches=True)
+        state = init_train_state(ds, cfg)
+        train_step(state, ds, np.arange(16), cfg, 0.05, do_w_step=True, do_f_step=False)
+        assert loss_calls == []
+        train_step(state, ds, np.arange(16), cfg, 0.05, do_w_step=False, do_f_step=True)
+        assert len(loss_calls) == 1
+
+    def test_divergence_raises_before_any_update(self, monkeypatch):
+        monkeypatch.setattr(
+            trainer,
+            "combined_loss",
+            lambda *a, **kw: replace(combined_loss(*a, **kw), value=float("nan")),
+        )
+        ds = tiny_dataset()
+        cfg = tiny_config(variant="SAS_FM_AST")
+        state = init_train_state(ds, cfg)
+        w0, b0, m0, i0 = snapshot(state)
+        with pytest.raises(NumericError, match="offending batch indices"):
+            train_step(state, ds, np.arange(16), cfg, lr=0.05)
+        for a, b in zip(state.params.weights + state.params.biases, w0 + b0):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.modality_prototypes.W, m0)
+        np.testing.assert_array_equal(state.identity_prototypes.W, i0)
 
 
 class TestTrain:
