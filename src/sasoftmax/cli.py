@@ -143,8 +143,7 @@ def cmd_eval(args) -> int:
     dataset = load_dataset_csv(args.data)
     out = _prepare_out(args, cfg, "eval")
     report = {}
-    for direction in _direction_list(cfg.direction):
-        rep = cross_modal_eval(params, dataset, direction)
+    for direction, rep in cross_modal_eval(params, dataset, _direction_list(cfg.direction)).items():
         report[direction.value] = {
             "cmc": rep.cmc.tolist(),
             "map": rep.map,
@@ -236,7 +235,7 @@ def cmd_diagnose(args) -> int:
             out / "prototype_diagnostics.json",
         )
         if dataset is not None:
-            rep = cross_modal_eval(params, dataset, Direction.VIS_TO_NIR)
+            rep = cross_modal_eval(params, dataset, [Direction.VIS_TO_NIR])[Direction.VIS_TO_NIR]
             save_histogram_csv(rep.intra_hist, out / "hist_intra.csv")
             save_histogram_csv(rep.inter_hist, out / "hist_inter.csv")
         print(f"mean cos(P_v, P_n) = {diag['mean_cos_vis_nir']:.4f}")

@@ -172,7 +172,7 @@ def rewrite_labels_batch(
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write the `id,modality,f0..` CSV format (modality coded V/N)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["id", "modality"] + [f"f{i}" for i in range(dataset.input_dim)]
@@ -186,27 +186,14 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 def load_dataset_csv(path) -> Dataset:
     """Read the `id,modality,f0..` CSV format; a malformed row raises
-    ContractViolation naming `path:line`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["id", "modality"]:
-            raise ContractViolation(f"unexpected dataset header in {path}")
-        dim = len(header) - 2
-        ids, mods, rows = [], [], []
-        try:
-            for row in reader:
-                ids.append(int(row[0]))
-                mods.append(int(_CODE_MODALITY[row[1]]))
-                rows.append([float(v) for v in row[2:]])
-        except KeyError:
-            raise ContractViolation(
-                f"{path}:{reader.line_num}: unknown modality code {row[1]!r}"
-            ) from None
-        except IndexError:
-            raise ContractViolation(f"{path}:{reader.line_num}: missing id or modality") from None
-        except (ValueError, csv.Error) as exc:
-            raise ContractViolation(f"{path}:{reader.line_num}: {exc}") from None
+    ContractViolation naming `path:line`, and non-UTF-8 text one naming
+    the path."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, ids, mods, rows = _read_dataset_rows(csv.reader(fh), path)
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path} is not UTF-8 text: {exc}") from None
+    dim = len(header) - 2
     if not rows:
         raise ContractViolation(f"empty dataset file {path}")
     try:
@@ -217,3 +204,26 @@ def load_dataset_csv(path) -> Dataset:
         raise ContractViolation(f"ragged feature rows in {path}")
     ids_arr = np.array(ids, dtype=int)
     return Dataset(feats, ids_arr, np.array(mods, dtype=int), int(ids_arr.max()) + 1, dim)
+
+
+def _read_dataset_rows(reader, path):
+    header = next(reader, [])
+    if header[:2] != ["id", "modality"]:
+        raise ContractViolation(f"unexpected dataset header in {path}")
+    ids, mods, rows = [], [], []
+    try:
+        for row in reader:
+            ids.append(int(row[0]))
+            mods.append(int(_CODE_MODALITY[row[1]]))
+            rows.append([float(v) for v in row[2:]])
+    except KeyError:
+        raise ContractViolation(
+            f"{path}:{reader.line_num}: unknown modality code {row[1]!r}"
+        ) from None
+    except IndexError:
+        raise ContractViolation(f"{path}:{reader.line_num}: missing id or modality") from None
+    except UnicodeDecodeError:
+        raise  # reported for the whole file by load_dataset_csv
+    except (ValueError, csv.Error) as exc:
+        raise ContractViolation(f"{path}:{reader.line_num}: {exc}") from None
+    return header, ids, mods, rows

@@ -128,21 +128,34 @@ def _write_array(fh, name: str, arr: np.ndarray) -> None:
     fh.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
 
 
-def _read_array(fh, path, expect: str) -> np.ndarray:
+def _expect_shape(path, name: str, got: tuple, shape: tuple) -> None:
+    if got != shape:
+        raise ContractViolation(
+            f"checkpoint {path} corrupt: array {name} has shape {got}, expected {shape}"
+        )
+
+
+def _read_array(fh, path, expect: str, shape: tuple | None = None) -> np.ndarray:
+    """Read one named array; `shape`, when given, is the one it must have."""
     header = fh.readline().split()
     if not header or header[0] != expect:
         raise ContractViolation(f"checkpoint {path} corrupt: expected {expect}")
+    line = fh.readline()
     try:
-        shape = tuple(int(s) for s in header[1:])
-        flat = np.array([float(v) for v in fh.readline().split()])
+        got = tuple(int(s) for s in header[1:])
+        flat = np.array([float(v) for v in line.split()])
     except ValueError as exc:
         raise ContractViolation(f"checkpoint {path} corrupt: array {expect}: {exc}") from None
-    if any(d < 0 for d in shape) or flat.size != math.prod(shape):
+    if any(d < 0 for d in got) or flat.size != math.prod(got):
         raise ContractViolation(
-            f"checkpoint {path} corrupt: array {expect} of shape {shape} "
+            f"checkpoint {path} corrupt: array {expect} of shape {got} "
             f"holds {flat.size} values"
         )
-    return flat.reshape(shape)
+    if shape is not None:
+        _expect_shape(path, expect, got, shape)
+    if not np.all(np.isfinite(flat)):
+        raise ContractViolation(f"checkpoint {path} corrupt: array {expect} has non-finite values")
+    return flat.reshape(got)
 
 
 def save_checkpoint(
@@ -152,7 +165,7 @@ def save_checkpoint(
     identity_prototypes: IdentityPrototypeMatrix,
 ) -> None:
     """Versioned text checkpoint: magic header, layer dims, then row-major arrays."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(CHECKPOINT_MAGIC + "\n")
         fh.write(" ".join(str(d) for d in params.layer_dims) + "\n")
         for l, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -163,19 +176,36 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    with open(path) as fh:
-        if fh.readline().strip() != CHECKPOINT_MAGIC:
-            raise ContractViolation(f"{path} is not a {CHECKPOINT_MAGIC} checkpoint")
-        try:
-            dims = [int(d) for d in fh.readline().split()]
-        except ValueError as exc:
-            raise ContractViolation(f"checkpoint {path} corrupt: layer dims: {exc}") from None
-        weights, biases = [], []
-        for l in range(len(dims) - 1):
-            weights.append(_read_array(fh, path, f"W{l}"))
-            biases.append(_read_array(fh, path, f"b{l}"))
-        w_mod = _read_array(fh, path, "modality_prototypes")
-        w_id = _read_array(fh, path, "identity_prototypes")
+    """Read a checkpoint written by save_checkpoint. Every array must have the
+    shape the layer-dims line and the identity count give it, and finite
+    values; anything else raises ContractViolation naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _read_checkpoint(fh, path)
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"checkpoint {path} is not UTF-8 text: {exc}") from None
+
+
+def _read_checkpoint(fh, path):
+    if fh.readline().strip() != CHECKPOINT_MAGIC:
+        raise ContractViolation(f"{path} is not a {CHECKPOINT_MAGIC} checkpoint")
+    try:
+        dims = [int(d) for d in fh.readline().split()]
+    except ValueError as exc:
+        raise ContractViolation(f"checkpoint {path} corrupt: layer dims: {exc}") from None
+    if len(dims) < 2 or min(dims) <= 0:
+        raise ContractViolation(
+            f"checkpoint {path} corrupt: layer dims {dims} need >= 2 positive entries"
+        )
+    weights, biases = [], []
+    for l in range(len(dims) - 1):
+        weights.append(_read_array(fh, path, f"W{l}", (dims[l], dims[l + 1])))
+        biases.append(_read_array(fh, path, f"b{l}", (dims[l + 1],)))
+    w_mod = _read_array(fh, path, "modality_prototypes")
+    w_id = _read_array(fh, path, "identity_prototypes")
+    n = w_id.shape[-1] if w_id.ndim else 0
+    _expect_shape(path, "identity_prototypes", w_id.shape, (dims[-1], n))
+    _expect_shape(path, "modality_prototypes", w_mod.shape, (dims[-1], 2 * n))
     return (
         EncoderParams(weights, biases),
         ModalityPrototypeMatrix(w_mod),

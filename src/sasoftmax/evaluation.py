@@ -16,6 +16,9 @@ from .errors import ContractViolation, DegenerateNormError
 from .losses import NORM_EPS
 
 HIST_BINS = np.linspace(-1.0, 1.0, 61)  # 60 fixed bins, comparable across runs
+# Query rows cmc_map sorts per call, which bounds its sorted copy to
+# _RANK_BLOCK x gallery floats.
+_RANK_BLOCK = 256
 
 
 class Direction(Enum):
@@ -27,8 +30,9 @@ class Direction(Enum):
 class EvalReport:
     cmc: np.ndarray  # hit rate at ranks 1..R
     map: float
-    intra_hist: np.ndarray
+    intra_hist: np.ndarray  # cross-modality pair counts; shared by both directions
     inter_hist: np.ndarray
+    intra_cosine_mean: float  # mean cosine of the same-identity (VIS, NIR) pairs
 
     @property
     def rank1(self) -> float:
@@ -45,39 +49,65 @@ def cosine_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     return (queries / qn[:, None]) @ (gallery / gn[:, None]).T
 
 
+def _c_ordered(rows: np.ndarray) -> np.ndarray:
+    """`rows` as a C-ordered array. A block of a transposed matrix is copied
+    tile by tile: copied whole, its strided reads miss the cache."""
+    if rows.flags.c_contiguous:
+        return rows
+    out = np.empty(rows.shape, dtype=rows.dtype)
+    for c in range(0, rows.shape[1], _RANK_BLOCK):
+        out[:, c : c + _RANK_BLOCK] = rows[:, c : c + _RANK_BLOCK]
+    return out
+
+
 def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray):
     """Rank-based CMC and interpolation-free mAP.
 
-    Ties are broken deterministically: lower gallery index first.
-    AP = mean over relevant positions of precision at that position.
+    Only each query's relevant gallery items are ranked. Ties are broken
+    deterministically, lower gallery index first: the rank of item g is
+    1 + #(items strictly more similar) + #(equally similar items at a lower
+    index). AP = mean over relevant items of precision at their ranks.
     """
     n_q, n_g = sim.shape
-    cmc = np.zeros(n_g)
-    aps = np.zeros(n_q)
-    gallery_idx = np.arange(n_g)
-    for qi in range(n_q):
-        order = np.lexsort((gallery_idx, -sim[qi]))
-        rel = (g_ids[order] == q_ids[qi]).astype(float)
-        n_rel = rel.sum()
-        if n_rel == 0:
+    order = np.argsort(g_ids, kind="stable")
+    keys, starts = np.unique(g_ids[order], return_index=True)
+    relevant = dict(zip(keys.tolist(), np.split(order, starts[1:])))
+    queries = np.asarray(q_ids).tolist()
+    for qi, q in enumerate(queries):
+        if q not in relevant:
             raise ContractViolation(f"query {qi} has no relevant gallery item")
-        first_hit = int(np.argmax(rel))
-        cmc[first_hit:] += 1.0
-        precision = np.cumsum(rel) / (gallery_idx + 1.0)
-        aps[qi] = float((precision * rel).sum() / n_rel)
-    return cmc / n_q, float(aps.mean())
+    first_hits = np.empty(n_q, dtype=np.intp)
+    aps = np.empty(n_q)
+    ap_terms = np.zeros(n_g)
+    for lo in range(0, n_q, _RANK_BLOCK):
+        block = _c_ordered(sim[lo : lo + _RANK_BLOCK])
+        for qi, row, ascending in zip(range(lo, n_q), block, np.sort(block, axis=1)):
+            rel = relevant[queries[qi]]
+            vals = row[rel]
+            right = np.searchsorted(ascending, vals, "right")
+            ranks = n_g + 1 - right
+            ties = right - np.searchsorted(ascending, vals, "left") > 1
+            for t in np.flatnonzero(ties):
+                ranks[t] += np.count_nonzero(row[: rel[t]] == vals[t])
+            ranks.sort()
+            first_hits[qi] = ranks[0] - 1
+            # precision j / rank_j at each hit and zero elsewhere; summing
+            # the whole row keeps a full ranking's summation order, and bits
+            ap_terms[ranks - 1] = np.arange(1, len(ranks) + 1) / ranks
+            aps[qi] = ap_terms.sum() / len(ranks)
+            ap_terms[ranks - 1] = 0.0
+    cmc = np.cumsum(np.bincount(first_hits, minlength=n_g)) / n_q
+    return cmc, float(aps.mean())
 
 
-def _cross_modality_histograms(emb: np.ndarray, ids: np.ndarray, mods: np.ndarray):
-    """Intra/inter histograms over all (VIS, NIR) pairs; same-modality pairs
-    are ignored. Returns raw counts over the fixed bin grid."""
+def _cross_modality_similarity(emb: np.ndarray, ids: np.ndarray, mods: np.ndarray):
+    """VIS x NIR cosine matrix, the VIS and NIR identities, and the
+    same-identity mask over the matrix."""
     vis = mods == int(Modality.VIS)
     nir = mods == int(Modality.NIR)
-    sims = cosine_matrix(emb[vis], emb[nir])
-    same = ids[vis][:, None] == ids[nir][None, :]
-    intra, _ = np.histogram(sims[same], bins=HIST_BINS)
-    inter, _ = np.histogram(sims[~same], bins=HIST_BINS)
-    return intra, inter
+    sim = cosine_matrix(emb[vis], emb[nir])
+    vis_ids, nir_ids = ids[vis], ids[nir]
+    return sim, vis_ids, nir_ids, vis_ids[:, None] == nir_ids[None, :]
 
 
 def histogram_overlap(intra: np.ndarray, inter: np.ndarray) -> float:
@@ -88,31 +118,38 @@ def histogram_overlap(intra: np.ndarray, inter: np.ndarray) -> float:
 
 
 def mean_intra_cross_cosine(emb: np.ndarray, ids: np.ndarray, mods: np.ndarray) -> float:
-    vis = mods == int(Modality.VIS)
-    nir = mods == int(Modality.NIR)
-    sims = cosine_matrix(emb[vis], emb[nir])
-    same = ids[vis][:, None] == ids[nir][None, :]
-    return float(sims[same].mean())
+    sim, _, _, same = _cross_modality_similarity(emb, ids, mods)
+    return float(sim[same].mean())
 
 
 def cross_modal_eval(
-    params: EncoderParams, dataset: Dataset, direction: Direction
-) -> EvalReport:
-    """Retrieval evaluation: source-modality samples query the full
-    target-modality gallery."""
+    params: EncoderParams, dataset: Dataset, directions
+) -> dict[Direction, EvalReport]:
+    """Retrieval evaluation: in each direction, source-modality samples query
+    the full target-modality gallery. One forward pass and one VIS x NIR
+    similarity matrix serve every direction and the histograms; NIR -> VIS
+    ranks the transpose."""
     emb, _ = encoder_forward(params, dataset.features)
-    if direction == Direction.VIS_TO_NIR:
-        src, tgt = Modality.VIS, Modality.NIR
-    else:
-        src, tgt = Modality.NIR, Modality.VIS
-    q_mask = dataset.modalities == int(src)
-    g_mask = dataset.modalities == int(tgt)
-    if not q_mask.any() or not g_mask.any():
+    mods = dataset.modalities
+    if not (mods == int(Modality.VIS)).any() or not (mods == int(Modality.NIR)).any():
         raise ContractViolation("both modalities must be present in the test set")
-    sim = cosine_matrix(emb[q_mask], emb[g_mask])
-    cmc, mean_ap = cmc_map(sim, dataset.identities[q_mask], dataset.identities[g_mask])
-    intra, inter = _cross_modality_histograms(emb, dataset.identities, dataset.modalities)
-    return EvalReport(cmc=cmc, map=mean_ap, intra_hist=intra, inter_hist=inter)
+    sim, vis_ids, nir_ids, same = _cross_modality_similarity(emb, dataset.identities, mods)
+    ranked = {}
+    for direction in directions:
+        if direction == Direction.VIS_TO_NIR:
+            ranked[direction] = cmc_map(sim, vis_ids, nir_ids)
+        else:
+            ranked[direction] = cmc_map(sim.T, nir_ids, vis_ids)
+    # Over all (VIS, NIR) pairs; same-modality pairs are ignored. Counts are
+    # integers, so the subtraction is exact.
+    intra_sims = sim[same]
+    intra, _ = np.histogram(intra_sims, bins=HIST_BINS)
+    inter = np.histogram(sim, bins=HIST_BINS)[0] - intra
+    intra_mean = float(intra_sims.mean())
+    return {
+        d: EvalReport(cmc, mean_ap, intra, inter, intra_mean)
+        for d, (cmc, mean_ap) in ranked.items()
+    }
 
 
 def prototype_diagnostics(

@@ -14,13 +14,11 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import generate_synthetic, split_by_identity
-from .encoder import encoder_forward
 from .errors import ContractViolation
 from .evaluation import (
     Direction,
     cross_modal_eval,
     histogram_overlap,
-    mean_intra_cross_cosine,
     prototype_diagnostics,
 )
 from .trainer import train
@@ -65,9 +63,8 @@ def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None) -> di
     identities. Returns a flat metrics row."""
     train_set, test_set = split if split is not None else make_split(cfg)
     state, log = train(train_set, replace(cfg, variant=variant, seed=seed))
-    rep_vn = cross_modal_eval(state.params, test_set, Direction.VIS_TO_NIR)
-    rep_nv = cross_modal_eval(state.params, test_set, Direction.NIR_TO_VIS)
-    emb, _ = encoder_forward(state.params, test_set.features)
+    reports = cross_modal_eval(state.params, test_set, list(Direction))
+    rep_vn, rep_nv = reports[Direction.VIS_TO_NIR], reports[Direction.NIR_TO_VIS]
     diag = prototype_diagnostics(state.modality_prototypes, state.identity_prototypes)
     row = {
         "variant": variant,
@@ -78,9 +75,7 @@ def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None) -> di
         "rank1_nir2vis": rep_nv.rank1,
         "mean_map": 0.5 * (rep_vn.map + rep_nv.map),
         "mean_rank1": 0.5 * (rep_vn.rank1 + rep_nv.rank1),
-        "test_intra_cross_cosine": mean_intra_cross_cosine(
-            emb, test_set.identities, test_set.modalities
-        ),
+        "test_intra_cross_cosine": rep_vn.intra_cosine_mean,
         "hist_overlap": histogram_overlap(rep_vn.intra_hist, rep_vn.inter_hist),
         "proto_cos_vis_nir": diag["mean_cos_vis_nir"],
         "final_train_loss": log.records[-1]["loss_total"] if log.records else float("nan"),

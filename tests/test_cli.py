@@ -198,8 +198,9 @@ def run_cli(argv, cwd):
 
 
 class TestMalformedInputFiles:
-    """A truncated checkpoint or a malformed dataset CSV exits 1 with one
-    line naming the file, and leaves no output directory."""
+    """A truncated, inconsistent or non-UTF-8 checkpoint, or a malformed or
+    non-UTF-8 dataset CSV, exits 1 with one line naming the file, and leaves
+    no output directory."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -216,7 +217,19 @@ class TestMalformedInputFiles:
         good_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,1,0,0\n")
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,abc,0,0\n")
-        return {"good.txt": good_ckpt, "trunc.txt": trunc, "good.csv": good_csv, "bad.csv": bad_csv}
+        # b0 says 2 entries under a 4 x 3 W0
+        lines = good_ckpt.read_text().split("\n")
+        lines[4:6] = ["b0 2", "0.0 0.0"]
+        badshape = tmp_path / "badshape.txt"
+        badshape.write_text("\n".join(lines))
+        bin_ckpt = tmp_path / "bin.txt"
+        bin_ckpt.write_bytes(b"SASMODEL1\n\xff\xfe")
+        bin_csv = tmp_path / "bin.csv"
+        bin_csv.write_bytes(b"\xff\xfe")
+        return {
+            "good.txt": good_ckpt, "trunc.txt": trunc, "good.csv": good_csv, "bad.csv": bad_csv,
+            "badshape.txt": badshape, "bin.txt": bin_ckpt, "bin.csv": bin_csv,
+        }
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -226,6 +239,9 @@ class TestMalformedInputFiles:
             (["train", "--data", "bad.csv"], "bad.csv:3"),
             (["diagnose", "--checkpoint", "trunc.txt"], "trunc.txt"),
             (["diagnose", "--checkpoint", "good.txt", "--data", "bad.csv"], "bad.csv:3"),
+            (["eval", "--checkpoint", "badshape.txt", "--data", "good.csv"], "badshape.txt"),
+            (["eval", "--checkpoint", "bin.txt", "--data", "good.csv"], "bin.txt"),
+            (["eval", "--checkpoint", "good.txt", "--data", "bin.csv"], "bin.csv"),
         ],
     )
     def test_exits_1_and_writes_nothing(self, tmp_path, inputs, argv, name):

@@ -170,3 +170,12 @@ class TestSampleAndDataset:
         path.write_text(text)
         with pytest.raises(ContractViolation):
             load_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe", b"id,modality,f0\n0,V,1.0\n0,N,\xff\xfe\n"]
+    )
+    def test_csv_non_utf8_names_path(self, tmp_path, data):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(data)
+        with pytest.raises(ContractViolation, match="bin.csv is not UTF-8"):
+            load_dataset_csv(path)

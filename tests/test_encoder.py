@@ -216,3 +216,54 @@ class TestCheckpoint:
         with pytest.raises(ContractViolation, match="model.txt") as err:
             load_checkpoint(path)
         assert what in str(err.value)
+
+    # Lines of the _saved checkpoint: 1 dims "4 6 3", 2/3 W0, 4/5 b0, 6/7 W1,
+    # 8/9 b1, 10/11 modality_prototypes (3 x 8), 12/13 identity_prototypes (3 x 4).
+    @pytest.mark.parametrize(
+        "edits, what",
+        [
+            ({1: "4 5 3"}, "W0"),
+            ({4: "b0 2", 5: "0.0 0.0"}, "b0"),
+            ({8: "b1 4", 9: "0.0 0.0 0.0 0.0"}, "b1"),
+            ({10: "modality_prototypes 3 6", 11: " ".join(["1.0"] * 18)}, "modality_prototypes"),
+            ({10: "modality_prototypes 2 8", 11: " ".join(["1.0"] * 16)}, "modality_prototypes"),
+            ({10: "modality_prototypes 24", 11: " ".join(["1.0"] * 24)}, "modality_prototypes"),
+            ({12: "identity_prototypes 2 4", 13: " ".join(["1.0"] * 8)}, "identity_prototypes"),
+            ({12: "identity_prototypes 12", 13: " ".join(["1.0"] * 12)}, "identity_prototypes"),
+        ],
+    )
+    def test_shape_disagreement_names_path_and_array(self, tmp_path, edits, what):
+        path = self._saved(tmp_path)
+        lines = path.read_text().split("\n")
+        for i, text in edits.items():
+            lines[i] = text
+        path.write_text("\n".join(lines))
+        with pytest.raises(ContractViolation, match="model.txt") as err:
+            load_checkpoint(path)
+        assert f"array {what} has shape" in str(err.value)
+
+    @pytest.mark.parametrize("line, what", [(3, "W0"), (9, "b1"), (13, "identity_prototypes")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_path_and_array(self, tmp_path, line, what, value):
+        path = self._saved(tmp_path)
+        lines = path.read_text().split("\n")
+        lines[line] = " ".join([value] + lines[line].split()[1:])
+        path.write_text("\n".join(lines))
+        with pytest.raises(ContractViolation, match=f"model.txt corrupt: array {what} has non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", ["4", "4 0 3", ""])
+    def test_degenerate_layer_dims_rejected(self, tmp_path, dims):
+        path = self._saved(tmp_path)
+        lines = path.read_text().split("\n")
+        lines[1] = dims
+        path.write_text("\n".join(lines))
+        with pytest.raises(ContractViolation, match="model.txt corrupt: layer dims"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tail", [b"\xff\xfe", b"4 6 3\nW0 4 6\n\xff\xfe\n"])
+    def test_non_utf8_names_path(self, tmp_path, tail):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"SASMODEL1\n" + tail)
+        with pytest.raises(ContractViolation, match="bin.txt is not UTF-8"):
+            load_checkpoint(path)

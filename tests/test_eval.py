@@ -2,12 +2,15 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sasoftmax import evaluation
 from sasoftmax.core import Dataset, IdentityPrototypeMatrix, Modality, ModalityPrototypeMatrix
 from sasoftmax.data import SynthConfig, generate_synthetic
-from sasoftmax.encoder import EncoderParams, init_encoder
+from sasoftmax.encoder import EncoderParams, encoder_forward, init_encoder
 from sasoftmax.errors import ContractViolation, DegenerateNormError
 from sasoftmax.evaluation import (
+    _RANK_BLOCK,
     HIST_BINS,
     Direction,
     cmc_map,
@@ -114,6 +117,39 @@ class TestCmcMap:
             np.testing.assert_allclose(cmc, ref_cmc, atol=1e-12)
             assert mean_ap == pytest.approx(ref_map, abs=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_q=st.integers(1, 2 * _RANK_BLOCK + 3),
+        n_g=st.integers(2, 9),
+        grid=st.sampled_from([None, 1.0, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_brute_force_oracle_across_blocks(self, n_q, n_g, grid, seed):
+        """Query counts up to past the second block boundary, ties quantised
+        onto a grid, and gallery identities that no query asks for."""
+        rng = np.random.default_rng(seed)
+        g_ids = rng.integers(0, 4, size=n_g)
+        present = np.unique(g_ids)
+        # with two or more gallery identities, the last one is never asked for
+        q_ids = rng.choice(present[: max(1, len(present) - 1)], size=n_q)
+        sim = rng.normal(size=(n_q, n_g))
+        if grid is not None:
+            sim = np.round(sim * grid) / grid
+        cmc, mean_ap = cmc_map(sim, q_ids, g_ids)
+        ref_cmc, ref_map = brute_force_cmc_map(sim, q_ids, g_ids)
+        np.testing.assert_allclose(cmc, ref_cmc, atol=1e-12)
+        assert mean_ap == pytest.approx(ref_map, abs=1e-12)
+
+    def test_transposed_view_matches_copy(self, rng):
+        sim = np.round(rng.normal(size=(7, 300)), 1)
+        ids = rng.integers(0, 3, size=300)
+        ids[:3] = [0, 1, 2]
+        q_ids = np.array([0, 1, 2, 0, 1, 2, 0])
+        view = cmc_map(sim.T, ids, q_ids)
+        copy = cmc_map(np.ascontiguousarray(sim.T), ids, q_ids)
+        np.testing.assert_array_equal(view[0], copy[0])
+        assert view[1] == copy[1]
+
     def test_cmc_monotone(self, rng):
         sim = rng.normal(size=(6, 9))
         g_ids = rng.integers(0, 3, size=9)
@@ -139,11 +175,31 @@ class TestHistograms:
             SynthConfig(num_identities=5, samples_per_identity_per_modality=3, input_dim=4, seed=2)
         )
         params = init_encoder([4, 4], 0)
-        rep = cross_modal_eval(params, ds, Direction.VIS_TO_NIR)
+        reps = cross_modal_eval(params, ds, list(Direction))
+        rep = reps[Direction.VIS_TO_NIR]
         n_vis = int((ds.modalities == int(Modality.VIS)).sum())
         n_nir = int((ds.modalities == int(Modality.NIR)).sum())
         assert rep.intra_hist.sum() + rep.inter_hist.sum() == n_vis * n_nir
         assert len(rep.intra_hist) == len(HIST_BINS) - 1 == 60
+        other = reps[Direction.NIR_TO_VIS]
+        np.testing.assert_array_equal(other.intra_hist, rep.intra_hist)
+        np.testing.assert_array_equal(other.inter_hist, rep.inter_hist)
+
+    def test_counts_match_an_explicit_split(self):
+        """Each part, computed as all pairs minus the intra pairs, is the
+        histogram of its own pairs."""
+        ds = generate_synthetic(
+            SynthConfig(num_identities=6, samples_per_identity_per_modality=4, input_dim=4, seed=3)
+        )
+        params = init_encoder([4, 4], 1)
+        rep = cross_modal_eval(params, ds, [Direction.NIR_TO_VIS])[Direction.NIR_TO_VIS]
+        emb, _ = encoder_forward(params, ds.features)
+        vis = ds.modalities == int(Modality.VIS)
+        sim = cosine_matrix(emb[vis], emb[~vis])
+        same = ds.identities[vis][:, None] == ds.identities[~vis][None, :]
+        np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
+        np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
+        assert rep.intra_cosine_mean == mean_intra_cross_cosine(emb, ds.identities, ds.modalities)
 
     def test_overlap_bounds(self):
         a = np.zeros(60)
@@ -178,8 +234,7 @@ class TestCrossModalEval:
             )
         )
         params = EncoderParams([np.eye(4)], [np.zeros(4)])
-        for direction in Direction:
-            rep = cross_modal_eval(params, ds, direction)
+        for rep in cross_modal_eval(params, ds, list(Direction)).values():
             assert rep.rank1 == 1.0
             assert rep.map == 1.0
 
@@ -193,7 +248,7 @@ class TestCrossModalEval:
         mods = np.tile(np.repeat([0, 1], per), n)
         ds = Dataset(feats, ids, mods, n, 6)
         params = EncoderParams([np.eye(6)], [np.zeros(6)])
-        rep = cross_modal_eval(params, ds, Direction.VIS_TO_NIR)
+        rep = cross_modal_eval(params, ds, [Direction.VIS_TO_NIR])[Direction.VIS_TO_NIR]
 
         emb = feats
         q_mask = mods == 0
@@ -213,9 +268,46 @@ class TestCrossModalEval:
             SynthConfig(num_identities=10, samples_per_identity_per_modality=6, input_dim=8, seed=4)
         )
         params = init_encoder([8, 6], 1)
-        vn = cross_modal_eval(params, ds, Direction.VIS_TO_NIR)
-        nv = cross_modal_eval(params, ds, Direction.NIR_TO_VIS)
+        reps = cross_modal_eval(params, ds, list(Direction))
+        vn, nv = reps[Direction.VIS_TO_NIR], reps[Direction.NIR_TO_VIS]
         assert abs(vn.map - nv.map) < 0.2
+
+    def test_one_forward_and_one_similarity_matrix(self, monkeypatch):
+        calls = {"encoder_forward": 0, "cosine_matrix": 0}
+
+        def counted(name):
+            original = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, counted(name))
+        ds = generate_synthetic(
+            SynthConfig(num_identities=6, samples_per_identity_per_modality=3, input_dim=4, seed=5)
+        )
+        reps = cross_modal_eval(init_encoder([4, 3], 2), ds, list(Direction))
+        assert set(reps) == set(Direction)
+        assert calls == {"encoder_forward": 1, "cosine_matrix": 1}
+
+    def test_reverse_direction_equals_its_own_product(self):
+        """NIR -> VIS ranks the transposed VIS x NIR matrix; the result is
+        the one a NIR x VIS product gives."""
+        ds = generate_synthetic(
+            SynthConfig(num_identities=8, samples_per_identity_per_modality=5, input_dim=6, seed=7)
+        )
+        params = init_encoder([6, 5, 4], 3)
+        rep = cross_modal_eval(params, ds, [Direction.NIR_TO_VIS])[Direction.NIR_TO_VIS]
+        emb, _ = encoder_forward(params, ds.features)
+        nir = ds.modalities == int(Modality.NIR)
+        cmc, mean_ap = cmc_map(
+            cosine_matrix(emb[nir], emb[~nir]), ds.identities[nir], ds.identities[~nir]
+        )
+        np.testing.assert_array_equal(rep.cmc, cmc)
+        assert rep.map == mean_ap
 
     def test_mean_intra_cross_cosine_closed_case(self):
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
@@ -277,8 +369,6 @@ class TestExportEmbeddings:
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 7
-        from sasoftmax.encoder import encoder_forward
-
         emb, _ = encoder_forward(params, feats)
         back = np.array([[float(v) for v in row[2:]] for row in rows[1:]])
         np.testing.assert_allclose(back, emb, atol=1e-9)
