@@ -20,10 +20,7 @@ from .losses import (
     ast_loss,
     circle_loss,
     combined_loss,
-    sas_f_loss,
-    sas_w_loss,
-    sas_w_loss_weight_masked,
-    softmax_ce,
+    masked_ce,
     theta_derivative_probe,
 )
 
@@ -40,10 +37,7 @@ __all__ = [
     "ast_loss",
     "circle_loss",
     "combined_loss",
-    "sas_f_loss",
-    "sas_w_loss",
-    "sas_w_loss_weight_masked",
-    "softmax_ce",
+    "masked_ce",
     "theta_derivative_probe",
 ]
 

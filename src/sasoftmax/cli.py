@@ -5,8 +5,9 @@ Every ExperimentConfig key is exposed as a flag. --protocol picks the base
 config (the CLI defaults or the desk protocol), a key=value config file
 overrides it, and flags override both. Each output directory receives the
 exact effective config (config.txt) so any run can be reproduced from it;
-timestamps live only in metadata.json. Input files are loaded before the
-output directory is created, so bad input leaves no output behind.
+timestamps live only in metadata.json. Input files are loaded, and a
+dataset is evaluated, before the output directory is created, so bad input
+leaves no output behind.
 
 Exit codes: 0 success, 1 contract violation (including usage errors),
 2 numeric failure, 3 I/O failure.
@@ -141,9 +142,10 @@ def cmd_eval(args) -> int:
     cfg = _effective_config(args)
     params, w_mod, w_id = load_checkpoint(args.checkpoint)
     dataset = load_dataset_csv(args.data)
+    reports = cross_modal_eval(params, dataset, _direction_list(cfg.direction))
     out = _prepare_out(args, cfg, "eval")
     report = {}
-    for direction, rep in cross_modal_eval(params, dataset, _direction_list(cfg.direction)).items():
+    for direction, rep in reports.items():
         report[direction.value] = {
             "cmc": rep.cmc.tolist(),
             "map": rep.map,
@@ -226,7 +228,10 @@ def cmd_diagnose(args) -> int:
     cfg = _effective_config(args)
     if args.checkpoint is not None:
         params, w_mod, w_id = load_checkpoint(args.checkpoint)
-        dataset = load_dataset_csv(args.data) if args.data is not None else None
+        rep = None
+        if args.data is not None:
+            dataset = load_dataset_csv(args.data)
+            rep = cross_modal_eval(params, dataset, [Direction.VIS_TO_NIR])[Direction.VIS_TO_NIR]
     out = _prepare_out(args, cfg, "diagnose")
     if args.checkpoint is not None:
         diag = prototype_diagnostics(w_mod, w_id)
@@ -234,8 +239,7 @@ def cmd_diagnose(args) -> int:
             {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in diag.items()},
             out / "prototype_diagnostics.json",
         )
-        if dataset is not None:
-            rep = cross_modal_eval(params, dataset, [Direction.VIS_TO_NIR])[Direction.VIS_TO_NIR]
+        if rep is not None:
             save_histogram_csv(rep.intra_hist, out / "hist_intra.csv")
             save_histogram_csv(rep.inter_hist, out / "hist_inter.csv")
         print(f"mean cos(P_v, P_n) = {diag['mean_cos_vis_nir']:.4f}")

@@ -44,15 +44,9 @@ class ExperimentConfig(TrainConfig):
             )
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            num_identities=self.num_identities,
-            samples_per_identity_per_modality=self.samples_per_identity_per_modality,
-            input_dim=self.input_dim,
-            modality_gap=self.modality_gap,
-            noise_sigma=self.noise_sigma,
-            seed=self.data_seed,
-            shared_offset=self.shared_offset,
-        )
+        """Every SynthConfig field by name; its `seed` is our `data_seed`."""
+        values = {f.name: getattr(self, f.name) for f in fields(SynthConfig) if f.name != "seed"}
+        return SynthConfig(seed=self.data_seed, **values)
 
     def seed_list(self) -> list[int]:
         return list(_coerce(self.seeds, (), "seeds"))

@@ -8,7 +8,7 @@ All label arithmetic in the package relies on this layout.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
@@ -140,7 +140,6 @@ class LossResult:
     value: float
     grad_embeddings: np.ndarray | None = None
     grad_prototypes: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def rewrite_labels(identity: int, modality: Modality, num_identities: int):

@@ -128,12 +128,23 @@ def cross_modal_eval(
     """Retrieval evaluation: in each direction, source-modality samples query
     the full target-modality gallery. One forward pass and one VIS x NIR
     similarity matrix serve every direction and the histograms; NIR -> VIS
-    ranks the transpose."""
-    emb, _ = encoder_forward(params, dataset.features)
-    mods = dataset.modalities
-    if not (mods == int(Modality.VIS)).any() or not (mods == int(Modality.NIR)).any():
+    ranks the transpose. An identity with no item in a direction's gallery
+    raises ContractViolation naming it and the direction, before any work."""
+    ids, mods = dataset.identities, dataset.modalities
+    vis, nir = mods == int(Modality.VIS), mods == int(Modality.NIR)
+    if not vis.any() or not nir.any():
         raise ContractViolation("both modalities must be present in the test set")
-    sim, vis_ids, nir_ids, same = _cross_modality_similarity(emb, dataset.identities, mods)
+    for direction in directions:
+        query, gallery = (vis, nir) if direction == Direction.VIS_TO_NIR else (nir, vis)
+        # sets, not np.setdiff1d, which imports numpy.ma (about 1 MiB)
+        missing = set(ids[query].tolist()) - set(ids[gallery].tolist())
+        if missing:
+            target = "nir" if direction == Direction.VIS_TO_NIR else "vis"
+            raise ContractViolation(
+                f"identity {min(missing)} has no {target} gallery item ({direction.value})"
+            )
+    emb, _ = encoder_forward(params, dataset.features)
+    sim, vis_ids, nir_ids, same = _cross_modality_similarity(emb, ids, mods)
     ranked = {}
     for direction in directions:
         if direction == Direction.VIS_TO_NIR:

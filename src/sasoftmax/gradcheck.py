@@ -19,10 +19,7 @@ from .losses import (
     ast_loss,
     circle_loss,
     combined_loss,
-    sas_f_loss,
-    sas_w_loss,
-    sas_w_loss_weight_masked,
-    softmax_ce,
+    masked_ce,
     CombinedLossConfig,
 )
 
@@ -104,46 +101,23 @@ def check_all_losses(seeds, tolerance: float = 1e-6, corrupt: bool = False) -> l
     for seed in seeds:
         x, w_mod, w_id, ids, mods, y_w, y_f = _random_instance(seed)
 
-        res = softmax_ce(x, IdentityPrototypeMatrix(w_id), ids)
-        _check_pair(
-            "softmax_ce", seed, rows, tolerance, x,
-            res.grad_embeddings, res.grad_prototypes,
-            lambda a: softmax_ce(a, IdentityPrototypeMatrix(w_id), ids).value,
-            lambda a: softmax_ce(x, IdentityPrototypeMatrix(a), ids).value,
-            w_id, corrupt,
-        )
-
-        res = sas_w_loss(x, ModalityPrototypeMatrix(w_mod), y_w)
-        _check_pair(
-            "sas_w_loss", seed, rows, tolerance, x,
-            None, res.grad_prototypes,
-            None,
-            lambda a: sas_w_loss(x, ModalityPrototypeMatrix(a), y_w).value,
-            w_mod, corrupt,
-        )
-
-        for masked in (False, True):
-            res = sas_f_loss(x, ModalityPrototypeMatrix(w_mod), y_f, y_w, masked)
+        # the softmax family is one kernel on the logits x @ W, told apart by
+        # its label, its dropped column and the targets its gradient reaches
+        for name, w, labels, drop, to_x, to_w in (
+            ("softmax_ce", w_id, ids, None, True, True),
+            ("sas_w_loss", w_mod, y_w, None, False, True),
+            ("sas_f_loss[unmasked]", w_mod, y_f, None, True, False),
+            ("sas_f_loss[masked]", w_mod, y_f, y_w, True, False),
+            ("sas_w_loss_weight_masked", w_mod, y_w, y_f, False, True),
+        ):
+            _, g = masked_ce(x @ w, labels, drop)
             _check_pair(
-                f"sas_f_loss[{'masked' if masked else 'unmasked'}]", seed, rows,
-                tolerance, x,
-                res.grad_embeddings, None,
-                lambda a, m=masked: sas_f_loss(
-                    a, ModalityPrototypeMatrix(w_mod), y_f, y_w, m
-                ).value,
-                None, None, corrupt,
+                name, seed, rows, tolerance, x,
+                g @ w.T if to_x else None, x.T @ g if to_w else None,
+                lambda a: masked_ce(a @ w, labels, drop)[0],
+                lambda a: masked_ce(x @ a, labels, drop)[0],
+                w, corrupt,
             )
-
-        res = sas_w_loss_weight_masked(x, ModalityPrototypeMatrix(w_mod), y_w, y_f)
-        _check_pair(
-            "sas_w_loss_weight_masked", seed, rows, tolerance, x,
-            None, res.grad_prototypes,
-            None,
-            lambda a: sas_w_loss_weight_masked(
-                x, ModalityPrototypeMatrix(a), y_w, y_f
-            ).value,
-            w_mod, corrupt,
-        )
 
         res = ast_loss(x, ModalityPrototypeMatrix(w_mod), y_f)
         _check_pair(

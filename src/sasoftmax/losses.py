@@ -5,9 +5,11 @@ normalization), which matches the derivative structure used throughout the
 asynchronous training protocol. Every loss is mean-reduced over the batch so
 the mixing weights keep their meaning across batch sizes.
 
-Gradient routing is encoded in the returned LossResult: the prototype-side
-loss never carries an embedding gradient and the feature-side losses never
-carry a prototype gradient.
+The softmax family (plain softmax, L_W, L_F and their masked forms) is one
+kernel, `masked_ce`, returning dL/dlogits. `combined_loss` computes the
+modality logits once, applies the chain rule itself and owns the routing
+contract: L_W flows only to the modality prototypes, L_F only to the
+embeddings.
 """
 
 from __future__ import annotations
@@ -55,133 +57,58 @@ def _check_labels(labels: np.ndarray, num_classes: int, name: str = "label") -> 
     return labels
 
 
-def _masked_softmax_nll(logits: np.ndarray, labels: np.ndarray, active: np.ndarray | None):
-    """Stabilized mean NLL over the active class set.
+def masked_ce(logits: np.ndarray, labels: np.ndarray, drop: np.ndarray | None = None):
+    """Stabilized mean cross-entropy over the columns of `logits`, with
+    column drop[i] removed from row i's softmax (numerator candidates and
+    denominator). The whole softmax family is this one kernel: it differs only
+    in the label and the dropped column.
 
-    Returns (value, P) where P holds the softmax probabilities restricted to
-    the active classes (zero elsewhere). `active` is a B x C boolean mask;
-    the label class must be active in every row.
+    Returns (value, G) with G = dL/dlogits. G is the only B x C buffer the
+    kernel allocates; every step after it runs in place.
     """
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
-    b = logits.shape[0]
-    if active is None:
-        z = logits
-    else:
-        z = np.where(active, logits, -np.inf)
-    zmax = z.max(axis=1, keepdims=True)
-    expz = np.exp(z - zmax)
-    denom = expz.sum(axis=1, keepdims=True)
-    p = expz / denom
+    b, c = logits.shape
+    labels = _check_labels(labels, c)
     rows = np.arange(b)
-    logp_target = (z[rows, labels] - zmax[:, 0]) - np.log(denom[:, 0])
-    value = float(-logp_target.mean())
-    return value, p
-
-
-def softmax_ce(
-    embeddings: np.ndarray,
-    prototypes: IdentityPrototypeMatrix,
-    labels: np.ndarray,
-) -> LossResult:
-    """Plain softmax cross-entropy on raw inner-product logits.
-
-    Gradients flow to both the embeddings and the prototype matrix
-    (synchronous optimization).
-    """
-    w = prototypes.W
-    labels = _check_labels(labels, w.shape[1])
-    logits = embeddings @ w
-    value, p = _masked_softmax_nll(logits, labels, None)
-    b = embeddings.shape[0]
-    g = p.copy()
-    g[np.arange(b), labels] -= 1.0
+    if drop is None:
+        zmax = logits.max(axis=1, keepdims=True)
+        g = logits - zmax
+    else:
+        drop = _check_labels(drop, c, "dropped column")
+        if np.any(drop == labels):
+            raise ContractViolation("the dropped column must differ from the label in every row")
+        g = logits.copy()
+        g[rows, drop] = -np.inf
+        zmax = g.max(axis=1, keepdims=True)
+        g -= zmax
+    target = g[rows, labels]
+    np.exp(g, out=g)
+    denom = g.sum(axis=1, keepdims=True)
+    g /= denom
+    value = float(-(target - np.log(denom[:, 0])).mean())
+    g[rows, labels] -= 1.0
     g /= b
-    return LossResult(
-        value=value,
-        grad_embeddings=g @ w.T,
-        grad_prototypes=embeddings.T @ g,
-    )
+    return value, g
 
 
-def sas_w_loss(
-    embeddings: np.ndarray,
-    prototypes: ModalityPrototypeMatrix,
-    y_w: np.ndarray,
-) -> LossResult:
-    """Prototype-side loss over 2N modality columns at the own-modality label.
-
-    Embeddings are treated as constants: only grad_prototypes is returned.
-    """
-    w = prototypes.W
-    y_w = _check_labels(y_w, w.shape[1], "yW")
-    logits = embeddings @ w
-    value, p = _masked_softmax_nll(logits, y_w, None)
-    b = embeddings.shape[0]
-    g = p.copy()
-    g[np.arange(b), y_w] -= 1.0
-    g /= b
-    return LossResult(value=value, grad_prototypes=embeddings.T @ g)
+# The objective's softmax terms, each the one kernel at its label and
+# dropped column. They add no computation: they exist so the benchmark's
+# per-layer spans (losses.<name>.self_s) still see each term by name.
+def softmax_ce(logits, labels):
+    return masked_ce(logits, labels)
 
 
-def sas_f_loss(
-    embeddings: np.ndarray,
-    prototypes: ModalityPrototypeMatrix,
-    y_f: np.ndarray,
-    y_w: np.ndarray,
-    use_feature_mask: bool = False,
-) -> LossResult:
-    """Feature-side loss at the cross-modality label.
-
-    With the feature mask, the own-modality column yW is removed from the
-    softmax entirely (numerator candidates and denominator), leaving 2N - 1
-    active classes. Prototypes are constants: only grad_embeddings flows.
-    """
-    w = prototypes.W
-    c = w.shape[1]
-    y_f = _check_labels(y_f, c, "yF")
-    y_w = _check_labels(y_w, c, "yW")
-    if np.any(y_f == y_w):
-        raise ContractViolation("yF must differ from yW for every sample")
-    b = embeddings.shape[0]
-    logits = embeddings @ w
-    active = None
-    if use_feature_mask:
-        active = np.ones((b, c), dtype=bool)
-        active[np.arange(b), y_w] = False
-    value, p = _masked_softmax_nll(logits, y_f, active)
-    g = p.copy()
-    g[np.arange(b), y_f] -= 1.0
-    g /= b
-    return LossResult(value=value, grad_embeddings=g @ w.T, extras={"coeffs": g})
+def sas_w_loss(logits, y_w):
+    return masked_ce(logits, y_w)
 
 
-def sas_w_loss_weight_masked(
-    embeddings: np.ndarray,
-    prototypes: ModalityPrototypeMatrix,
-    y_w: np.ndarray,
-    y_f: np.ndarray,
-) -> LossResult:
-    """Ablation variant of the prototype-side loss.
+def sas_w_loss_weight_masked(logits, y_w, y_f):
+    return masked_ce(logits, y_w, y_f)
 
-    The own-identity cross-modality column yF is dropped from the
-    denominator, so each sample sees 2N - 1 classes.
-    """
-    w = prototypes.W
-    c = w.shape[1]
-    y_w = _check_labels(y_w, c, "yW")
-    y_f = _check_labels(y_f, c, "yF")
-    if np.any(y_f == y_w):
-        raise ContractViolation("yF must differ from yW for every sample")
-    b = embeddings.shape[0]
-    active = np.ones((b, c), dtype=bool)
-    active[np.arange(b), y_f] = False
-    logits = embeddings @ w
-    value, p = _masked_softmax_nll(logits, y_w, active)
-    g = p.copy()
-    g[np.arange(b), y_w] -= 1.0
-    g /= b
-    return LossResult(value=value, grad_prototypes=embeddings.T @ g)
+
+def sas_f_loss(logits, y_f, y_w=None):
+    return masked_ce(logits, y_f, y_w)
 
 
 def _safe_norms(x: np.ndarray, axis: int, what: str) -> np.ndarray:
@@ -253,10 +180,8 @@ def am_softmax_loss(
     cos = xhat @ what
     logits = scale * cos
     logits[np.arange(b), labels] -= scale * margin
-    value, p = _masked_softmax_nll(logits, labels, None)
-    g = p.copy()
-    g[np.arange(b), labels] -= 1.0
-    g *= scale / b  # dL/dcos
+    value, g = masked_ce(logits, labels)
+    g *= scale  # dL/dcos
     grad_x, grad_w = _cosine_backprop(g, cos, xhat, what, xn, wn)
     return LossResult(value=value, grad_embeddings=grad_x, grad_prototypes=grad_w)
 
@@ -344,22 +269,22 @@ def combined_loss(
     grad_id = None
 
     if a > 0.0:
+        w = modality_prototypes.W
+        logits = embeddings @ w
+        # L_W (label yW) flows only to the prototypes, L_F (label yF) only to
+        # the embeddings; each mask drops the other term's label column
         if config.use_weight_mask:
-            w_res = sas_w_loss_weight_masked(embeddings, modality_prototypes, y_w, y_f)
+            components["loss_w"], g = sas_w_loss_weight_masked(logits, y_w, y_f)
         else:
-            w_res = sas_w_loss(embeddings, modality_prototypes, y_w)
-        f_res = sas_f_loss(
-            embeddings, modality_prototypes, y_f, y_w, config.use_feature_mask
-        )
-        components["loss_w"] = w_res.value
-        components["loss_f"] = f_res.value
-        grad_mod = a * w_res.grad_prototypes
-        grad_emb += a * f_res.grad_embeddings
+            components["loss_w"], g = sas_w_loss(logits, y_w)
+        grad_mod = a * (embeddings.T @ g)
+        components["loss_f"], g = sas_f_loss(logits, y_f, y_w if config.use_feature_mask else None)
+        grad_emb += a * (g @ w.T)
     if a < 1.0:
-        s_res = softmax_ce(embeddings, identity_prototypes, identities)
-        components["loss_softmax"] = s_res.value
-        grad_id = (1.0 - a) * s_res.grad_prototypes
-        grad_emb += (1.0 - a) * s_res.grad_embeddings
+        w = identity_prototypes.W
+        components["loss_softmax"], g = softmax_ce(embeddings @ w, identities)
+        grad_id = (1.0 - a) * (embeddings.T @ g)
+        grad_emb += (1.0 - a) * (g @ w.T)
     if bta > 0.0:
         a_res = ast_loss(embeddings, modality_prototypes, y_f, squared=config.squared_ast)
         components["loss_ast"] = a_res.value

@@ -27,7 +27,7 @@ from .encoder import (
     lr_schedule,
     sgd_step,
 )
-from .errors import ContractViolation, NumericError
+from .errors import ContractViolation, DegenerateNormError, NumericError
 from .evaluation import mean_intra_cross_cosine
 from .losses import (
     CombinedLossConfig,
@@ -146,19 +146,32 @@ def init_train_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     )
 
 
-def _feature_side_grads(state: TrainState, embeddings, ids, config: TrainConfig):
-    """Loss and gradients of the identity-head-only variants (AM_SOFTMAX,
-    CIRCLE), which have no modality prototypes to update."""
-    if config.variant == "AM_SOFTMAX":
-        res = am_softmax_loss(
-            embeddings, state.identity_prototypes, ids, config.am_margin, config.am_scale
-        )
-    else:
-        res = circle_loss(
-            embeddings, state.identity_prototypes, ids, config.circle_gamma, config.circle_margin
-        )
-    comps = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": res.value, "loss_ast": 0.0}
-    return res.value, res.grad_embeddings, res.grad_prototypes, comps
+def _evaluate_loss(state: TrainState, embeddings, ids, mods, config: TrainConfig, loss_cfg):
+    """The step's one loss evaluation, against the prototypes as they are:
+    (value, grad_emb, grad_id, grad_mod, components). `loss_cfg` is None for
+    the identity-head-only variants (AM_SOFTMAX, CIRCLE), which have no
+    modality prototypes to update."""
+    if loss_cfg is None:
+        if config.variant == "AM_SOFTMAX":
+            res = am_softmax_loss(
+                embeddings, state.identity_prototypes, ids, config.am_margin, config.am_scale
+            )
+        else:
+            res = circle_loss(
+                embeddings, state.identity_prototypes, ids, config.circle_gamma, config.circle_margin
+            )
+        comps = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": res.value, "loss_ast": 0.0}
+        return res.value, res.grad_embeddings, res.grad_prototypes, None, comps
+    res = combined_loss(
+        embeddings, state.modality_prototypes, state.identity_prototypes, ids, mods, loss_cfg
+    )
+    return (
+        res.value,
+        res.grad_embeddings,
+        res.grad_identity_prototypes,
+        res.grad_modality_prototypes,
+        res.components,
+    )
 
 
 def train_step(
@@ -176,36 +189,24 @@ def train_step(
     mods = dataset.modalities[batch_indices]
     embeddings, cache = encoder_forward(state.params, x)
 
-    grad_mod = None
-    if config.variant in ("AM_SOFTMAX", "CIRCLE"):
-        if not do_f_step:
-            return {"loss_total": 0.0}
-        value, grad_emb, grad_id, comps = _feature_side_grads(state, embeddings, ids, config)
-    else:
-        loss_cfg = config.loss_config()
-        do_w_step = do_w_step and loss_cfg.alpha > 0.0
-        if not (do_w_step or do_f_step):
-            return {"loss_total": 0.0}
-        # the one loss evaluation of this step, against the pre-step-1
-        # prototypes: step 1 takes its prototype gradient, step 2 the rest
-        res = combined_loss(
-            embeddings,
-            state.modality_prototypes,
-            state.identity_prototypes,
-            ids,
-            mods,
-            loss_cfg,
+    head_only = config.variant in ("AM_SOFTMAX", "CIRCLE")
+    loss_cfg = None if head_only else config.loss_config()
+    do_w_step = do_w_step and not head_only and loss_cfg.alpha > 0.0
+    if not (do_w_step or do_f_step):
+        return {"loss_total": 0.0}
+    # the one loss evaluation of this step, against the pre-step-1
+    # prototypes: step 1 takes its prototype gradient, step 2 the rest
+    try:
+        value, grad_emb, grad_id, grad_mod, comps = _evaluate_loss(
+            state, embeddings, ids, mods, config, loss_cfg
         )
-        value, grad_emb, grad_id, comps = (
-            res.value,
-            res.grad_embeddings,
-            res.grad_identity_prototypes,
-            res.components,
-        )
-        if do_w_step:
-            grad_mod = res.grad_modality_prototypes
+    except DegenerateNormError as exc:
+        # e.g. a dead-ReLU all-zero embedding reaching a cosine-based term
+        raise DegenerateNormError(f"{exc}; {_batch_context(batch_indices)}") from exc
+    if not do_w_step:
+        grad_mod = None
     if not np.isfinite(value):
-        raise NumericError(_diverged_message(batch_indices, value))
+        raise NumericError(f"training diverged (loss={value}); {_batch_context(batch_indices)}")
 
     # step 1: prototype-side update, embeddings held constant
     if grad_mod is not None:
@@ -242,11 +243,8 @@ def train_step(
     return {"loss_total": value, **comps}
 
 
-def _diverged_message(batch_indices, value) -> str:
-    return (
-        f"training diverged (loss={value}); offending batch indices: "
-        f"{np.asarray(batch_indices).tolist()}"
-    )
+def _batch_context(batch_indices) -> str:
+    return f"offending batch indices: {np.asarray(batch_indices).tolist()}"
 
 
 def train(dataset: Dataset, config: TrainConfig):

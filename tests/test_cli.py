@@ -198,9 +198,10 @@ def run_cli(argv, cwd):
 
 
 class TestMalformedInputFiles:
-    """A truncated, inconsistent or non-UTF-8 checkpoint, or a malformed or
-    non-UTF-8 dataset CSV, exits 1 with one line naming the file, and leaves
-    no output directory."""
+    """A truncated, inconsistent or non-UTF-8 checkpoint, a malformed or
+    non-UTF-8 dataset CSV, or a test CSV with a one-modality identity, exits 1
+    with one line naming the file or the identity, and leaves no output
+    directory."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -226,9 +227,13 @@ class TestMalformedInputFiles:
         bin_ckpt.write_bytes(b"SASMODEL1\n\xff\xfe")
         bin_csv = tmp_path / "bin.csv"
         bin_csv.write_bytes(b"\xff\xfe")
+        # identity 0 has visible samples only
+        onemod_csv = tmp_path / "onemod.csv"
+        onemod_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n1,V,0,1,0,0\n1,N,0,0,1,0\n")
         return {
             "good.txt": good_ckpt, "trunc.txt": trunc, "good.csv": good_csv, "bad.csv": bad_csv,
             "badshape.txt": badshape, "bin.txt": bin_ckpt, "bin.csv": bin_csv,
+            "onemod.csv": onemod_csv,
         }
 
     @pytest.mark.parametrize(
@@ -242,6 +247,14 @@ class TestMalformedInputFiles:
             (["eval", "--checkpoint", "badshape.txt", "--data", "good.csv"], "badshape.txt"),
             (["eval", "--checkpoint", "bin.txt", "--data", "good.csv"], "bin.txt"),
             (["eval", "--checkpoint", "good.txt", "--data", "bin.csv"], "bin.csv"),
+            (
+                ["eval", "--checkpoint", "good.txt", "--data", "onemod.csv"],
+                "identity 0 has no nir gallery item (vis2nir)",
+            ),
+            (
+                ["diagnose", "--checkpoint", "good.txt", "--data", "onemod.csv"],
+                "identity 0 has no nir gallery item (vis2nir)",
+            ),
         ],
     )
     def test_exits_1_and_writes_nothing(self, tmp_path, inputs, argv, name):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from sasoftmax.config import (
@@ -6,6 +8,7 @@ from sasoftmax.config import (
     load_config_file,
     save_config_file,
 )
+from sasoftmax.data import SynthConfig
 from sasoftmax.errors import ContractViolation
 from sasoftmax.experiments import (
     ABLATION_VARIANTS,
@@ -28,6 +31,24 @@ class TestExperimentConfig:
         assert cfg.milestones == (40, 80)
         assert cfg.embed_dim == 16
         assert cfg.seed == 1
+
+    def test_synth_config_carries_every_field(self):
+        source = {"seed": "data_seed"}
+        changed = {}
+        for f in fields(SynthConfig):
+            default = f.default
+            if isinstance(default, bool):
+                value = not default
+            elif isinstance(default, int):
+                value = default + 3
+            else:
+                value = default + 0.5
+            changed[source.get(f.name, f.name)] = value
+        synth = ExperimentConfig(**changed).synth_config()
+        for f in fields(SynthConfig):
+            value = getattr(synth, f.name)
+            assert value == changed[source.get(f.name, f.name)]
+            assert value != f.default
 
     def test_seed_list(self):
         assert ExperimentConfig(seeds="4,5,6").seed_list() == [4, 5, 6]

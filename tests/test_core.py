@@ -179,3 +179,11 @@ class TestSampleAndDataset:
         path.write_bytes(data)
         with pytest.raises(ContractViolation, match="bin.csv is not UTF-8"):
             load_dataset_csv(path)
+
+
+def test_every_public_name_resolves():
+    import sasoftmax
+
+    assert len(set(sasoftmax.__all__)) == len(sasoftmax.__all__)
+    for name in sasoftmax.__all__:
+        assert getattr(sasoftmax, name) is not None, name

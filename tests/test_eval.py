@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,26 @@ class TestCrossModalEval:
         for rep in cross_modal_eval(params, ds, list(Direction)).values():
             assert rep.rank1 == 1.0
             assert rep.map == 1.0
+
+    @pytest.mark.parametrize(
+        "direction, lone_modality, message",
+        [
+            (Direction.VIS_TO_NIR, 0, "identity 1 has no nir gallery item (vis2nir)"),
+            (Direction.NIR_TO_VIS, 1, "identity 1 has no vis gallery item (nir2vis)"),
+        ],
+    )
+    def test_one_modality_identity_named(self, direction, lone_modality, message):
+        """An identity with samples in the query modality only has nothing to
+        retrieve; the error names it and the direction."""
+        ids = np.array([0, 0, 1, 2, 2])
+        mods = np.array([0, 1, lone_modality, 0, 1])
+        ds = Dataset(np.eye(5, 4) + 1.0, ids, mods, 3, 4)
+        params = EncoderParams([np.eye(4)], [np.zeros(4)])
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            cross_modal_eval(params, ds, [direction])
+        # the other direction never queries identity 1, so it evaluates
+        other = next(d for d in Direction if d != direction)
+        assert set(cross_modal_eval(params, ds, [other])) == {other}
 
     def test_random_embeddings_match_permutation_baseline(self):
         """Identity-free embeddings score like the shuffled-label baseline."""

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix
-from sasoftmax.errors import ContractViolation, DegenerateNormError
+from sasoftmax.errors import ContractViolation, DegenerateNormError, NumericError
 from sasoftmax.gradcheck import central_difference, relative_error
 from sasoftmax.losses import (
     CombinedLossConfig,
@@ -11,10 +13,7 @@ from sasoftmax.losses import (
     ast_loss,
     circle_loss,
     combined_loss,
-    sas_f_loss,
-    sas_w_loss,
-    sas_w_loss_weight_masked,
-    softmax_ce,
+    masked_ce,
     theta_derivative_probe,
 )
 
@@ -31,42 +30,96 @@ def mod_head(arr):
     return ModalityPrototypeMatrix(np.asarray(arr, dtype=float))
 
 
+def ce(x, head, labels, drop=None):
+    """masked_ce on the logits x @ W, chained to (value, dL/dx, dL/dW)."""
+    w = head.W
+    value, g = masked_ce(x @ w, labels, drop)
+    return value, g @ w.T, x.T @ g
+
+
+def ce_value(x, head, labels, drop=None):
+    return masked_ce(x @ head.W, labels, drop)[0]
+
+
+class TestMaskedCE:
+    @pytest.mark.parametrize(
+        "labels, drop",
+        [("ids", None), ("y_w", None), ("y_f", None), ("y_f", "y_w"), ("y_w", "y_f")],
+        ids=["softmax", "L_W", "L_F", "L_F[feature mask]", "L_W[weight mask]"],
+    )
+    def test_finite_difference_on_logits(self, labels, drop):
+        for seed in range(5):
+            x, w_mod, w_id, ids, _, y_w, y_f = random_instance(seed)
+            named = {"ids": ids, "y_w": y_w, "y_f": y_f}
+            head = w_id if labels == "ids" else w_mod
+            logits = x @ head.W
+            lab, dr = named[labels], named.get(drop)
+            _, g = masked_ce(logits, lab, dr)
+            fd = central_difference(lambda z: masked_ce(z, lab, dr)[0], logits)
+            assert relative_error(g, fd) <= FD_TOL
+            if dr is not None:
+                assert np.all(g[np.arange(len(dr)), dr] == 0.0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_holds_one_logits_sized_buffer(self, masked):
+        b, c = 256, 1200
+        rng = np.random.default_rng(0)
+        logits = rng.normal(size=(b, c))
+        labels = rng.integers(0, c // 2, size=b)
+        drop = labels + c // 2 if masked else None
+        tracemalloc.start()
+        try:
+            masked_ce(logits, labels, drop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * b * c * 8
+
+    def test_non_finite_logits_rejected(self):
+        with pytest.raises(NumericError):
+            masked_ce(np.array([[0.0, np.inf]]), np.array([0]))
+
+    def test_dropped_column_out_of_range(self):
+        with pytest.raises(ContractViolation):
+            masked_ce(np.zeros((1, 3)), np.array([0]), np.array([3]))
+
+
 class TestSoftmaxCE:
     def test_uniform_logits_value(self):
         x = np.zeros((3, 4))
         w = id_head(np.random.default_rng(0).normal(size=(4, 5)))
-        res = softmax_ce(x, w, np.array([0, 2, 4]))
-        assert res.value == pytest.approx(np.log(5), abs=1e-12)
+        value = ce_value(x, w, np.array([0, 2, 4]))
+        assert value == pytest.approx(np.log(5), abs=1e-12)
 
     def test_saturated_correct_class(self):
         # logit 40 at the target, 0 elsewhere
         x = np.array([[40.0]])
         w = id_head(np.array([[0.0, 1.0, 0.0]]))
-        res = softmax_ce(x, w, np.array([1]))
-        assert res.value < 1e-12
+        value = ce_value(x, w, np.array([1]))
+        assert value < 1e-12
 
     def test_finite_difference(self):
         for seed in range(5):
             x, _, w_id, ids, _, _, _ = random_instance(seed, b=4, d=3, n=5)
-            res = softmax_ce(x, w_id, ids)
-            fd_x = central_difference(lambda a: softmax_ce(a, w_id, ids).value, x)
-            assert relative_error(res.grad_embeddings, fd_x) <= FD_TOL
+            _, grad_x, grad_w = ce(x, w_id, ids)
+            fd_x = central_difference(lambda a: ce_value(a, w_id, ids), x)
+            assert relative_error(grad_x, fd_x) <= FD_TOL
             fd_w = central_difference(
-                lambda a: softmax_ce(x, id_head(a), ids).value, w_id.W
+                lambda a: ce_value(x, id_head(a), ids), w_id.W
             )
-            assert relative_error(res.grad_prototypes, fd_w) <= FD_TOL
+            assert relative_error(grad_w, fd_w) <= FD_TOL
 
     def test_label_out_of_range(self):
         with pytest.raises(ContractViolation):
-            softmax_ce(np.zeros((1, 2)), id_head(np.zeros((2, 3))), np.array([3]))
+            ce_value(np.zeros((1, 2)), id_head(np.zeros((2, 3))), np.array([3]))
 
 
 class TestSasWLoss:
     def test_uniform_logits_value(self):
         x = np.zeros((2, 3))
         w = mod_head(np.random.default_rng(1).normal(size=(3, 6)))
-        res = sas_w_loss(x, w, np.array([0, 5]))
-        assert res.value == pytest.approx(np.log(6), abs=1e-12)
+        value = ce_value(x, w, np.array([0, 5]))
+        assert value == pytest.approx(np.log(6), abs=1e-12)
 
     def test_saturated(self):
         # x aligned with its own column at a large scale, other columns orthogonal
@@ -76,24 +129,30 @@ class TestSasWLoss:
         w[1, 1] = 50.0
         x = np.zeros((1, d))
         x[0, 0] = 1.0
-        res = sas_w_loss(x, mod_head(w), np.array([0]))
-        assert res.value < 1e-12
-        assert np.abs(res.grad_prototypes).max() < 1e-12
+        value, _, grad_w = ce(x, mod_head(w), np.array([0]))
+        assert value < 1e-12
+        assert np.abs(grad_w).max() < 1e-12
 
     def test_routing_no_embedding_grad(self):
-        x, w_mod, _, _, _, y_w, _ = random_instance(0)
-        res = sas_w_loss(x, w_mod, y_w)
-        assert res.grad_embeddings is None
-        assert res.grad_prototypes is not None
+        """L_W reaches only the modality prototypes: with alpha = 1 and no
+        AST term, the embedding gradient is L_F's alone and the prototype
+        gradient L_W's alone."""
+        x, w_mod, w_id, ids, mods, y_w, y_f = random_instance(0)
+        res = combined_loss(x, w_mod, w_id, ids, mods, CombinedLossConfig(alpha=1.0, beta=0.0))
+        _, _, grad_w = ce(x, w_mod, y_w)
+        _, grad_x, _ = ce(x, w_mod, y_f)
+        np.testing.assert_array_equal(res.grad_modality_prototypes, grad_w)
+        np.testing.assert_array_equal(res.grad_embeddings, grad_x)
+        assert res.grad_identity_prototypes is None
 
     def test_finite_difference(self):
         for seed in range(5):
             x, w_mod, _, _, _, y_w, _ = random_instance(seed)
-            res = sas_w_loss(x, w_mod, y_w)
+            _, _, grad_w = ce(x, w_mod, y_w)
             fd = central_difference(
-                lambda a: sas_w_loss(x, mod_head(a), y_w).value, w_mod.W
+                lambda a: ce_value(x, mod_head(a), y_w), w_mod.W
             )
-            assert relative_error(res.grad_prototypes, fd) <= FD_TOL
+            assert relative_error(grad_w, fd) <= FD_TOL
 
 
 class TestSasFLoss:
@@ -103,45 +162,50 @@ class TestSasFLoss:
         w = mod_head(np.random.default_rng(3).normal(size=(3, 2)))
         y_w = np.array([0, 1])
         y_f = np.array([1, 0])
-        res = sas_f_loss(x, w, y_f, y_w, use_feature_mask=True)
-        assert res.value == pytest.approx(0.0, abs=1e-12)
-        assert np.abs(res.grad_embeddings).max() < 1e-12
+        value, grad_x, _ = ce(x, w, y_f, drop=y_w)
+        assert value == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(grad_x).max() < 1e-12
 
     def test_masked_uniform_logits_value(self):
         x = np.zeros((2, 3))
         w = mod_head(np.random.default_rng(4).normal(size=(3, 6)))
         y_w = np.array([0, 4])
         y_f = np.array([3, 1])
-        res = sas_f_loss(x, w, y_f, y_w, use_feature_mask=True)
-        assert res.value == pytest.approx(np.log(5), abs=1e-12)
+        value = ce_value(x, w, y_f, drop=y_w)
+        assert value == pytest.approx(np.log(5), abs=1e-12)
 
     def test_routing_no_prototype_grad(self):
-        x, w_mod, _, _, _, y_w, y_f = random_instance(0)
+        """L_F reaches only the embeddings, masked or not: the modality
+        prototype gradient is L_W's alone."""
+        x, w_mod, w_id, ids, mods, y_w, y_f = random_instance(0)
         for masked in (False, True):
-            res = sas_f_loss(x, w_mod, y_f, y_w, masked)
-            assert res.grad_prototypes is None
-            assert res.grad_embeddings is not None
+            cfg = CombinedLossConfig(alpha=1.0, beta=0.0, use_feature_mask=masked)
+            res = combined_loss(x, w_mod, w_id, ids, mods, cfg)
+            _, _, grad_w = ce(x, w_mod, y_w)
+            _, grad_x, _ = ce(x, w_mod, y_f, drop=y_w if masked else None)
+            np.testing.assert_array_equal(res.grad_modality_prototypes, grad_w)
+            np.testing.assert_array_equal(res.grad_embeddings, grad_x)
 
     def test_equal_labels_rejected(self):
         x = np.zeros((1, 2))
         w = mod_head(np.zeros((2, 4)))
         with pytest.raises(ContractViolation):
-            sas_f_loss(x, w, np.array([1]), np.array([1]), True)
+            ce_value(x, w, np.array([1]), drop=np.array([1]))
 
     def test_finite_difference_both_forms(self):
         for seed in range(5):
             x, w_mod, _, _, _, y_w, y_f = random_instance(seed)
             for masked in (False, True):
-                res = sas_f_loss(x, w_mod, y_f, y_w, masked)
+                drop = y_w if masked else None
+                _, grad_x, _ = ce(x, w_mod, y_f, drop)
                 fd = central_difference(
-                    lambda a: sas_f_loss(a, w_mod, y_f, y_w, masked).value, x
+                    lambda a: ce_value(a, w_mod, y_f, drop), x
                 )
-                assert relative_error(res.grad_embeddings, fd) <= FD_TOL
+                assert relative_error(grad_x, fd) <= FD_TOL
 
     def test_masked_own_column_coefficient_is_zero(self):
         x, w_mod, _, _, _, y_w, y_f = random_instance(7)
-        res = sas_f_loss(x, w_mod, y_f, y_w, use_feature_mask=True)
-        coeffs = res.extras["coeffs"]
+        _, coeffs = masked_ce(x @ w_mod.W, y_f, drop=y_w)
         assert np.abs(coeffs[np.arange(len(y_w)), y_w]).max() == 0.0
 
     def test_mask_difference_identity(self):
@@ -161,8 +225,8 @@ class TestSasFLoss:
             y_w = ids + mods * n
             y_f = ids + (1 - mods) * n
 
-            res_u = sas_f_loss(x, ModalityPrototypeMatrix(w), y_f, y_w, False)
-            res_m = sas_f_loss(x, ModalityPrototypeMatrix(w), y_f, y_w, True)
+            _, grad_u, _ = ce(x, ModalityPrototypeMatrix(w), y_f)
+            _, grad_m, _ = ce(x, ModalityPrototypeMatrix(w), y_f, drop=y_w)
             logits = x @ w
             p_u = np.exp(logits - logits.max(axis=1, keepdims=True))
             p_u /= p_u.sum(axis=1, keepdims=True)
@@ -177,7 +241,7 @@ class TestSasFLoss:
             expected_diff -= p_u[rows, y_w][:, None] * p_m
             grad_diff_expected = (expected_diff @ w.T) / b
             np.testing.assert_allclose(
-                res_u.grad_embeddings - res_m.grad_embeddings,
+                grad_u - grad_m,
                 grad_diff_expected,
                 atol=1e-12,
             )
@@ -189,24 +253,24 @@ class TestWeightMaskedWLoss:
         w = mod_head(np.random.default_rng(6).normal(size=(3, 2)))
         y_w = np.array([0, 1])
         y_f = np.array([1, 0])
-        res = sas_w_loss_weight_masked(x, w, y_w, y_f)
-        assert res.value == pytest.approx(0.0, abs=1e-12)
+        value = ce_value(x, w, y_w, drop=y_f)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_logits_value(self):
         x = np.zeros((2, 3))
         w = mod_head(np.random.default_rng(7).normal(size=(3, 6)))
-        res = sas_w_loss_weight_masked(x, w, np.array([0, 4]), np.array([3, 1]))
-        assert res.value == pytest.approx(np.log(5), abs=1e-12)
+        value = ce_value(x, w, np.array([0, 4]), drop=np.array([3, 1]))
+        assert value == pytest.approx(np.log(5), abs=1e-12)
 
     def test_finite_difference(self):
         for seed in range(5):
             x, w_mod, _, _, _, y_w, y_f = random_instance(seed)
-            res = sas_w_loss_weight_masked(x, w_mod, y_w, y_f)
+            _, _, grad_w = ce(x, w_mod, y_w, drop=y_f)
             fd = central_difference(
-                lambda a: sas_w_loss_weight_masked(x, mod_head(a), y_w, y_f).value,
+                lambda a: ce_value(x, mod_head(a), y_w, drop=y_f),
                 w_mod.W,
             )
-            assert relative_error(res.grad_prototypes, fd) <= FD_TOL
+            assert relative_error(grad_w, fd) <= FD_TOL
 
 
 class TestAstLoss:
@@ -247,7 +311,7 @@ class TestCombinedLoss:
         x, w_mod, w_id, ids, mods, y_w, y_f = random_instance(3)
         cfg = CombinedLossConfig(alpha=1.0, beta=0.0)
         res = combined_loss(x, w_mod, w_id, ids, mods, cfg)
-        expected = sas_w_loss(x, w_mod, y_w).value + sas_f_loss(x, w_mod, y_f, y_w).value
+        expected = ce_value(x, w_mod, y_w) + ce_value(x, w_mod, y_f)
         assert res.value == pytest.approx(expected, abs=1e-12)
         assert res.grad_identity_prototypes is None
 
@@ -255,11 +319,11 @@ class TestCombinedLoss:
         x, w_mod, w_id, ids, mods, _, _ = random_instance(4)
         cfg = CombinedLossConfig(alpha=0.0, beta=0.0)
         res = combined_loss(x, w_mod, w_id, ids, mods, cfg)
-        ref = softmax_ce(x, w_id, ids)
-        assert res.value == pytest.approx(ref.value, abs=1e-12)
-        np.testing.assert_allclose(res.grad_embeddings, ref.grad_embeddings, atol=1e-15)
+        ref_value, ref_grad_x, ref_grad_w = ce(x, w_id, ids)
+        assert res.value == pytest.approx(ref_value, abs=1e-12)
+        np.testing.assert_allclose(res.grad_embeddings, ref_grad_x, atol=1e-15)
         np.testing.assert_allclose(
-            res.grad_identity_prototypes, ref.grad_prototypes, atol=1e-15
+            res.grad_identity_prototypes, ref_grad_w, atol=1e-15
         )
         assert res.grad_modality_prototypes is None
 
@@ -267,32 +331,32 @@ class TestCombinedLoss:
         x, w_mod, w_id, ids, mods, y_w, y_f = random_instance(5)
         cfg = CombinedLossConfig(alpha=0.7, beta=1.0, use_feature_mask=True)
         res = combined_loss(x, w_mod, w_id, ids, mods, cfg)
-        f = sas_f_loss(x, w_mod, y_f, y_w, True)
-        w = sas_w_loss(x, w_mod, y_w)
-        s = softmax_ce(x, w_id, ids)
+        f_value, f_grad_x, _ = ce(x, w_mod, y_f, drop=y_w)
+        w_value, _, w_grad_w = ce(x, w_mod, y_w)
+        s_value, s_grad_x, s_grad_w = ce(x, w_id, ids)
         a = ast_loss(x, w_mod, y_f)
         np.testing.assert_allclose(
             res.grad_embeddings,
-            0.7 * f.grad_embeddings + 0.3 * s.grad_embeddings + 1.0 * a.grad_embeddings,
+            0.7 * f_grad_x + 0.3 * s_grad_x + 1.0 * a.grad_embeddings,
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            res.grad_modality_prototypes, 0.7 * w.grad_prototypes, atol=1e-12
+            res.grad_modality_prototypes, 0.7 * w_grad_w, atol=1e-12
         )
         np.testing.assert_allclose(
-            res.grad_identity_prototypes, 0.3 * s.grad_prototypes, atol=1e-12
+            res.grad_identity_prototypes, 0.3 * s_grad_w, atol=1e-12
         )
         assert res.value == pytest.approx(
-            0.7 * (w.value + f.value) + 0.3 * s.value + a.value, abs=1e-12
+            0.7 * (w_value + f_value) + 0.3 * s_value + a.value, abs=1e-12
         )
 
     def test_weight_mask_switch(self):
         x, w_mod, w_id, ids, mods, y_w, y_f = random_instance(6)
         cfg = CombinedLossConfig(alpha=0.7, beta=0.0, use_feature_mask=True, use_weight_mask=True)
         res = combined_loss(x, w_mod, w_id, ids, mods, cfg)
-        wm = sas_w_loss_weight_masked(x, w_mod, y_w, y_f)
+        _, _, wm_grad_w = ce(x, w_mod, y_w, drop=y_f)
         np.testing.assert_allclose(
-            res.grad_modality_prototypes, 0.7 * wm.grad_prototypes, atol=1e-12
+            res.grad_modality_prototypes, 0.7 * wm_grad_w, atol=1e-12
         )
 
     def test_config_validation(self):
@@ -305,7 +369,8 @@ class TestCombinedLoss:
 class TestAmSoftmax:
     def test_margin_free_reduction(self):
         # with m=0, s=1 and unit-norm inputs, logits equal the raw inner
-        # products of the normalized vectors, so the value matches softmax_ce
+        # products of the normalized vectors, so the value matches plain
+        # softmax cross-entropy
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 3))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -313,8 +378,8 @@ class TestAmSoftmax:
         w /= np.linalg.norm(w, axis=0, keepdims=True)
         ids = np.array([0, 1, 2, 4])
         res = am_softmax_loss(x, id_head(w), ids, margin=0.0, scale=1.0)
-        ref = softmax_ce(x, id_head(w), ids)
-        assert res.value == pytest.approx(ref.value, abs=1e-12)
+        ref_value = ce_value(x, id_head(w), ids)
+        assert res.value == pytest.approx(ref_value, abs=1e-12)
 
     def test_symmetric_instance_closed_form(self):
         # both prototype columns identical and aligned with x: cos = 1 for
@@ -449,11 +514,11 @@ class TestSoftmaxFamilyProperties:
         w_id_shift = w_id_aug.copy()
         w_id_shift[-1, :] = shift
 
-        base = softmax_ce(x_aug, id_head(w_id_aug), ids)
-        shifted = softmax_ce(x_aug, id_head(w_id_shift), ids)
-        assert abs(base.value - shifted.value) <= 1e-12
+        base_value, base_grad_x, _ = ce(x_aug, id_head(w_id_aug), ids)
+        shifted_value, shifted_grad_x, _ = ce(x_aug, id_head(w_id_shift), ids)
+        assert abs(base_value - shifted_value) <= 1e-12
         np.testing.assert_allclose(
-            base.grad_embeddings[:, :-1], shifted.grad_embeddings[:, :-1], atol=1e-12
+            base_grad_x[:, :-1], shifted_grad_x[:, :-1], atol=1e-12
         )
 
     @settings(max_examples=40, deadline=None)
@@ -462,10 +527,10 @@ class TestSoftmaxFamilyProperties:
         x, w_mod, w_id, ids, mods, y_w, y_f = random_instance(seed)
         cfg = CombinedLossConfig(alpha=0.7, beta=1.0, use_feature_mask=True)
         for value in (
-            softmax_ce(x, w_id, ids).value,
-            sas_w_loss(x, w_mod, y_w).value,
-            sas_f_loss(x, w_mod, y_f, y_w, True).value,
-            sas_w_loss_weight_masked(x, w_mod, y_w, y_f).value,
+            ce_value(x, w_id, ids),
+            ce_value(x, w_mod, y_w),
+            ce_value(x, w_mod, y_f, drop=y_w),
+            ce_value(x, w_mod, y_w, drop=y_f),
             am_softmax_loss(x, w_id, ids).value,
             circle_loss(x, w_id, ids).value,
             combined_loss(x, w_mod, w_id, ids, mods, cfg).value,
@@ -482,8 +547,8 @@ class TestSoftmaxFamilyProperties:
         value by construction of the softmax bound."""
         x0 = np.zeros((3, 4))
         _, w_mod, w_id, ids, _, y_w, y_f = random_instance(seed, b=3, d=4, n=3)
-        assert softmax_ce(x0, w_id, ids).value == pytest.approx(np.log(3), abs=1e-12)
-        assert sas_w_loss(x0, w_mod, y_w).value == pytest.approx(np.log(6), abs=1e-12)
-        assert sas_f_loss(x0, w_mod, y_f, y_w, True).value == pytest.approx(
+        assert ce_value(x0, w_id, ids) == pytest.approx(np.log(3), abs=1e-12)
+        assert ce_value(x0, w_mod, y_w) == pytest.approx(np.log(6), abs=1e-12)
+        assert ce_value(x0, w_mod, y_f, drop=y_w) == pytest.approx(
             np.log(5), abs=1e-12
         )

@@ -7,7 +7,7 @@ from sasoftmax import trainer
 from sasoftmax.core import ModalityPrototypeMatrix
 from sasoftmax.data import SynthConfig, generate_synthetic
 from sasoftmax.encoder import SGDState, encoder_backward, encoder_forward, sgd_step
-from sasoftmax.errors import ContractViolation, NumericError
+from sasoftmax.errors import ContractViolation, DegenerateNormError, NumericError
 from sasoftmax.losses import combined_loss
 from sasoftmax.trainer import (
     TRAINLOG_FIELDS,
@@ -296,6 +296,29 @@ class TestOneLossEvaluation:
         w0, b0, m0, i0 = snapshot(state)
         with pytest.raises(NumericError, match="offending batch indices"):
             train_step(state, ds, np.arange(16), cfg, lr=0.05)
+        for a, b in zip(state.params.weights + state.params.biases, w0 + b0):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.modality_prototypes.W, m0)
+        np.testing.assert_array_equal(state.identity_prototypes.W, i0)
+
+
+    def test_degenerate_norm_names_the_batch(self):
+        """A dead hidden layer gives an all-zero embedding; the AST term's
+        DegenerateNormError then carries the batch, as a divergence does,
+        and no parameter moves."""
+        ds = tiny_dataset()
+        cfg = tiny_config(variant="SAS_FM_AST")
+        state = init_train_state(ds, cfg)
+        state.params.weights[0][...] = 0.0  # every rectifier unit is dead
+        w0, b0, m0, i0 = snapshot(state)
+        batch = np.arange(3, 19)
+        with pytest.raises(DegenerateNormError) as info:
+            train_step(state, ds, batch, cfg, lr=0.05)
+        assert isinstance(info.value, NumericError)  # the CLI's exit 2
+        message = str(info.value)
+        assert "near-zero norm in embeddings" in message
+        assert f"offending batch indices: {batch.tolist()}" in message
+        assert "\n" not in message
         for a, b in zip(state.params.weights + state.params.biases, w0 + b0):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(state.modality_prototypes.W, m0)
