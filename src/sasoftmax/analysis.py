@@ -12,9 +12,6 @@ with the recomputed inequalities.
 
 from __future__ import annotations
 
-import csv
-import json
-
 import numpy as np
 
 from .errors import SearchBudgetExhausted
@@ -149,21 +146,3 @@ def check_eq3_grid():
                 )
     return rows, ok
 
-
-def save_eq3_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-
-
-def save_witness_json(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_witness_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -5,22 +5,24 @@ Every ExperimentConfig key is exposed as a flag. --protocol picks the base
 config (the CLI defaults or the desk protocol), a key=value config file
 overrides it, and flags override both. Each output directory receives the
 exact effective config (config.txt) so any run can be reproduced from it;
-timestamps live only in metadata.json. Input files are loaded, and a
-dataset is evaluated, before the output directory is created, so bad input
-leaves no output behind.
+timestamps live only in metadata.json. Every command computes first and
+writes last: the output directory is created only once the work is done, so
+bad input or a failed computation leaves no output behind. Each file is
+written whole (core.atomic_write), and metadata.json comes last, so a
+directory without it is incomplete.
 
 Exit codes: 0 success, 1 contract violation (including usage errors),
-2 numeric failure, 3 I/O failure.
+2 numeric failure (including an exhausted witness search), 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import fields
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +35,8 @@ from .config import (
     load_config_file,
     save_config_file,
 )
-from .core import load_dataset_csv, save_dataset_csv
-from .data import generate_synthetic, save_synth_config, split_by_identity
+from .core import load_dataset_csv, save_dataset_csv, save_json, save_rows_csv
+from .data import generate_synthetic, split_by_identity
 from .encoder import load_checkpoint, save_checkpoint
 from .errors import ContractViolation, NumericError
 from .evaluation import (
@@ -87,26 +89,31 @@ def _effective_config(args) -> ExperimentConfig:
     return apply_overrides(cfg, overrides)
 
 
-def _prepare_out(args, cfg: ExperimentConfig, name: str) -> Path:
+@contextmanager
+def _prepare_out(args, cfg: ExperimentConfig, name: str):
+    """The output directory, entered once the command's work is done: it
+    gets config.txt first, then the block's artifacts, then metadata.json.
+    An earlier run's metadata.json is removed on entry, so the directory
+    reads as incomplete until the block completes."""
     out = args.out if args.out is not None else _default_out_root() / name
     out.mkdir(parents=True, exist_ok=True)
+    (out / "metadata.json").unlink(missing_ok=True)
     save_config_file(cfg, out / "config.txt")
-    with open(out / "metadata.json", "w") as fh:
-        json.dump({"created_unix": time.time(), "command": name}, fh)
-        fh.write("\n")
-    return out
+    yield out
+    save_json({"created_unix": time.time(), "command": name}, out / "metadata.json")
 
 
 def cmd_gen_data(args) -> int:
     cfg = _effective_config(args)
-    out = _prepare_out(args, cfg, "gen-data")
     dataset = generate_synthetic(cfg.synth_config())
-    save_dataset_csv(dataset, out / "data.csv")
-    save_synth_config(cfg.synth_config(), out / "synth_config.json")
+    parts = {"data.csv": dataset}
     if args.split:
-        train_set, test_set = split_by_identity(dataset, cfg.train_fraction, cfg.split_seed)
-        save_dataset_csv(train_set, out / "train.csv")
-        save_dataset_csv(test_set, out / "test.csv")
+        split = split_by_identity(dataset, cfg.train_fraction, cfg.split_seed)
+        parts["train.csv"], parts["test.csv"] = split
+    with _prepare_out(args, cfg, "gen-data") as out:
+        for name, part in parts.items():
+            save_dataset_csv(part, out / name)
+        save_json(asdict(cfg.synth_config()), out / "synth_config.json")
     print(f"wrote {len(dataset)} samples to {out / 'data.csv'}")
     return 0
 
@@ -117,15 +124,11 @@ def cmd_train(args) -> int:
         train_set = load_dataset_csv(args.data)
     else:
         train_set, _ = experiments.make_split(cfg)
-    out = _prepare_out(args, cfg, "train")
     state, log = train(train_set, cfg)
-    save_checkpoint(
-        out / "checkpoint.txt",
-        state.params,
-        state.modality_prototypes,
-        state.identity_prototypes,
-    )
-    log.save_csv(out / "trainlog.csv")
+    with _prepare_out(args, cfg, "train") as out:
+        save_checkpoint(out / "checkpoint.txt", state.params,
+                        state.modality_prototypes, state.identity_prototypes)
+        log.save_csv(out / "trainlog.csv")
     final = log.records[-1]["loss_total"] if log.records else float("nan")
     print(f"trained {cfg.variant} for {cfg.epochs} epochs; final loss {final:.6f}")
     print(f"checkpoint: {out / 'checkpoint.txt'}")
@@ -143,24 +146,18 @@ def cmd_eval(args) -> int:
     params, w_mod, w_id = load_checkpoint(args.checkpoint)
     dataset = load_dataset_csv(args.data)
     reports = cross_modal_eval(params, dataset, _direction_list(cfg.direction))
-    out = _prepare_out(args, cfg, "eval")
-    report = {}
-    for direction, rep in reports.items():
-        report[direction.value] = {
-            "cmc": rep.cmc.tolist(),
-            "map": rep.map,
-            "rank1": rep.rank1,
-        }
-        save_histogram_csv(rep.intra_hist, out / f"hist_intra_{direction.value}.csv")
-        save_histogram_csv(rep.inter_hist, out / f"hist_inter_{direction.value}.csv")
-    diag = prototype_diagnostics(w_mod, w_id)
-    report["prototype_diagnostics"] = {
-        k: v for k, v in diag.items() if isinstance(v, float)
+    report = {
+        direction.value: {"cmc": rep.cmc.tolist(), "map": rep.map, "rank1": rep.rank1}
+        for direction, rep in reports.items()
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    export_embeddings(params, dataset, out / "embeddings.csv")
+    diag = prototype_diagnostics(w_mod, w_id)
+    report["prototype_diagnostics"] = {k: v for k, v in diag.items() if isinstance(v, float)}
+    with _prepare_out(args, cfg, "eval") as out:
+        for direction, rep in reports.items():
+            save_histogram_csv(rep.intra_hist, out / f"hist_intra_{direction.value}.csv")
+            save_histogram_csv(rep.inter_hist, out / f"hist_inter_{direction.value}.csv")
+        save_json(report, out / "report.json")
+        export_embeddings(params, dataset, out / "embeddings.csv")
     for key, rep in report.items():
         if key != "prototype_diagnostics":
             print(f"{key}: rank1={rep['rank1']:.4f} map={rep['map']:.4f}")
@@ -169,11 +166,13 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _effective_config(args)
-    out = _prepare_out(args, cfg, "gradcheck")
+    if args.num_seeds < 1:
+        raise ContractViolation(f"--num-seeds: expected >= 1, got {args.num_seeds}")
     seeds = range(args.num_seeds)
     rows = gradcheck.check_all_losses(seeds, args.tolerance, corrupt=args.corrupt)
     rows += gradcheck.check_pipeline(seeds, args.pipeline_tolerance, corrupt=args.corrupt)
-    gradcheck.save_rows_csv(rows, out / "gradcheck.csv")
+    with _prepare_out(args, cfg, "gradcheck") as out:
+        gradcheck.save_rows_csv(rows, out / "gradcheck.csv")
     failed = [r for r in rows if not r.passed]
     by_loss: dict[str, list] = {}
     for r in rows:
@@ -190,16 +189,16 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = _effective_config(args)
-    out = _prepare_out(args, cfg, "ablation")
     rows = experiments.run_ablation(cfg)
     summary = experiments.summarize(rows)
-    experiments.save_rows_csv(rows, out / "ablation_runs.csv")
-    experiments.save_rows_csv(summary, out / "ablation.csv")
-    experiments.save_markdown_table(
-        summary,
-        out / "ablation.md",
-        columns=["variant", "num_seeds", "mean_rank1_mean", "mean_rank1_std", "mean_map_mean", "mean_map_std"],
-    )
+    with _prepare_out(args, cfg, "ablation") as out:
+        save_rows_csv(rows, out / "ablation_runs.csv")
+        save_rows_csv(summary, out / "ablation.csv")
+        experiments.save_markdown_table(
+            summary,
+            out / "ablation.md",
+            columns=["variant", "num_seeds", "mean_rank1_mean", "mean_rank1_std", "mean_map_mean", "mean_map_std"],
+        )
     for rec in summary:
         print(
             f"{rec['variant']:12s} rank1 {rec['mean_rank1_mean']:.4f}±{rec['mean_rank1_std']:.4f}"
@@ -210,12 +209,12 @@ def cmd_ablation(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _effective_config(args)
-    out = _prepare_out(args, cfg, f"sweep-{args.parameter}")
-    grid = [float(v) for v in args.grid.split(",") if v.strip()]
+    grid = [_coerce(v, 0.0, "--grid") for v in args.grid.split(",") if v.strip()]
     rows = experiments.run_sweep(cfg, args.parameter, grid)
     summary = experiments.summarize(rows, group_key="value", metrics=["mean_rank1", "mean_map"])
-    experiments.save_rows_csv(rows, out / "sweep_runs.csv")
-    experiments.save_rows_csv(summary, out / "sweep.csv")
+    with _prepare_out(args, cfg, f"sweep-{args.parameter}") as out:
+        save_rows_csv(rows, out / "sweep_runs.csv")
+        save_rows_csv(summary, out / "sweep.csv")
     for rec in summary:
         print(
             f"{args.parameter}={rec['value']}: rank1 {rec['mean_rank1_mean']:.4f}"
@@ -226,31 +225,34 @@ def cmd_sweep(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _effective_config(args)
+    if args.budget < 1:
+        raise ContractViolation(f"--budget: expected >= 1, got {args.budget}")
+    reports, hists = {}, {}
     if args.checkpoint is not None:
         params, w_mod, w_id = load_checkpoint(args.checkpoint)
-        rep = None
         if args.data is not None:
             dataset = load_dataset_csv(args.data)
             rep = cross_modal_eval(params, dataset, [Direction.VIS_TO_NIR])[Direction.VIS_TO_NIR]
-    out = _prepare_out(args, cfg, "diagnose")
-    if args.checkpoint is not None:
+            hists = {"hist_intra.csv": rep.intra_hist, "hist_inter.csv": rep.inter_hist}
         diag = prototype_diagnostics(w_mod, w_id)
-        analysis.save_witness_json(
-            {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in diag.items()},
-            out / "prototype_diagnostics.json",
-        )
-        if rep is not None:
-            save_histogram_csv(rep.intra_hist, out / "hist_intra.csv")
-            save_histogram_csv(rep.inter_hist, out / "hist_inter.csv")
-        print(f"mean cos(P_v, P_n) = {diag['mean_cos_vis_nir']:.4f}")
+        reports["prototype_diagnostics.json"] = {
+            k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in diag.items()
+        }
     witness = analysis.check_softmax_failure_mode(seed=args.seed_start, budget=args.budget)
-    analysis.save_witness_json(witness, out / "softmax_failure_witness.json")
-    print(f"softmax failure witness found after {witness['attempts']} attempts")
     ambiguity = analysis.check_fm_ambiguity(range(args.seed_start, args.seed_start + 40))
-    analysis.save_witness_json(ambiguity, out / "fm_ambiguity.json")
+    grid, ok = analysis.check_eq3_grid()
+    reports["softmax_failure_witness.json"] = witness
+    reports["fm_ambiguity.json"] = ambiguity
+    with _prepare_out(args, cfg, "diagnose") as out:
+        for name, report in reports.items():
+            save_json(report, out / name)
+        for name, hist in hists.items():
+            save_histogram_csv(hist, out / name)
+        save_rows_csv(grid, out / "theta_probe_grid.csv")
+    if args.checkpoint is not None:
+        print(f"mean cos(P_v, P_n) = {diag['mean_cos_vis_nir']:.4f}")
+    print(f"softmax failure witness found after {witness['attempts']} attempts")
     print(f"ambiguous unmasked steps: {ambiguity['num_ambiguous']} / 40 seeds")
-    rows, ok = analysis.check_eq3_grid()
-    analysis.save_eq3_csv(rows, out / "theta_probe_grid.csv")
     print(f"angular probe grid signs {'all correct' if ok else 'VIOLATED'}")
     return 0 if ok and ambiguity["num_ambiguous"] >= 1 else 2
 

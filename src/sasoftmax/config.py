@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 
+from .core import atomic_write
 from .data import SynthConfig
 from .errors import ContractViolation
 from .evaluation import Direction
@@ -79,22 +80,26 @@ def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentCo
     """Read key=value lines ('#' starts a comment); unknown keys are rejected."""
     cfg = base if base is not None else ExperimentConfig()
     overrides = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ContractViolation(f"{path}:{lineno}: expected key=value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _DEFAULTS:
-                raise ContractViolation(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = _coerce(raw, _DEFAULTS[key], f"{path}:{lineno}: {key}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path} is not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ContractViolation(f"{path}:{lineno}: expected key=value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _DEFAULTS:
+            raise ContractViolation(f"{path}:{lineno}: unknown key {key!r}")
+        overrides[key] = _coerce(raw, _DEFAULTS[key], f"{path}:{lineno}: {key}")
     return replace(cfg, **overrides)
 
 
 def save_config_file(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for key, value in sorted(asdict(cfg).items()):
             if isinstance(value, tuple):
                 value = ",".join(map(str, value))

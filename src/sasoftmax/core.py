@@ -3,14 +3,21 @@
 Column layout of the modality prototype matrix is fixed as visible-first:
 columns [0, N) are visible prototypes, columns [N, 2N) are infrared ones.
 All label arithmetic in the package relies on this layout.
+
+Every artifact the package writes goes through `atomic_write`, so the
+encoding, newlines, float and JSON layout are decided here once.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -169,18 +176,56 @@ def rewrite_labels_batch(
     return own, cross
 
 
+@contextmanager
+def atomic_write(path):
+    """Text handle for writing `path`: UTF-8 with newlines untranslated, on a
+    temporary file in the same directory that replaces `path` only when the
+    block completes. On any error the temporary file is removed and `path`
+    keeps what it held, so no file at an artifact's name is ever partial."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_json(obj, path) -> None:
+    """`obj` as JSON: indent 2, sorted keys, trailing newline."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def save_rows_csv(rows: list[dict], path, fieldnames=None) -> None:
+    """Dict rows under a header of `fieldnames` (default: the first row's
+    keys), floats written by repr so they read back exactly."""
+    if not rows and fieldnames is None:
+        raise ContractViolation("no rows to write")
+    names = list(rows[0]) if fieldnames is None else fieldnames
+    with atomic_write(path) as fh:
+        writer = csv.DictWriter(fh, fieldnames=names)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+
+
+def _save_samples_csv(path, identities, modalities, values: np.ndarray, prefix: str) -> None:
+    """The `id,modality,<prefix>0..` CSV format: one row per sample, the
+    modality coded V/N, floats written by repr."""
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "modality"] + [f"{prefix}{i}" for i in range(values.shape[1])])
+        for ident, mod, row in zip(identities.tolist(), modalities.tolist(), values):
+            writer.writerow([ident, _MODALITY_CODE[mod], *map(repr, row.tolist())])
+
+
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write the `id,modality,f0..` CSV format (modality coded V/N)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id", "modality"] + [f"f{i}" for i in range(dataset.input_dim)]
-        )
-        for i in range(len(dataset)):
-            writer.writerow(
-                [int(dataset.identities[i]), _MODALITY_CODE[Modality(dataset.modalities[i])]]
-                + [repr(float(v)) for v in dataset.features[i]]
-            )
+    _save_samples_csv(path, dataset.identities, dataset.modalities, dataset.features, "f")
 
 
 def load_dataset_csv(path) -> Dataset:

@@ -10,8 +10,7 @@ direction for diagnostics.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,8 +129,3 @@ def pk_sample(dataset: Dataset, p: int, k: int, seed: int) -> np.ndarray:
             out.append(rng.choice(pool, size=k, replace=replace))
     return np.concatenate(out)
 
-
-def save_synth_config(config: SynthConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")

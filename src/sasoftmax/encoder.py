@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IdentityPrototypeMatrix, ModalityPrototypeMatrix
+from .core import IdentityPrototypeMatrix, ModalityPrototypeMatrix, atomic_write
 from .errors import ContractViolation
 
 CHECKPOINT_MAGIC = "SASMODEL1"
@@ -165,7 +165,7 @@ def save_checkpoint(
     identity_prototypes: IdentityPrototypeMatrix,
 ) -> None:
     """Versioned text checkpoint: magic header, layer dims, then row-major arrays."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC + "\n")
         fh.write(" ".join(str(d) for d in params.layer_dims) + "\n")
         for l, (w, b) in enumerate(zip(params.weights, params.biases)):

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-CLI exit codes map onto these: ContractViolation -> 1, NumericError -> 2,
-I/O errors (plain OSError) -> 3.
+CLI exit codes map onto these: ContractViolation -> 1, NumericError
+(including an exhausted witness search) -> 2, I/O errors (plain OSError) -> 3.
 """
 
 
@@ -17,5 +17,5 @@ class DegenerateNormError(NumericError):
     """A vector needed for a cosine has (near-)zero norm."""
 
 
-class SearchBudgetExhausted(RuntimeError):
+class SearchBudgetExhausted(NumericError):
     """A randomized witness search ran out of budget without succeeding."""

@@ -11,6 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Dataset, IdentityPrototypeMatrix, Modality, ModalityPrototypeMatrix
+from .core import _save_samples_csv, atomic_write
 from .encoder import EncoderParams, encoder_forward
 from .errors import ContractViolation, DegenerateNormError
 from .losses import NORM_EPS
@@ -198,20 +199,11 @@ def prototype_diagnostics(
 def export_embeddings(params: EncoderParams, dataset: Dataset, path) -> None:
     """CSV `id,modality,e0..` for external projection/plotting."""
     emb, _ = encoder_forward(params, dataset.features)
-    d = emb.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "modality"] + [f"e{i}" for i in range(d)])
-        code = {int(Modality.VIS): "V", int(Modality.NIR): "N"}
-        for i in range(len(dataset)):
-            writer.writerow(
-                [int(dataset.identities[i]), code[int(dataset.modalities[i])]]
-                + [repr(float(v)) for v in emb[i]]
-            )
+    _save_samples_csv(path, dataset.identities, dataset.modalities, emb, "e")
 
 
 def save_histogram_csv(hist: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_low", "bin_high", "count"])
         for i, c in enumerate(hist):

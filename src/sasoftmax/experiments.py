@@ -7,12 +7,13 @@ points it finished.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import replace
 
 import numpy as np
 
 from .config import ExperimentConfig
+from .core import atomic_write
+from .core import save_rows_csv  # noqa: F401  re-exported: the writer of experiment rows
 from .data import generate_synthetic, split_by_identity
 from .errors import ContractViolation
 from .evaluation import (
@@ -156,22 +157,11 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, grid: list[float]) -> list[
     return rows
 
 
-def save_rows_csv(rows: list[dict], path, fieldnames=None) -> None:
-    if not rows:
-        raise ContractViolation("no rows to write")
-    names = fieldnames or list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=names)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-
-
 def save_markdown_table(rows: list[dict], path, columns=None) -> None:
     if not rows:
         raise ContractViolation("no rows to write")
     cols = columns or list(rows[0].keys())
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("| " + " | ".join(cols) + " |\n")
         fh.write("|" + "|".join(["---"] * len(cols)) + "|\n")
         for row in rows:

@@ -7,11 +7,11 @@ difference (h = 1e-5) on random small instances and reports one row per
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import core
 from .core import IdentityPrototypeMatrix, ModalityPrototypeMatrix, rewrite_labels_batch
 from .encoder import encoder_backward, encoder_forward, init_encoder
 from .losses import (
@@ -204,8 +204,4 @@ def check_pipeline(seeds, tolerance: float = 1e-5, corrupt: bool = False) -> lis
 
 
 def save_rows_csv(rows: list[CheckRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["loss", "seed", "target", "rel_error", "passed"])
-        for r in rows:
-            writer.writerow([r.loss, r.seed, r.target, repr(r.rel_error), int(r.passed)])
+    core.save_rows_csv([{**asdict(r), "passed": int(r.passed)} for r in rows], path)

@@ -11,12 +11,11 @@ different batches, each still seeing pre-update prototypes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, IdentityPrototypeMatrix, ModalityPrototypeMatrix
+from .core import Dataset, IdentityPrototypeMatrix, ModalityPrototypeMatrix, save_rows_csv
 from .data import pk_sample
 from .encoder import (
     EncoderParams,
@@ -119,11 +118,7 @@ class TrainLog:
     records: list[dict] = field(default_factory=list)
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=TRAINLOG_FIELDS)
-            writer.writeheader()
-            for rec in self.records:
-                writer.writerow({k: repr(rec[k]) if k != "epoch" else rec[k] for k in TRAINLOG_FIELDS})
+        save_rows_csv(self.records, path, TRAINLOG_FIELDS)
 
 
 def init_train_state(dataset: Dataset, config: TrainConfig) -> TrainState:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sasoftmax.analysis import (
@@ -6,11 +8,9 @@ from sasoftmax.analysis import (
     check_eq3_grid,
     check_fm_ambiguity,
     check_softmax_failure_mode,
-    load_witness_json,
-    save_eq3_csv,
-    save_witness_json,
     verify_failure_witness,
 )
+from sasoftmax.core import save_json, save_rows_csv
 from sasoftmax.errors import SearchBudgetExhausted
 
 
@@ -30,8 +30,8 @@ class TestFailureWitness:
     def test_witness_roundtrip_identical_verdict(self, tmp_path):
         report = check_softmax_failure_mode(seed=0)
         path = tmp_path / "witness.json"
-        save_witness_json(report, path)
-        loaded = load_witness_json(path)
+        save_json(report, path)
+        loaded = json.loads(path.read_text())
         assert verify_failure_witness(loaded["witness"])["all_hold"]
 
     def test_budget_exhaustion_raises(self):
@@ -66,8 +66,8 @@ class TestFmAmbiguity:
     def test_roundtrip(self, tmp_path):
         report = check_fm_ambiguity(range(5))
         path = tmp_path / "ambiguity.json"
-        save_witness_json(report, path)
-        assert load_witness_json(path) == report
+        save_json(report, path)
+        assert json.loads(path.read_text()) == report
 
 
 class TestEq3Grid:
@@ -88,6 +88,6 @@ class TestEq3Grid:
     def test_csv_export(self, tmp_path):
         rows, _ = check_eq3_grid()
         path = tmp_path / "grid.csv"
-        save_eq3_csv(rows, path)
+        save_rows_csv(rows, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == len(rows) + 1

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import sasoftmax
-from sasoftmax import analysis
+from sasoftmax import analysis, cli
 from sasoftmax.cli import main
 from sasoftmax.config import load_config_file
-from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix
+from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix, atomic_write
 from sasoftmax.encoder import init_encoder, save_checkpoint
 from sasoftmax.experiments import desk_protocol, run_ablation, save_rows_csv
 
@@ -279,16 +279,74 @@ class TestBadInput:
             (["ablation", "--seeds", "1,x"], None, "seeds"),
             (["train"], "epochs = ten\n", "c.txt:1: epochs"),
             (["eval", "--checkpoint", "c.txt", "--data", "d.csv", "--direction", "sideways"], None, "direction"),
+            # values the config accepts that training rejects
+            (["train", "--epochs", "1", "--alpha", "1.5"], None, "alpha"),
+            (["train", "--epochs", "1", "--variant", "SAS_FM_AST", "--beta", "0"], None, "beta"),
+            (["train", "--epochs", "1", "--p", "100"], None, "P exceeds"),
+            (["train", "--epochs", "1", "--milestones", "80,40"], None, "milestones"),
+            (["train", "--epochs", "1", "--base-lr", "0"], None, "learning rate"),
+            (["train", "--epochs", "1", "--k", "0"], None, "P and K"),
+            (["train", "--epochs", "1", "--embed-dim", "0"], None, "layer_dims"),
+            (["ablation", "--epochs", "1", "--alpha", "2"], None, "alpha"),
+            (["sweep", "--epochs", "1", "--parameter", "alpha", "--grid", "1.5"], None, "alpha"),
+            (["sweep", "--epochs", "1", "--parameter", "alpha", "--grid", "0.5,abc"], None, "--grid"),
+            (["train", "--epochs", "1"], b"\xff\xfe", "c.txt is not UTF-8"),
+            (["gradcheck", "--num-seeds", "-1"], None, "--num-seeds"),
+            (["gradcheck", "--num-seeds", "0"], None, "--num-seeds"),
+            (["diagnose", "--budget", "0"], None, "--budget"),
         ],
     )
     def test_exits_1_with_one_line_naming_the_value(self, tmp_path, argv, config_text, name):
         out = tmp_path / "out"
         argv = [*argv, "--out", str(out)]
         if config_text is not None:
-            (tmp_path / "c.txt").write_text(config_text)
+            data = config_text if isinstance(config_text, bytes) else config_text.encode()
+            (tmp_path / "c.txt").write_bytes(data)
             argv += ["--config", str(tmp_path / "c.txt")]
         done = run_cli(argv, tmp_path)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert name in done.stderr.strip().splitlines()[-1]
         assert not out.exists()
+
+    def test_exhausted_witness_search_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        done = run_cli(["diagnose", "--budget", "1", "--out", str(out)], tmp_path)
+        assert done.returncode == 2
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and "no failure witness within 1 attempts" in lines[0]
+        assert not out.exists()
+
+
+class TestOutputContract:
+    """config.txt first, every file whole, metadata.json last."""
+
+    @pytest.fixture
+    def eval_argv(self, tmp_path):
+        gen, tr = tmp_path / "gen", tmp_path / "train"
+        assert main(["gen-data", "--out", str(gen), "--split", *FAST_FLAGS]) == 0
+        assert main(["train", "--out", str(tr), "--data", str(gen / "train.csv"), *FAST_FLAGS]) == 0
+        return ["eval", "--checkpoint", str(tr / "checkpoint.txt"), "--data", str(gen / "test.csv")]
+
+    def test_failed_write_leaves_no_metadata(self, tmp_path, monkeypatch, eval_argv):
+        def failing_export(params, dataset, path):
+            with atomic_write(path) as fh:
+                fh.write("id,modality")
+                raise OSError("disk full")
+
+        ev = tmp_path / "eval"
+        assert main([*eval_argv, "--out", str(ev)]) == 0
+        assert (ev / "metadata.json").exists()
+        monkeypatch.setattr(cli, "export_embeddings", failing_export)
+        (ev / "embeddings.csv").unlink()
+        # a rerun into a finished directory voids its metadata.json first
+        assert main([*eval_argv, "--out", str(ev)]) == 3
+        assert not (ev / "metadata.json").exists()
+        assert not (ev / "embeddings.csv").exists()
+        assert not [p.name for p in ev.iterdir() if p.name.startswith(".")]
+
+        fresh = tmp_path / "fresh"
+        assert main([*eval_argv, "--out", str(fresh)]) == 3
+        assert (fresh / "config.txt").exists()
+        assert not (fresh / "metadata.json").exists()
+

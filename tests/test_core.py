@@ -9,6 +9,7 @@ from sasoftmax.core import (
     ModalityPrototypeMatrix,
     load_dataset_csv,
     rewrite_labels,
+    atomic_write,
     rewrite_labels_batch,
     save_dataset_csv,
 )
@@ -179,6 +180,37 @@ class TestSampleAndDataset:
         path.write_bytes(data)
         with pytest.raises(ContractViolation, match="bin.csv is not UTF-8"):
             load_dataset_csv(path)
+
+
+class TestAtomicWrite:
+    def test_completed_write_replaces_target(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"old\n")
+        with atomic_write(path) as fh:
+            fh.write("caf\u00e9\r\nnew\n")
+            assert path.read_bytes() == b"old\n"
+        assert path.read_bytes() == "caf\u00e9\r\nnew\n".encode("utf-8")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        path = tmp_path / "a.txt"
+        with pytest.raises(RuntimeError, match="partway"):
+            with atomic_write(path) as fh:
+                fh.write("half a row")
+                fh.flush()
+                assert not path.exists()
+                raise RuntimeError("partway")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_old_bytes(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_write(path) as fh:
+                fh.write("new")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def test_every_public_name_resolves():
