@@ -40,14 +40,19 @@ class EvalReport:
         return float(self.cmc[0])
 
 
+def _unit_rows(rows: np.ndarray, name: str) -> np.ndarray:
+    """`rows` scaled to unit norm. A row of near-zero norm raises
+    DegenerateNormError naming `name` and the row, whether or not any pair
+    would use it."""
+    norms = np.linalg.norm(rows, axis=1)
+    bad = np.nonzero(norms < NORM_EPS)[0]
+    if bad.size:
+        raise DegenerateNormError(f"{name} row {bad[0]} has near-zero norm")
+    return rows / norms[:, None]
+
+
 def cosine_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    qn = np.linalg.norm(queries, axis=1)
-    gn = np.linalg.norm(gallery, axis=1)
-    for name, norms in (("query", qn), ("gallery", gn)):
-        bad = np.nonzero(norms < NORM_EPS)[0]
-        if bad.size:
-            raise DegenerateNormError(f"{name} row {bad[0]} has near-zero norm")
-    return (queries / qn[:, None]) @ (gallery / gn[:, None]).T
+    return _unit_rows(queries, "query") @ _unit_rows(gallery, "gallery").T
 
 
 def _c_ordered(rows: np.ndarray) -> np.ndarray:
@@ -101,16 +106,6 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray):
     return cmc, float(aps.mean())
 
 
-def _cross_modality_similarity(emb: np.ndarray, ids: np.ndarray, mods: np.ndarray):
-    """VIS x NIR cosine matrix, the VIS and NIR identities, and the
-    same-identity mask over the matrix."""
-    vis = mods == int(Modality.VIS)
-    nir = mods == int(Modality.NIR)
-    sim = cosine_matrix(emb[vis], emb[nir])
-    vis_ids, nir_ids = ids[vis], ids[nir]
-    return sim, vis_ids, nir_ids, vis_ids[:, None] == nir_ids[None, :]
-
-
 def histogram_overlap(intra: np.ndarray, inter: np.ndarray) -> float:
     """Shared mass of the two normalized histograms, in [0, 1]."""
     p = intra / max(intra.sum(), 1)
@@ -119,8 +114,37 @@ def histogram_overlap(intra: np.ndarray, inter: np.ndarray) -> float:
 
 
 def mean_intra_cross_cosine(emb: np.ndarray, ids: np.ndarray, mods: np.ndarray) -> float:
-    sim, _, _, same = _cross_modality_similarity(emb, ids, mods)
-    return float(sim[same].mean())
+    """Mean cosine of the same-identity (VIS, NIR) pairs, without the VIS x NIR
+    matrix. Each identity's pairs are one block product of its unit VIS rows
+    and unit NIR rows, one batched matmul per distinct (#VIS, #NIR) shape.
+    The blocks are scattered into the pairs' row-major order in that matrix,
+    so the mean sums what `cosine_matrix(vis, nir)[same].mean()` sums, in the
+    same order. Every row's norm is checked, paired or not."""
+    vis = mods == int(Modality.VIS)
+    nir = mods == int(Modality.NIR)
+    v = _unit_rows(emb[vis], "query")
+    n = _unit_rows(emb[nir], "gallery")
+    keys, codes = np.unique(np.concatenate([ids[vis], ids[nir]]), return_inverse=True)
+    v_code, n_code = codes[: len(v)], codes[len(v) :]
+    # rows of each identity, identity by identity, in their original order
+    v_rows, n_rows = np.argsort(v_code, kind="stable"), np.argsort(n_code, kind="stable")
+    nv = np.bincount(v_code, minlength=len(keys))
+    nn = np.bincount(n_code, minlength=len(keys))
+    v_start, n_start = np.cumsum(nv) - nv, np.cumsum(nn) - nn
+    # a VIS row's pairs are one run of the flat order, one per NIR partner
+    width = nn[v_code]
+    offset = np.cumsum(width) - width
+    pairs = np.empty(int(width.sum()), dtype=np.result_type(v, n))
+    paired = (nv > 0) & (nn > 0)
+    shape_key = nv * (nn.max(initial=0) + 1) + nn
+    for key in np.unique(shape_key[paired]):
+        group = np.flatnonzero(paired & (shape_key == key))
+        a, b = int(nv[group[0]]), int(nn[group[0]])
+        rows_v = v_rows[v_start[group, None] + np.arange(a)]
+        rows_n = n_rows[n_start[group, None] + np.arange(b)]
+        blocks = np.matmul(v[rows_v], n[rows_n].transpose(0, 2, 1))
+        pairs[offset[rows_v][..., None] + np.arange(b)] = blocks
+    return float(pairs.mean())
 
 
 def cross_modal_eval(
@@ -145,7 +169,8 @@ def cross_modal_eval(
                 f"identity {min(missing)} has no {target} gallery item ({direction.value})"
             )
     emb, _ = encoder_forward(params, dataset.features)
-    sim, vis_ids, nir_ids, same = _cross_modality_similarity(emb, ids, mods)
+    sim = cosine_matrix(emb[vis], emb[nir])
+    vis_ids, nir_ids = ids[vis], ids[nir]
     ranked = {}
     for direction in directions:
         if direction == Direction.VIS_TO_NIR:
@@ -154,7 +179,7 @@ def cross_modal_eval(
             ranked[direction] = cmc_map(sim.T, nir_ids, vis_ids)
     # Over all (VIS, NIR) pairs; same-modality pairs are ignored. Counts are
     # integers, so the subtraction is exact.
-    intra_sims = sim[same]
+    intra_sims = sim[vis_ids[:, None] == nir_ids[None, :]]
     intra, _ = np.histogram(intra_sims, bins=HIST_BINS)
     inter = np.histogram(sim, bins=HIST_BINS)[0] - intra
     intra_mean = float(intra_sims.mean())

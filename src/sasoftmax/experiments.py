@@ -22,7 +22,7 @@ from .evaluation import (
     histogram_overlap,
     prototype_diagnostics,
 )
-from .trainer import train
+from .trainer import HEAD_ONLY_VARIANTS, batch_schedule, train
 
 ABLATION_VARIANTS = ("SOFTMAX", "SAS", "SAS_FM", "SAS_FM_AST", "SAS_FM_WM")
 
@@ -59,11 +59,12 @@ def make_split(cfg: ExperimentConfig):
     return split_by_identity(dataset, cfg.train_fraction, cfg.split_seed)
 
 
-def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None) -> dict:
-    """Train one variant with one seed; evaluate both directions on the test
-    identities. Returns a flat metrics row."""
+def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None, schedule=None) -> dict:
+    """Train one variant with one seed, on `schedule`'s batches when given;
+    evaluate both directions on the test identities. Returns a flat metrics
+    row."""
     train_set, test_set = split if split is not None else make_split(cfg)
-    state, log = train(train_set, replace(cfg, variant=variant, seed=seed))
+    state, log = train(train_set, replace(cfg, variant=variant, seed=seed), schedule)
     reports = cross_modal_eval(state.params, test_set, list(Direction))
     rep_vn, rep_nv = reports[Direction.VIS_TO_NIR], reports[Direction.NIR_TO_VIS]
     diag = prototype_diagnostics(state.modality_prototypes, state.identity_prototypes)
@@ -85,15 +86,31 @@ def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None) -> di
     return row
 
 
+def _check_loss_configs(configs) -> None:
+    """Build each config's loss mapping, so a bad variant, alpha or beta
+    fails before the first training rather than after the earlier runs."""
+    for c in configs:
+        if c.variant not in HEAD_ONLY_VARIANTS:
+            c.loss_config()
+
+
+def _seed_schedules(cfg: ExperimentConfig, train_set, seeds) -> dict:
+    """One batch schedule per seed, shared by every variant and grid point:
+    none of them changes the batches."""
+    return {seed: batch_schedule(train_set, replace(cfg, seed=seed)) for seed in seeds}
+
+
 def run_ablation(cfg: ExperimentConfig, variants=ABLATION_VARIANTS) -> list[dict]:
     seeds = cfg.seed_list()
     if len(seeds) < 1:
         raise ContractViolation("ablation needs at least one seed")
+    _check_loss_configs(replace(cfg, variant=v) for v in variants)
     split = make_split(cfg)
+    schedules = _seed_schedules(cfg, split[0], seeds)
     rows = []
     for variant in variants:
         for seed in seeds:
-            rows.append(run_single(cfg, variant, seed, split=split))
+            rows.append(run_single(cfg, variant, seed, split=split, schedule=schedules[seed]))
     return rows
 
 
@@ -141,16 +158,20 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, grid: list[float]) -> list[
         variant = "AM_SOFTMAX"
     else:
         variant = "CIRCLE"
+    # beta = 0 is the AST term switched off: plain SAS_FM
+    points = [
+        replace(cfg, **{parameter: value},
+                variant="SAS_FM" if parameter == "beta" and value == 0.0 else variant)
+        for value in grid
+    ]
+    _check_loss_configs(points)
+    seeds = cfg.seed_list()
     split = make_split(cfg)
+    schedules = _seed_schedules(cfg, split[0], seeds)
     rows = []
-    for seed in cfg.seed_list():
-        for value in grid:
-            point = replace(cfg, **{parameter: value})
-            if parameter == "beta" and value == 0.0:
-                point = replace(point, variant="SAS_FM")
-                row = run_single(point, "SAS_FM", seed, split=split)
-            else:
-                row = run_single(point, variant, seed, split=split)
+    for seed in seeds:
+        for value, point in zip(grid, points):
+            row = run_single(point, point.variant, seed, split=split, schedule=schedules[seed])
             row["parameter"] = parameter
             row["value"] = value
             rows.append(row)

@@ -36,6 +36,8 @@ from .losses import (
 )
 
 VARIANTS = ("SOFTMAX", "SAS", "SAS_FM", "SAS_FM_AST", "SAS_FM_WM", "AM_SOFTMAX", "CIRCLE")
+# variants trained on the identity head alone, with no combined-loss mapping
+HEAD_ONLY_VARIANTS = ("AM_SOFTMAX", "CIRCLE")
 
 TRAINLOG_FIELDS = [
     "epoch",
@@ -78,6 +80,8 @@ class TrainConfig:
             raise ContractViolation(f"unknown variant {self.variant!r}")
         if self.epochs < 0 or self.batches_per_epoch <= 0:
             raise ContractViolation("epochs must be >= 0, batches_per_epoch > 0")
+        if self.p <= 0 or self.k <= 0:
+            raise ContractViolation("P and K must be positive")
 
     def loss_config(self) -> CombinedLossConfig:
         """Map the variant onto the combined-loss switches."""
@@ -184,7 +188,7 @@ def train_step(
     mods = dataset.modalities[batch_indices]
     embeddings, cache = encoder_forward(state.params, x)
 
-    head_only = config.variant in ("AM_SOFTMAX", "CIRCLE")
+    head_only = config.variant in HEAD_ONLY_VARIANTS
     loss_cfg = None if head_only else config.loss_config()
     do_w_step = do_w_step and not head_only and loss_cfg.alpha > 0.0
     if not (do_w_step or do_f_step):
@@ -242,17 +246,37 @@ def _batch_context(batch_indices) -> str:
     return f"offending batch indices: {np.asarray(batch_indices).tolist()}"
 
 
-def train(dataset: Dataset, config: TrainConfig):
-    """Full training run. Returns (TrainState, TrainLog); deterministic per seed."""
-    state = init_train_state(dataset, config)
-    log = TrainLog()
+def batch_schedule(dataset: Dataset, config: TrainConfig) -> np.ndarray:
+    """A run's PK batches, one read-only row of 2PK indices per step, as
+    `train` consumes them. They depend only on the dataset, P, K, the seed and
+    the step count, so every variant trained with one seed shares them."""
+    steps = config.epochs * config.batches_per_epoch
+    schedule = np.empty((steps, 2 * config.p * config.k), dtype=np.intp)
     batch_seed = np.random.default_rng(config.seed + 3_000_003)
+    for row in schedule:
+        row[:] = pk_sample(dataset, config.p, config.k, int(batch_seed.integers(2**63)))
+    schedule.flags.writeable = False
+    return schedule
+
+
+def train(dataset: Dataset, config: TrainConfig, schedule: np.ndarray | None = None):
+    """Full training run on `schedule`'s batches, drawn by `batch_schedule`
+    when None. Returns (TrainState, TrainLog); deterministic per seed."""
+    state = init_train_state(dataset, config)
+    if schedule is None:
+        schedule = batch_schedule(dataset, config)
+    expected = (config.epochs * config.batches_per_epoch, 2 * config.p * config.k)
+    if np.shape(schedule) != expected:
+        raise ContractViolation(
+            f"batch schedule has shape {np.shape(schedule)}, expected {expected}"
+        )
+    log = TrainLog()
     for epoch in range(config.epochs):
         lr = lr_schedule(config.base_lr, epoch, list(config.milestones), config.lr_factor)
         epoch_metrics: dict[str, float] = {}
         n_f_steps = 0
         for b in range(config.batches_per_epoch):
-            idx = pk_sample(dataset, config.p, config.k, int(batch_seed.integers(2**63)))
+            idx = schedule[epoch * config.batches_per_epoch + b]
             if config.alternate_batches:
                 do_w = b % 2 == 0
                 do_f = not do_w

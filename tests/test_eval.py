@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,69 @@ class TestCrossModalEval:
         mods = np.array([0, 1, 1])
         # single intra pair: (row0 VIS, row1 NIR) -> cos 0
         assert mean_intra_cross_cosine(emb, ids, mods) == pytest.approx(0.0, abs=1e-15)
+
+
+def full_matrix_probe(emb, ids, mods) -> float:
+    """The probe as the whole VIS x NIR cosine matrix gives it."""
+    vis, nir = mods == int(Modality.VIS), mods == int(Modality.NIR)
+    sim = cosine_matrix(emb[vis], emb[nir])
+    return float(sim[ids[vis][:, None] == ids[nir][None, :]].mean())
+
+
+def interleaved_set(seed, n_ids, per, d):
+    """`per` samples per identity and modality, rows in random order."""
+    rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(n_ids), 2 * per)
+    mods = np.tile(np.repeat([int(Modality.VIS), int(Modality.NIR)], per), n_ids)
+    perm = rng.permutation(len(ids))
+    return rng.normal(size=(len(ids), d)), ids[perm], mods[perm]
+
+
+class TestMeanIntraCrossCosine:
+    # Equal counts whose VIS and NIR totals are multiples of 8, like desk
+    # (40 x 20 at d = 4) and wide_train (600 x 4 at d = 16): the full product
+    # then has no BLAS edge tiles, and each entry is the same multiply-add
+    # chain in one identity's block as in the whole matrix.
+    @pytest.mark.parametrize(
+        "d, n_ids, per", [(4, 40, 20), (4, 16, 6), (4, 8, 3), (16, 24, 4), (16, 8, 2)]
+    )
+    def test_bit_identical_to_full_matrix(self, d, n_ids, per):
+        for seed in range(5):
+            emb, ids, mods = interleaved_set(seed, n_ids, per, d)
+            assert mean_intra_cross_cosine(emb, ids, mods) == full_matrix_probe(emb, ids, mods)
+
+    def test_ragged_counts_and_one_modality_identities_agree(self):
+        # Not exact: a ragged block's tail tiles, the full matrix's own tail
+        # tiles and a 1 x 1 block (a dot product, not a gemm) may each take
+        # another BLAS kernel, which can round an entry differently by about
+        # one ulp. The pairs and their order are the same.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(20, 300))
+            ids = np.concatenate([rng.integers(0, 25, m), [0, 0, 90, 91, 91]])
+            mods = np.concatenate([rng.integers(0, 2, m), [0, 1, 0, 1, 1]])
+            emb = rng.normal(size=(len(ids), (4, 16)[seed % 2]))
+            got = mean_intra_cross_cosine(emb, ids, mods)
+            assert got == pytest.approx(full_matrix_probe(emb, ids, mods), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("modality", [Modality.VIS, Modality.NIR])
+    def test_zero_row_without_partner_raises(self, modality):
+        emb, ids, mods = interleaved_set(0, 4, 2, 4)
+        emb = np.vstack([emb, np.zeros((1, 4))])
+        ids, mods = np.append(ids, 99), np.append(mods, int(modality))
+        with pytest.raises(DegenerateNormError, match="has near-zero norm"):
+            mean_intra_cross_cosine(emb, ids, mods)
+
+    def test_memory_stays_far_below_the_full_matrix(self):
+        emb, ids, mods = interleaved_set(0, 600, 4, 16)  # wide_train: 2,400 x 2,400
+        full_bytes = 2400 * 2400 * 8
+        tracemalloc.start()
+        try:
+            mean_intra_cross_cosine(emb, ids, mods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_bytes / 10
 
 
 class TestPrototypeDiagnostics:

@@ -12,6 +12,7 @@ from sasoftmax.losses import combined_loss
 from sasoftmax.trainer import (
     TRAINLOG_FIELDS,
     TrainConfig,
+    batch_schedule,
     init_train_state,
     train,
     train_step,
@@ -74,6 +75,11 @@ class TestConfig:
     def test_ast_variant_requires_positive_beta(self):
         with pytest.raises(ContractViolation):
             tiny_config(variant="SAS_FM_AST", beta=0.0).loss_config()
+
+    @pytest.mark.parametrize("pk", [dict(p=0), dict(k=0), dict(p=-1, k=-1)])
+    def test_non_positive_p_or_k_rejected(self, pk):
+        with pytest.raises(ContractViolation, match="P and K must be positive"):
+            tiny_config(**pk)
 
 
 class TestRouting:
@@ -381,6 +387,43 @@ class TestTrain:
             losses = np.array([r["loss_total"] for r in log.records])
             smoothed = np.convolve(losses, np.ones(5) / 5, mode="valid")
             assert smoothed[-1] < factor * smoothed[0], variant
+
+    def test_explicit_schedule_trains_like_its_own_draw(self):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        s1, l1 = train(ds, cfg)
+        s2, l2 = train(ds, cfg, batch_schedule(ds, cfg))
+        w1, b1, m1, i1 = snapshot(s1)
+        w2, b2, m2, i2 = snapshot(s2)
+        for x, y in zip([*w1, *b1, m1, i1], [*w2, *b2, m2, i2]):
+            np.testing.assert_array_equal(x, y)
+        assert l1.records == l2.records
+
+    def test_schedule_is_read_only_and_one_row_per_step(self):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        schedule = batch_schedule(ds, cfg)
+        assert schedule.shape == (cfg.epochs * cfg.batches_per_epoch, 2 * cfg.p * cfg.k)
+        assert not schedule.flags.writeable
+        # the variant does not enter the batch stream
+        np.testing.assert_array_equal(schedule, batch_schedule(ds, replace(cfg, variant="CIRCLE")))
+
+    def test_train_steps_through_every_schedule_row_in_order(self, monkeypatch):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        seen = []
+        monkeypatch.setattr(
+            trainer, "train_step", lambda s, d, idx, *a: seen.append(idx) or {"loss_total": 0.0}
+        )
+        schedule = batch_schedule(ds, cfg)[::-1]
+        train(ds, cfg, schedule)
+        np.testing.assert_array_equal(np.array(seen), schedule)
+
+    @pytest.mark.parametrize("shape", [(11, 16), (12, 15), (13, 16), (192,)])
+    def test_wrong_shape_schedule_raises(self, shape):
+        ds = tiny_dataset()
+        with pytest.raises(ContractViolation, match="batch schedule has shape"):
+            train(ds, tiny_config(), np.zeros(shape, dtype=np.intp))
 
     def test_alternate_batches_variant_runs(self):
         ds = tiny_dataset()
