@@ -87,8 +87,10 @@ def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None, sched
 
 
 def _check_loss_configs(configs) -> None:
-    """Build each config's loss mapping, so a bad variant, alpha or beta
-    fails before the first training rather than after the earlier runs."""
+    """Build each config's loss mapping, so a variant-dependent bad value
+    (SAS_FM_AST with beta 0) fails before the first training rather than
+    after the earlier runs. Out-of-range values already failed when each
+    config was built."""
     for c in configs:
         if c.variant not in HEAD_ONLY_VARIANTS:
             c.loss_config()

@@ -10,6 +10,14 @@ kernel, `masked_ce`, returning dL/dlogits. `combined_loss` computes the
 modality logits once, applies the chain rule itself and owns the routing
 contract: L_W flows only to the modality prototypes, L_F only to the
 embeddings.
+
+Its B x C arrays (each head's logits and G = dL/dlogits) live in a
+`LossWorkspace`. `trainer.train` owns one per run and hands it to every
+step, so the buffers are allocated once per run (again only if B or C
+changes) instead of once per call; at wide scale each would otherwise be a
+fresh, page-faulted mapping. A call without a workspace uses a throwaway
+one. Either way the returned gradients are fresh d x C and B x d products:
+no view into the workspace escapes, so the next call may overwrite it.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .core import IdentityPrototypeMatrix, LossResult, ModalityPrototypeMatrix
 from .errors import ContractViolation, DegenerateNormError, NumericError
 
 NORM_EPS = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass
@@ -57,28 +66,51 @@ def _check_labels(labels: np.ndarray, num_classes: int, name: str = "label") -> 
     return labels
 
 
-def masked_ce(logits: np.ndarray, labels: np.ndarray, drop: np.ndarray | None = None):
+def masked_ce(
+    logits: np.ndarray,
+    labels: np.ndarray,
+    drop: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+):
     """Stabilized mean cross-entropy over the columns of `logits`, with
     column drop[i] removed from row i's softmax (numerator candidates and
     denominator). The whole softmax family is this one kernel: it differs only
     in the label and the dropped column.
 
-    Returns (value, G) with G = dL/dlogits. G is the only B x C buffer the
-    kernel allocates; every step after it runs in place.
+    Returns (value, G) with G = dL/dlogits. G is written into `out` when one
+    is given (a C-contiguous float64 array of the logits' shape, apart from
+    them), and the kernel then allocates no B x C float array; without `out`,
+    G is the only one it allocates. Every step after G's first write runs in
+    place. (The finiteness check takes a B x C bool temporary either way.)
     """
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
     b, c = logits.shape
     labels = _check_labels(labels, c)
+    if out is not None and not (
+        isinstance(out, np.ndarray)
+        and out.dtype == _FLOAT64
+        and out.shape == logits.shape
+        and out.flags.c_contiguous
+        and not np.may_share_memory(out, logits)
+    ):
+        raise ContractViolation(
+            f"out must be a C-contiguous float64 array of the logits' shape {logits.shape}"
+            " that shares no memory with them"
+        )
     rows = np.arange(b)
     if drop is None:
         zmax = logits.max(axis=1, keepdims=True)
-        g = logits - zmax
+        g = np.subtract(logits, zmax, out=out)
     else:
         drop = _check_labels(drop, c, "dropped column")
         if np.any(drop == labels):
             raise ContractViolation("the dropped column must differ from the label in every row")
-        g = logits.copy()
+        if out is None:
+            g = logits.copy()
+        else:
+            g = out
+            np.copyto(g, logits)
         g[rows, drop] = -np.inf
         zmax = g.max(axis=1, keepdims=True)
         g -= zmax
@@ -95,20 +127,50 @@ def masked_ce(logits: np.ndarray, labels: np.ndarray, drop: np.ndarray | None = 
 # The objective's softmax terms, each the one kernel at its label and
 # dropped column. They add no computation: they exist so the benchmark's
 # per-layer spans (losses.<name>.self_s) still see each term by name.
-def softmax_ce(logits, labels):
-    return masked_ce(logits, labels)
+def softmax_ce(logits, labels, out=None):
+    return masked_ce(logits, labels, None, out)
 
 
-def sas_w_loss(logits, y_w):
-    return masked_ce(logits, y_w)
+def sas_w_loss(logits, y_w, out=None):
+    return masked_ce(logits, y_w, None, out)
 
 
-def sas_w_loss_weight_masked(logits, y_w, y_f):
-    return masked_ce(logits, y_w, y_f)
+def sas_w_loss_weight_masked(logits, y_w, y_f, out=None):
+    return masked_ce(logits, y_w, y_f, out)
 
 
-def sas_f_loss(logits, y_f, y_w=None):
-    return masked_ce(logits, y_f, y_w)
+def sas_f_loss(logits, y_f, y_w=None, out=None):
+    return masked_ce(logits, y_f, y_w, out)
+
+
+class _HeadBuffers:
+    """One prototype head's B x C logits and G buffers."""
+
+    __slots__ = ("logits", "g")
+
+    def __init__(self):
+        self.logits = self.g = np.empty((0, 0))
+
+    def product(self, embeddings: np.ndarray, w: np.ndarray):
+        """embeddings @ w written into the logits buffer; returns (logits, G
+        buffer), both reallocated only when the shape changes."""
+        shape = (embeddings.shape[0], w.shape[1])
+        if self.logits.shape != shape:
+            self.logits, self.g = np.empty(shape), np.empty(shape)
+        return np.matmul(embeddings, w, out=self.logits), self.g
+
+
+class LossWorkspace:
+    """The B x C buffers of `combined_loss`: logits and G for the modality
+    head and for the identity head. The caller owns it and passes it to
+    consecutive calls; each call overwrites the buffers it uses, and nothing
+    it returns refers to them."""
+
+    __slots__ = ("modality", "identity")
+
+    def __init__(self):
+        self.modality = _HeadBuffers()
+        self.identity = _HeadBuffers()
 
 
 def _safe_norms(x: np.ndarray, axis: int, what: str) -> np.ndarray:
@@ -251,14 +313,21 @@ def combined_loss(
     identities: np.ndarray,
     modalities: np.ndarray,
     config: CombinedLossConfig,
+    workspace: LossWorkspace | None = None,
 ) -> CombinedLossResult:
     """Full objective: alpha * (L_W + L_F) + (1 - alpha) * L_softmax + beta * L_AST.
 
     Routing contract: the prototype-side term is the only contributor to the
     modality-prototype gradient; the softmax term is the only contributor to
     the identity-prototype gradient; everything else flows to the embeddings.
+
+    The logits and G buffers come from `workspace`, or from a fresh one when
+    it is None; the result is bit-identical either way.
     """
     from .core import rewrite_labels_batch
+
+    if workspace is None:
+        workspace = LossWorkspace()
 
     n = modality_prototypes.num_identities
     y_w, y_f = rewrite_labels_batch(identities, modalities, n)
@@ -270,19 +339,23 @@ def combined_loss(
 
     if a > 0.0:
         w = modality_prototypes.W
-        logits = embeddings @ w
+        logits, g = workspace.modality.product(embeddings, w)
         # L_W (label yW) flows only to the prototypes, L_F (label yF) only to
-        # the embeddings; each mask drops the other term's label column
+        # the embeddings; each mask drops the other term's label column.
+        # L_W's G is consumed before L_F overwrites the same buffer.
         if config.use_weight_mask:
-            components["loss_w"], g = sas_w_loss_weight_masked(logits, y_w, y_f)
+            components["loss_w"], _ = sas_w_loss_weight_masked(logits, y_w, y_f, g)
         else:
-            components["loss_w"], g = sas_w_loss(logits, y_w)
+            components["loss_w"], _ = sas_w_loss(logits, y_w, g)
         grad_mod = a * (embeddings.T @ g)
-        components["loss_f"], g = sas_f_loss(logits, y_f, y_w if config.use_feature_mask else None)
+        components["loss_f"], _ = sas_f_loss(
+            logits, y_f, y_w if config.use_feature_mask else None, g
+        )
         grad_emb += a * (g @ w.T)
     if a < 1.0:
         w = identity_prototypes.W
-        components["loss_softmax"], g = softmax_ce(embeddings @ w, identities)
+        logits, g = workspace.identity.product(embeddings, w)
+        components["loss_softmax"], _ = softmax_ce(logits, identities, g)
         grad_id = (1.0 - a) * (embeddings.T @ g)
         grad_emb += (1.0 - a) * (g @ w.T)
     if bta > 0.0:

@@ -30,6 +30,7 @@ from .errors import ContractViolation, DegenerateNormError, NumericError
 from .evaluation import mean_intra_cross_cosine
 from .losses import (
     CombinedLossConfig,
+    LossWorkspace,
     am_softmax_loss,
     circle_loss,
     combined_loss,
@@ -82,6 +83,20 @@ class TrainConfig:
             raise ContractViolation("epochs must be >= 0, batches_per_epoch > 0")
         if self.p <= 0 or self.k <= 0:
             raise ContractViolation("P and K must be positive")
+        # the variant-free ranges, checked when the config is built; the
+        # variant-dependent "SAS_FM_AST requires beta > 0" is in loss_config
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ContractViolation(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not self.beta >= 0.0:
+            raise ContractViolation(f"beta must be non-negative, got {self.beta}")
+        if not self.base_lr > 0.0:
+            raise ContractViolation(f"base_lr: learning rate must be positive, got {self.base_lr}")
+        if list(self.milestones) != sorted(self.milestones):
+            raise ContractViolation(f"milestones must be ascending, got {self.milestones}")
+        if self.embed_dim <= 0:
+            raise ContractViolation(f"embed_dim must be positive, got {self.embed_dim}")
+        if any(h <= 0 for h in self.hidden_dims):
+            raise ContractViolation(f"hidden_dims must all be positive, got {self.hidden_dims}")
 
     def loss_config(self) -> CombinedLossConfig:
         """Map the variant onto the combined-loss switches."""
@@ -145,11 +160,13 @@ def init_train_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     )
 
 
-def _evaluate_loss(state: TrainState, embeddings, ids, mods, config: TrainConfig, loss_cfg):
+def _evaluate_loss(
+    state: TrainState, embeddings, ids, mods, config: TrainConfig, loss_cfg, workspace
+):
     """The step's one loss evaluation, against the prototypes as they are:
     (value, grad_emb, grad_id, grad_mod, components). `loss_cfg` is None for
     the identity-head-only variants (AM_SOFTMAX, CIRCLE), which have no
-    modality prototypes to update."""
+    modality prototypes to update and leave `workspace` unused."""
     if loss_cfg is None:
         if config.variant == "AM_SOFTMAX":
             res = am_softmax_loss(
@@ -162,7 +179,13 @@ def _evaluate_loss(state: TrainState, embeddings, ids, mods, config: TrainConfig
         comps = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": res.value, "loss_ast": 0.0}
         return res.value, res.grad_embeddings, res.grad_prototypes, None, comps
     res = combined_loss(
-        embeddings, state.modality_prototypes, state.identity_prototypes, ids, mods, loss_cfg
+        embeddings,
+        state.modality_prototypes,
+        state.identity_prototypes,
+        ids,
+        mods,
+        loss_cfg,
+        workspace,
     )
     return (
         res.value,
@@ -181,8 +204,10 @@ def train_step(
     lr: float,
     do_w_step: bool = True,
     do_f_step: bool = True,
+    workspace: LossWorkspace | None = None,
 ) -> dict:
-    """One asynchronous update on one batch. Returns step metrics."""
+    """One asynchronous update on one batch. Returns step metrics.
+    `workspace` holds the loss buffers reused across a run's steps."""
     x = dataset.features[batch_indices]
     ids = dataset.identities[batch_indices]
     mods = dataset.modalities[batch_indices]
@@ -197,7 +222,7 @@ def train_step(
     # prototypes: step 1 takes its prototype gradient, step 2 the rest
     try:
         value, grad_emb, grad_id, grad_mod, comps = _evaluate_loss(
-            state, embeddings, ids, mods, config, loss_cfg
+            state, embeddings, ids, mods, config, loss_cfg, workspace
         )
     except DegenerateNormError as exc:
         # e.g. a dead-ReLU all-zero embedding reaching a cosine-based term
@@ -271,6 +296,7 @@ def train(dataset: Dataset, config: TrainConfig, schedule: np.ndarray | None = N
             f"batch schedule has shape {np.shape(schedule)}, expected {expected}"
         )
     log = TrainLog()
+    workspace = LossWorkspace()  # the run's loss buffers, reused by every step
     for epoch in range(config.epochs):
         lr = lr_schedule(config.base_lr, epoch, list(config.milestones), config.lr_factor)
         epoch_metrics: dict[str, float] = {}
@@ -282,7 +308,7 @@ def train(dataset: Dataset, config: TrainConfig, schedule: np.ndarray | None = N
                 do_f = not do_w
             else:
                 do_w = do_f = True
-            metrics = train_step(state, dataset, idx, config, lr, do_w, do_f)
+            metrics = train_step(state, dataset, idx, config, lr, do_w, do_f, workspace)
             if do_f:
                 n_f_steps += 1
                 for key, val in metrics.items():

@@ -7,6 +7,7 @@ the ablation is trained once per module and shared.
 """
 
 import hashlib
+import importlib.util
 import json
 import time
 from dataclasses import replace
@@ -29,7 +30,8 @@ from sasoftmax.evaluation import cmc_map
 from sasoftmax.trainer import train
 from test_eval import brute_force_cmc_map
 
-REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references" / "desk_ablation.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCES = PERFBENCH / "references" / "desk_ablation.json"
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -65,6 +67,24 @@ def test_desk_rows_bit_identical_to_references(ablation_rows, tmp_path):
             mismatched.append(seed)
     report("golden desk rows", not mismatched, f"seeds differing from the references: {mismatched}")
     assert not mismatched
+
+
+def test_wide_rows_bit_identical_to_references(tmp_path):
+    """One wide_train unit (1,200 prototype columns, a 256-sample batch), run
+    through the benchmark's own workload code, hashes to the digest recorded
+    in perfbench/references/wide_train.json."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    work, seed = workloads.WORKLOADS["wide_train"], 7
+    work.setup(seed, "full", tmp_path)
+    ctx = work.prepare(seed, "full", tmp_path)
+    rows = work.run(ctx)
+    digest = work.outputs(ctx, rows, 0)["digest"]
+    expected = json.loads((PERFBENCH / "references" / "wide_train.json").read_text())[str(seed)]
+    report("golden wide rows", digest == expected["digest"], f"seed {seed} digest {digest}")
+    assert digest == expected["digest"]
+    assert work.verify(ctx, rows) == []
 
 
 def test_criterion_1_gradient_correctness():

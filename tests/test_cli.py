@@ -279,14 +279,14 @@ class TestBadInput:
             (["ablation", "--seeds", "1,x"], None, "seeds"),
             (["train"], "epochs = ten\n", "c.txt:1: epochs"),
             (["eval", "--checkpoint", "c.txt", "--data", "d.csv", "--direction", "sideways"], None, "direction"),
-            # values the config accepts that training rejects
+            # values the config rejects before any data is generated
             (["train", "--epochs", "1", "--alpha", "1.5"], None, "alpha"),
             (["train", "--epochs", "1", "--variant", "SAS_FM_AST", "--beta", "0"], None, "beta"),
             (["train", "--epochs", "1", "--p", "100"], None, "P exceeds"),
             (["train", "--epochs", "1", "--milestones", "80,40"], None, "milestones"),
             (["train", "--epochs", "1", "--base-lr", "0"], None, "learning rate"),
             (["train", "--epochs", "1", "--k", "0"], None, "P and K"),
-            (["train", "--epochs", "1", "--embed-dim", "0"], None, "layer_dims"),
+            (["train", "--epochs", "1", "--embed-dim", "0"], None, "embed_dim"),
             (["ablation", "--epochs", "1", "--alpha", "2"], None, "alpha"),
             (["sweep", "--epochs", "1", "--parameter", "alpha", "--grid", "1.5"], None, "alpha"),
             (["sweep", "--epochs", "1", "--parameter", "alpha", "--grid", "0.5,abc"], None, "--grid"),
@@ -294,6 +294,7 @@ class TestBadInput:
             (["gradcheck", "--num-seeds", "-1"], None, "--num-seeds"),
             (["gradcheck", "--num-seeds", "0"], None, "--num-seeds"),
             (["diagnose", "--budget", "0"], None, "--budget"),
+            (["train", "--epochs", "1", "--hidden-dims", "6,0"], None, "hidden_dims"),
         ],
     )
     def test_exits_1_with_one_line_naming_the_value(self, tmp_path, argv, config_text, name):

@@ -50,6 +50,27 @@ class TestExperimentConfig:
             assert value == changed[source.get(f.name, f.name)]
             assert value != f.default
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(alpha=1.5), "alpha .* got 1.5"),
+            (dict(beta=-0.5), "beta .* got -0.5"),
+            (dict(base_lr=0.0), "base_lr: learning rate .* got 0.0"),
+            (dict(milestones=(80, 40)), "milestones .* got \\(80, 40\\)"),
+            (dict(embed_dim=0), "embed_dim .* got 0"),
+            (dict(hidden_dims=(32, 0)), "hidden_dims .* got \\(32, 0\\)"),
+        ],
+    )
+    def test_bad_training_value_rejected_when_built(self, bad, message):
+        with pytest.raises(ContractViolation, match=message):
+            ExperimentConfig(**bad)
+
+    def test_bad_value_in_a_config_file_rejected_when_loaded(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("embed_dim = 0\n")
+        with pytest.raises(ContractViolation, match="embed_dim .* got 0"):
+            load_config_file(path)
+
     def test_seed_list(self):
         assert ExperimentConfig(seeds="4,5,6").seed_list() == [4, 5, 6]
 

@@ -9,6 +9,7 @@ from sasoftmax.errors import ContractViolation, DegenerateNormError, NumericErro
 from sasoftmax.gradcheck import central_difference, relative_error
 from sasoftmax.losses import (
     CombinedLossConfig,
+    LossWorkspace,
     am_softmax_loss,
     ast_loss,
     circle_loss,
@@ -16,6 +17,7 @@ from sasoftmax.losses import (
     masked_ce,
     theta_derivative_probe,
 )
+from sasoftmax.trainer import TrainConfig
 
 from conftest import random_instance
 
@@ -74,6 +76,57 @@ class TestMaskedCE:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * b * c * 8
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_out_receives_g_and_matches_the_fresh_path(self, masked):
+        rng = np.random.default_rng(1)
+        logits = rng.normal(size=(16, 10))
+        labels = rng.integers(0, 5, size=16)
+        drop = labels + 5 if masked else None
+        before = logits.copy()
+        value, g = masked_ce(logits, labels, drop)
+        out = np.full_like(logits, np.nan)
+        out_value, out_g = masked_ce(logits, labels, drop, out=out)
+        assert out_g is out
+        assert out_value == value
+        np.testing.assert_array_equal(out, g)
+        np.testing.assert_array_equal(logits, before)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_with_out_allocates_no_logits_sized_buffer(self, masked):
+        b, c = 256, 1200
+        rng = np.random.default_rng(0)
+        logits = rng.normal(size=(b, c))
+        labels = rng.integers(0, c // 2, size=b)
+        drop = labels + c // 2 if masked else None
+        out = np.empty_like(logits)
+        tracemalloc.start()
+        try:
+            masked_ce(logits, labels, drop, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * c * 8
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda z: np.empty((4, 6), dtype=np.float32),
+            lambda z: [[0.0] * 6] * 4,
+            lambda z: np.empty((4, 5)),
+            lambda z: np.empty((6, 4)).T,
+            lambda z: np.empty((4, 12))[:, ::2],
+            lambda z: z,
+            lambda z: z.base[1:5],
+        ],
+        ids=["float32", "list", "wrong-shape", "fortran", "strided", "same-array", "overlapping-view"],
+    )
+    def test_bad_out_rejected(self, make_out):
+        logits = np.random.default_rng(2).normal(size=(5, 6))[:4]
+        before = logits.copy()
+        with pytest.raises(ContractViolation, match="out must be a C-contiguous float64 array"):
+            masked_ce(logits, np.arange(4), out=make_out(logits))
+        np.testing.assert_array_equal(logits, before)
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(NumericError):
@@ -364,6 +417,89 @@ class TestCombinedLoss:
             CombinedLossConfig(alpha=1.5)
         with pytest.raises(ContractViolation):
             CombinedLossConfig(beta=-0.1)
+
+
+COMBINED_VARIANTS = ("SOFTMAX", "SAS", "SAS_FM", "SAS_FM_AST", "SAS_FM_WM")
+# (B, N, d): the desk protocol's 128 x 80 modality logits, and wide_train's
+# 256 x 1,200
+SHAPES = {"desk": (128, 40, 16), "wide": (256, 600, 16)}
+
+
+def loss_inputs(seed, b, n, d):
+    r = np.random.default_rng(seed)
+    return (
+        r.normal(size=(b, d)),
+        ModalityPrototypeMatrix(r.normal(size=(d, 2 * n))),
+        IdentityPrototypeMatrix(r.normal(size=(d, n))),
+        r.integers(0, n, size=b),
+        r.integers(0, 2, size=b),
+    )
+
+
+def result_arrays(res):
+    return [
+        g.copy()
+        for g in (res.grad_embeddings, res.grad_modality_prototypes, res.grad_identity_prototypes)
+        if g is not None
+    ]
+
+
+class TestLossWorkspace:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("variant", COMBINED_VARIANTS)
+    def test_reused_workspace_matches_the_fresh_path(self, variant, shape):
+        cfg = TrainConfig(variant=variant).loss_config()
+        ws = LossWorkspace()
+        kept = []
+        for seed in range(3):
+            inputs = loss_inputs(seed, *SHAPES[shape])
+            fresh = combined_loss(*inputs, cfg)
+            reused = combined_loss(*inputs, cfg, workspace=ws)
+            assert reused.value == fresh.value
+            assert reused.components == fresh.components
+            for name in ("grad_embeddings", "grad_modality_prototypes", "grad_identity_prototypes"):
+                got, want = getattr(reused, name), getattr(fresh, name)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    np.testing.assert_array_equal(got, want)
+            kept.append((reused, result_arrays(reused)))
+        # later calls and direct writes into the buffers leave every
+        # returned gradient as it was
+        for head in (ws.modality, ws.identity):
+            head.logits.fill(np.nan)
+            head.g.fill(np.nan)
+        for res, arrays in kept:
+            for got, want in zip(result_arrays(res), arrays):
+                np.testing.assert_array_equal(got, want)
+
+    def test_buffers_reallocated_only_when_the_shape_changes(self):
+        cfg = TrainConfig(variant="SAS_FM_AST").loss_config()
+        ws = LossWorkspace()
+
+        def buffers():
+            return [ws.modality.logits, ws.modality.g, ws.identity.logits, ws.identity.g]
+
+        combined_loss(*loss_inputs(0, 32, 10, 4), cfg, workspace=ws)
+        first = buffers()
+        assert [a.shape for a in first] == [(32, 20), (32, 20), (32, 10), (32, 10)]
+        combined_loss(*loss_inputs(1, 32, 10, 4), cfg, workspace=ws)
+        assert all(a is b for a, b in zip(buffers(), first))
+        combined_loss(*loss_inputs(2, 24, 10, 4), cfg, workspace=ws)
+        assert [a.shape for a in buffers()] == [(24, 20), (24, 20), (24, 10), (24, 10)]
+
+    def test_warm_call_at_wide_shape_holds_no_logits_sized_buffer(self):
+        b, n, d = SHAPES["wide"]
+        cfg = TrainConfig(variant="SAS_FM_AST").loss_config()
+        inputs = loss_inputs(0, b, n, d)
+        ws = LossWorkspace()
+        combined_loss(*inputs, cfg, workspace=ws)
+        tracemalloc.start()
+        try:
+            combined_loss(*inputs, cfg, workspace=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * 2 * n * 8
 
 
 class TestAmSoftmax:

@@ -8,7 +8,7 @@ from sasoftmax.core import ModalityPrototypeMatrix
 from sasoftmax.data import SynthConfig, generate_synthetic
 from sasoftmax.encoder import SGDState, encoder_backward, encoder_forward, sgd_step
 from sasoftmax.errors import ContractViolation, DegenerateNormError, NumericError
-from sasoftmax.losses import combined_loss
+from sasoftmax.losses import LossWorkspace, combined_loss
 from sasoftmax.trainer import (
     TRAINLOG_FIELDS,
     TrainConfig,
@@ -80,6 +80,29 @@ class TestConfig:
     def test_non_positive_p_or_k_rejected(self, pk):
         with pytest.raises(ContractViolation, match="P and K must be positive"):
             tiny_config(**pk)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(alpha=1.5), "alpha must lie in \\[0, 1\\], got 1.5"),
+            (dict(alpha=-0.1), "alpha .* got -0.1"),
+            (dict(beta=-1.0), "beta must be non-negative, got -1.0"),
+            (dict(beta=float("nan")), "beta .* got nan"),
+            (dict(base_lr=0.0), "base_lr: learning rate must be positive, got 0.0"),
+            (dict(base_lr=-0.5), "base_lr: .* got -0.5"),
+            (dict(milestones=(80, 40)), "milestones must be ascending, got \\(80, 40\\)"),
+            (dict(embed_dim=0), "embed_dim must be positive, got 0"),
+            (dict(hidden_dims=(6, 0)), "hidden_dims must all be positive, got \\(6, 0\\)"),
+            (dict(hidden_dims=(-3,)), "hidden_dims .* got \\(-3,\\)"),
+        ],
+    )
+    def test_bad_value_rejected_when_built(self, bad, message):
+        with pytest.raises(ContractViolation, match=message):
+            tiny_config(**bad)
+
+    def test_boundary_values_accepted(self):
+        tiny_config(alpha=0.0, beta=0.0, milestones=(), hidden_dims=())
+        tiny_config(alpha=1.0, milestones=(3, 3))
 
 
 class TestRouting:
@@ -278,6 +301,22 @@ class TestOneLossEvaluation:
         state = init_train_state(ds, cfg)
         train_step(state, ds, np.arange(16), cfg, 0.05, do_w, do_f)
         assert len(loss_calls) == 1
+
+    def test_a_run_hands_every_step_one_workspace(self, monkeypatch):
+        seen = []
+
+        def recorded(*args, **kwargs):
+            seen.append(args[6])
+            return combined_loss(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "combined_loss", recorded)
+        cfg = tiny_config(variant="SAS_FM_AST")
+        train(tiny_dataset(), cfg)
+        assert len(seen) == cfg.epochs * cfg.batches_per_epoch
+        assert isinstance(seen[0], LossWorkspace)
+        assert all(ws is seen[0] for ws in seen)
+        train(tiny_dataset(), cfg)
+        assert seen[-1] is not seen[0]
 
     def test_softmax_prototype_half_evaluates_nothing(self, loss_calls):
         """SOFTMAX has no prototype-side step, so the prototype half of an
