@@ -52,10 +52,10 @@ PROTOCOLS = {"default": ExperimentConfig, "desk": experiments.desk_protocol}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, the contract-violation code, instead of 2."""
+    """Usage errors exit 1, the contract-violation code, instead of 2, with
+    one line like every other bad input; `-h` prints the usage."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

@@ -229,12 +229,12 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read the `id,modality,f0..` CSV format; a malformed row raises
-    ContractViolation naming `path:line`, and non-UTF-8 text one naming
-    the path."""
+    """Read the `id,modality,f0..` CSV format; a malformed row or a
+    non-finite feature raises ContractViolation naming `path:line`, and
+    non-UTF-8 text one naming the path."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            header, ids, mods, rows = _read_dataset_rows(csv.reader(fh), path)
+            header, ids, mods, rows, line_nums = _read_dataset_rows(csv.reader(fh), path)
     except UnicodeDecodeError as exc:
         raise ContractViolation(f"{path} is not UTF-8 text: {exc}") from None
     dim = len(header) - 2
@@ -246,28 +246,38 @@ def load_dataset_csv(path) -> Dataset:
         raise ContractViolation(f"ragged feature rows in {path}") from None
     if feats.shape[1] != dim:
         raise ContractViolation(f"ragged feature rows in {path}")
-    ids_arr = np.array(ids, dtype=int)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        value = feats[bad][~np.isfinite(feats[bad])][0]
+        raise ContractViolation(f"{path}:{line_nums[bad]}: non-finite feature {value}")
+    try:
+        ids_arr = np.array(ids, dtype=int)
+    except OverflowError:
+        raise ContractViolation(f"{path}: identity label out of range") from None
     return Dataset(feats, ids_arr, np.array(mods, dtype=int), int(ids_arr.max()) + 1, dim)
 
 
 def _read_dataset_rows(reader, path):
-    header = next(reader, [])
-    if header[:2] != ["id", "modality"]:
-        raise ContractViolation(f"unexpected dataset header in {path}")
-    ids, mods, rows = [], [], []
+    """(header, ids, modality codes, feature rows, each row's line number)."""
+    ids, mods, rows, line_nums = [], [], [], []
     try:
+        header = next(reader, [])
+        if header[:2] != ["id", "modality"]:
+            raise ContractViolation(f"unexpected dataset header in {path}")
         for row in reader:
             ids.append(int(row[0]))
             mods.append(int(_CODE_MODALITY[row[1]]))
             rows.append([float(v) for v in row[2:]])
+            line_nums.append(reader.line_num)
     except KeyError:
         raise ContractViolation(
             f"{path}:{reader.line_num}: unknown modality code {row[1]!r}"
         ) from None
     except IndexError:
         raise ContractViolation(f"{path}:{reader.line_num}: missing id or modality") from None
-    except UnicodeDecodeError:
-        raise  # reported for the whole file by load_dataset_csv
+    except (ContractViolation, UnicodeDecodeError):
+        raise  # the header's own message; non-UTF-8 is reported for the whole file
     except (ValueError, csv.Error) as exc:
         raise ContractViolation(f"{path}:{reader.line_num}: {exc}") from None
-    return header, ids, mods, rows
+    return header, ids, mods, rows, line_nums

@@ -10,6 +10,7 @@ direction for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,10 @@ class SynthConfig:
             or self.input_dim <= 0
         ):
             raise ContractViolation("counts must be positive")
-        if self.modality_gap < 0.0 or self.noise_sigma < 0.0:
-            raise ContractViolation("gap and noise must be non-negative")
+        for name in ("modality_gap", "noise_sigma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ContractViolation(f"{name} must be finite and non-negative, got {value}")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -51,7 +51,14 @@ def desk_protocol(**overrides) -> ExperimentConfig:
     merged = {**DESK_PROTOCOL_OVERRIDES, **overrides}
     return replace(ExperimentConfig(), **merged)
 
-SWEEP_PARAMETERS = ("alpha", "beta", "am_margin", "circle_gamma")
+
+# each sweepable parameter and the variant its grid points train
+SWEEP_PARAMETERS = {
+    "alpha": "SAS_FM",
+    "beta": "SAS_FM_AST",
+    "am_margin": "AM_SOFTMAX",
+    "circle_gamma": "CIRCLE",
+}
 
 
 def make_split(cfg: ExperimentConfig):
@@ -152,14 +159,7 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, grid: list[float]) -> list[
         raise ContractViolation(f"unknown sweep parameter {parameter!r}")
     if not grid:
         raise ContractViolation("sweep grid must be non-empty")
-    if parameter == "alpha":
-        variant = "SAS_FM"
-    elif parameter == "beta":
-        variant = "SAS_FM_AST"
-    elif parameter == "am_margin":
-        variant = "AM_SOFTMAX"
-    else:
-        variant = "CIRCLE"
+    variant = SWEEP_PARAMETERS[parameter]
     # beta = 0 is the AST term switched off: plain SAS_FM
     points = [
         replace(cfg, **{parameter: value},

@@ -41,7 +41,6 @@ class CombinedLossConfig:
     beta: float = 1.0
     use_feature_mask: bool = False
     use_weight_mask: bool = False
-    squared_ast: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -184,11 +183,9 @@ def ast_loss(
     embeddings: np.ndarray,
     prototypes: ModalityPrototypeMatrix,
     y_f: np.ndarray,
-    squared: bool = False,
 ) -> LossResult:
     """Absolute-similarity penalty: mean of (1 - cos) between each embedding
-    and its cross-modality target column. `squared` switches to (1 - cos)^2.
-    """
+    and its cross-modality target column."""
     w = prototypes.W
     y_f = _check_labels(y_f, w.shape[1], "yF")
     b = embeddings.shape[0]
@@ -197,16 +194,9 @@ def ast_loss(
     wn = _safe_norms(targets, 1, "target prototypes")
     dots = np.einsum("ij,ij->i", embeddings, targets)
     cos = dots / (xn * wn)
-    per = 1.0 - cos
     # d cos / dx_i = W/( |W||x| ) - cos * x / |x|^2
     dcos_dx = targets / (xn * wn)[:, None] - cos[:, None] * embeddings / (xn**2)[:, None]
-    if squared:
-        value = float(np.mean(per**2))
-        grad = (-2.0 * per)[:, None] * dcos_dx / b
-    else:
-        value = float(np.mean(per))
-        grad = -dcos_dx / b
-    return LossResult(value=value, grad_embeddings=grad)
+    return LossResult(value=float(np.mean(1.0 - cos)), grad_embeddings=-dcos_dx / b)
 
 
 def _cosine_backprop(dcos, cos, xhat, what, xn, wn):
@@ -359,7 +349,7 @@ def combined_loss(
         grad_id = (1.0 - a) * (embeddings.T @ g)
         grad_emb += (1.0 - a) * (g @ w.T)
     if bta > 0.0:
-        a_res = ast_loss(embeddings, modality_prototypes, y_f, squared=config.squared_ast)
+        a_res = ast_loss(embeddings, modality_prototypes, y_f)
         components["loss_ast"] = a_res.value
         grad_emb += bta * a_res.grad_embeddings
 

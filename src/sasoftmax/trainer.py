@@ -4,14 +4,13 @@ Each step runs one forward pass and one loss evaluation per batch, against
 the modality prototypes as they are BEFORE any update. That one result feeds
 both steps: step 1 updates the modality prototypes from the prototype-side
 gradient, with embeddings held constant; step 2 updates the encoder and the
-identity-prototype head from the feature-side gradients. A config flag
-switches to the alternating-batch variant where the two steps consume
-different batches, each still seeing pre-update prototypes.
+identity-prototype head from the feature-side gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .errors import ContractViolation, DegenerateNormError, NumericError
 from .evaluation import mean_intra_cross_cosine
 from .losses import (
     CombinedLossConfig,
+    CombinedLossResult,
     LossWorkspace,
     am_softmax_loss,
     circle_loss,
@@ -73,10 +73,14 @@ class TrainConfig:
     am_scale: float = 15.0
     circle_gamma: float = 32.0
     circle_margin: float = 0.25
-    squared_ast: bool = False
-    alternate_batches: bool = False
 
     def __post_init__(self):
+        # every float field, a subclass's included, so that no NaN or inf
+        # reaches the data generator or the loss kernels
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractViolation(f"{f.name} must be finite, got {value}")
         if self.variant not in VARIANTS:
             raise ContractViolation(f"unknown variant {self.variant!r}")
         if self.epochs < 0 or self.batches_per_epoch <= 0:
@@ -97,6 +101,12 @@ class TrainConfig:
             raise ContractViolation(f"embed_dim must be positive, got {self.embed_dim}")
         if any(h <= 0 for h in self.hidden_dims):
             raise ContractViolation(f"hidden_dims must all be positive, got {self.hidden_dims}")
+        if self.am_margin < 0.0:
+            raise ContractViolation(f"am_margin must be non-negative, got {self.am_margin}")
+        if self.am_scale <= 0.0:
+            raise ContractViolation(f"am_scale must be positive, got {self.am_scale}")
+        if self.circle_gamma <= 0.0:
+            raise ContractViolation(f"circle_gamma must be positive, got {self.circle_gamma}")
 
     def loss_config(self) -> CombinedLossConfig:
         """Map the variant onto the combined-loss switches."""
@@ -109,12 +119,7 @@ class TrainConfig:
         if self.variant == "SAS_FM_AST":
             if self.beta <= 0.0:
                 raise ContractViolation("SAS_FM_AST requires beta > 0")
-            return CombinedLossConfig(
-                alpha=self.alpha,
-                beta=self.beta,
-                use_feature_mask=True,
-                squared_ast=self.squared_ast,
-            )
+            return CombinedLossConfig(alpha=self.alpha, beta=self.beta, use_feature_mask=True)
         if self.variant == "SAS_FM_WM":
             return CombinedLossConfig(
                 alpha=self.alpha, beta=0.0, use_feature_mask=True, use_weight_mask=True
@@ -161,39 +166,20 @@ def init_train_state(dataset: Dataset, config: TrainConfig) -> TrainState:
 
 
 def _evaluate_loss(
-    state: TrainState, embeddings, ids, mods, config: TrainConfig, loss_cfg, workspace
-):
-    """The step's one loss evaluation, against the prototypes as they are:
-    (value, grad_emb, grad_id, grad_mod, components). `loss_cfg` is None for
-    the identity-head-only variants (AM_SOFTMAX, CIRCLE), which have no
-    modality prototypes to update and leave `workspace` unused."""
-    if loss_cfg is None:
-        if config.variant == "AM_SOFTMAX":
-            res = am_softmax_loss(
-                embeddings, state.identity_prototypes, ids, config.am_margin, config.am_scale
-            )
-        else:
-            res = circle_loss(
-                embeddings, state.identity_prototypes, ids, config.circle_gamma, config.circle_margin
-            )
-        comps = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": res.value, "loss_ast": 0.0}
-        return res.value, res.grad_embeddings, res.grad_prototypes, None, comps
-    res = combined_loss(
-        embeddings,
-        state.modality_prototypes,
-        state.identity_prototypes,
-        ids,
-        mods,
-        loss_cfg,
-        workspace,
-    )
-    return (
-        res.value,
-        res.grad_embeddings,
-        res.grad_identity_prototypes,
-        res.grad_modality_prototypes,
-        res.components,
-    )
+    state: TrainState, embeddings, ids, mods, config: TrainConfig, workspace
+) -> CombinedLossResult:
+    """The step's one loss evaluation, against the prototypes as they are.
+    The identity-head-only variants (AM_SOFTMAX, CIRCLE) have no modality
+    gradient and leave `workspace` unused."""
+    w_mod, w_id = state.modality_prototypes, state.identity_prototypes
+    if config.variant not in HEAD_ONLY_VARIANTS:
+        return combined_loss(embeddings, w_mod, w_id, ids, mods, config.loss_config(), workspace)
+    if config.variant == "AM_SOFTMAX":
+        res = am_softmax_loss(embeddings, w_id, ids, config.am_margin, config.am_scale)
+    else:
+        res = circle_loss(embeddings, w_id, ids, config.circle_gamma, config.circle_margin)
+    comps = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": res.value, "loss_ast": 0.0}
+    return CombinedLossResult(res.value, comps, res.grad_embeddings, None, res.grad_prototypes)
 
 
 def train_step(
@@ -202,8 +188,6 @@ def train_step(
     batch_indices: np.ndarray,
     config: TrainConfig,
     lr: float,
-    do_w_step: bool = True,
-    do_f_step: bool = True,
     workspace: LossWorkspace | None = None,
 ) -> dict:
     """One asynchronous update on one batch. Returns step metrics.
@@ -213,40 +197,30 @@ def train_step(
     mods = dataset.modalities[batch_indices]
     embeddings, cache = encoder_forward(state.params, x)
 
-    head_only = config.variant in HEAD_ONLY_VARIANTS
-    loss_cfg = None if head_only else config.loss_config()
-    do_w_step = do_w_step and not head_only and loss_cfg.alpha > 0.0
-    if not (do_w_step or do_f_step):
-        return {"loss_total": 0.0}
     # the one loss evaluation of this step, against the pre-step-1
     # prototypes: step 1 takes its prototype gradient, step 2 the rest
     try:
-        value, grad_emb, grad_id, grad_mod, comps = _evaluate_loss(
-            state, embeddings, ids, mods, config, loss_cfg, workspace
-        )
+        res = _evaluate_loss(state, embeddings, ids, mods, config, workspace)
     except DegenerateNormError as exc:
         # e.g. a dead-ReLU all-zero embedding reaching a cosine-based term
         raise DegenerateNormError(f"{exc}; {_batch_context(batch_indices)}") from exc
-    if not do_w_step:
-        grad_mod = None
-    if not np.isfinite(value):
-        raise NumericError(f"training diverged (loss={value}); {_batch_context(batch_indices)}")
+    if not np.isfinite(res.value):
+        raise NumericError(f"training diverged (loss={res.value}); {_batch_context(batch_indices)}")
 
-    # step 1: prototype-side update, embeddings held constant
-    if grad_mod is not None:
+    # step 1: prototype-side update, embeddings held constant; None when
+    # alpha is 0 or the variant trains the identity head alone
+    if res.grad_modality_prototypes is not None:
         sgd_step(
             [state.modality_prototypes.W],
-            [grad_mod],
+            [res.grad_modality_prototypes],
             state.opt_modality,
             lr,
             config.momentum,
             config.weight_decay,
         )
-    if not do_f_step:
-        return {"loss_total": 0.0}
 
     # step 2: encoder + identity head, from the same pre-step-1 evaluation
-    grad_w, grad_b = encoder_backward(state.params, cache, grad_emb)
+    grad_w, grad_b = encoder_backward(state.params, cache, res.grad_embeddings)
     sgd_step(
         state.params.weights + state.params.biases,
         grad_w + grad_b,
@@ -255,16 +229,16 @@ def train_step(
         config.momentum,
         config.weight_decay,
     )
-    if grad_id is not None:
+    if res.grad_identity_prototypes is not None:
         sgd_step(
             [state.identity_prototypes.W],
-            [grad_id],
+            [res.grad_identity_prototypes],
             state.opt_identity,
             lr,
             config.momentum,
             config.weight_decay,
         )
-    return {"loss_total": value, **comps}
+    return {"loss_total": res.value, **res.components}
 
 
 def _batch_context(batch_indices) -> str:
@@ -300,22 +274,14 @@ def train(dataset: Dataset, config: TrainConfig, schedule: np.ndarray | None = N
     for epoch in range(config.epochs):
         lr = lr_schedule(config.base_lr, epoch, list(config.milestones), config.lr_factor)
         epoch_metrics: dict[str, float] = {}
-        n_f_steps = 0
         for b in range(config.batches_per_epoch):
             idx = schedule[epoch * config.batches_per_epoch + b]
-            if config.alternate_batches:
-                do_w = b % 2 == 0
-                do_f = not do_w
-            else:
-                do_w = do_f = True
-            metrics = train_step(state, dataset, idx, config, lr, do_w, do_f, workspace)
-            if do_f:
-                n_f_steps += 1
-                for key, val in metrics.items():
-                    epoch_metrics[key] = epoch_metrics.get(key, 0.0) + val
+            metrics = train_step(state, dataset, idx, config, lr, workspace)
+            for key, val in metrics.items():
+                epoch_metrics[key] = epoch_metrics.get(key, 0.0) + val
         emb, _ = encoder_forward(state.params, dataset.features)
         probe = mean_intra_cross_cosine(emb, dataset.identities, dataset.modalities)
-        rec = {k: epoch_metrics.get(k, 0.0) / max(n_f_steps, 1) for k in TRAINLOG_FIELDS[2:-1]}
+        rec = {k: epoch_metrics.get(k, 0.0) / config.batches_per_epoch for k in TRAINLOG_FIELDS[2:-1]}
         rec.update({"epoch": epoch, "lr": lr, "probe_cosine": probe})
         log.records.append(rec)
     return state, log

@@ -218,6 +218,8 @@ class TestMalformedInputFiles:
         good_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,1,0,0\n")
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,abc,0,0\n")
+        nan_csv = tmp_path / "nan.csv"
+        nan_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,nan,0,0\n")
         # b0 says 2 entries under a 4 x 3 W0
         lines = good_ckpt.read_text().split("\n")
         lines[4:6] = ["b0 2", "0.0 0.0"]
@@ -233,7 +235,7 @@ class TestMalformedInputFiles:
         return {
             "good.txt": good_ckpt, "trunc.txt": trunc, "good.csv": good_csv, "bad.csv": bad_csv,
             "badshape.txt": badshape, "bin.txt": bin_ckpt, "bin.csv": bin_csv,
-            "onemod.csv": onemod_csv,
+            "onemod.csv": onemod_csv, "nan.csv": nan_csv,
         }
 
     @pytest.mark.parametrize(
@@ -255,6 +257,7 @@ class TestMalformedInputFiles:
                 ["diagnose", "--checkpoint", "good.txt", "--data", "onemod.csv"],
                 "identity 0 has no nir gallery item (vis2nir)",
             ),
+            (["eval", "--checkpoint", "good.txt", "--data", "nan.csv"], "nan.csv:3"),
         ],
     )
     def test_exits_1_and_writes_nothing(self, tmp_path, inputs, argv, name):
@@ -295,6 +298,13 @@ class TestBadInput:
             (["gradcheck", "--num-seeds", "0"], None, "--num-seeds"),
             (["diagnose", "--budget", "0"], None, "--budget"),
             (["train", "--epochs", "1", "--hidden-dims", "6,0"], None, "hidden_dims"),
+            (["gen-data", "--modality-gap", "inf"], None, "modality_gap must be finite"),
+            (["gen-data", "--noise-sigma", "nan"], None, "noise_sigma must be finite"),
+            # the removed alternating-batch mode and squared AST term
+            (["train", "--epochs", "1", "--alternate-batches", "true"], None, "--alternate-batches"),
+            (["train", "--epochs", "1", "--squared-ast", "true"], None, "--squared-ast"),
+            (["train", "--epochs", "1"], "alternate_batches = true\n", "'alternate_batches'"),
+            (["train", "--epochs", "1"], "squared_ast = false\n", "'squared_ast'"),
         ],
     )
     def test_exits_1_with_one_line_naming_the_value(self, tmp_path, argv, config_text, name):
@@ -307,7 +317,8 @@ class TestBadInput:
         done = run_cli(argv, tmp_path)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
-        assert name in done.stderr.strip().splitlines()[-1]
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and name in lines[0]
         assert not out.exists()
 
     def test_exhausted_witness_search_exits_2(self, tmp_path):

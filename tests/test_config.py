@@ -1,6 +1,9 @@
 from dataclasses import fields
 
+import math
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sasoftmax.config import (
     ExperimentConfig,
@@ -59,6 +62,13 @@ class TestExperimentConfig:
             (dict(milestones=(80, 40)), "milestones .* got \\(80, 40\\)"),
             (dict(embed_dim=0), "embed_dim .* got 0"),
             (dict(hidden_dims=(32, 0)), "hidden_dims .* got \\(32, 0\\)"),
+            # every float field must be finite, the data-generation ones included
+            (dict(modality_gap=float("inf")), "modality_gap must be finite, got inf"),
+            (dict(noise_sigma=float("nan")), "noise_sigma must be finite, got nan"),
+            (dict(train_fraction=float("-inf")), "train_fraction must be finite, got -inf"),
+            (dict(am_margin=-0.2), "am_margin must be non-negative, got -0.2"),
+            (dict(am_scale=0.0), "am_scale must be positive, got 0.0"),
+            (dict(circle_gamma=0.0), "circle_gamma must be positive, got 0.0"),
         ],
     )
     def test_bad_training_value_rejected_when_built(self, bad, message):
@@ -110,10 +120,10 @@ class TestConfigFile:
 
     def test_bool_parsing(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("shared_offset = true\nsquared_ast = 0\n")
-        cfg = load_config_file(path)
-        assert cfg.shared_offset is True
-        assert cfg.squared_ast is False
+        path.write_text("shared_offset = true\n")
+        assert load_config_file(path).shared_offset is True
+        path.write_text("shared_offset = 0\n")
+        assert load_config_file(path, ExperimentConfig(shared_offset=True)).shared_offset is False
         path.write_text("shared_offset = maybe\n")
         with pytest.raises(ContractViolation):
             load_config_file(path)
@@ -123,6 +133,48 @@ class TestConfigFile:
         assert cfg.alpha == 0.2
         with pytest.raises(ContractViolation):
             apply_overrides(cfg, {"bogus": 1})
+
+
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(
+        ["nan", "inf", "-inf", "1e999", "0", "-1", "0.5", "", "1,2", "80,40", "true", "maybe",
+         "SAS_FM", "both", "9" * 5000]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-5, 200).map(str),
+    st.text(max_size=8),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from([f.name for f in fields(ExperimentConfig)] + ["squared_ast"]),
+        _CONFIG_VALUES,
+    ).map(" = ".join),
+    st.text(max_size=20),
+)
+_CONFIG_FILES = st.one_of(
+    st.lists(_CONFIG_LINES, max_size=6).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=64),
+)
+
+
+class TestLoadConfigFileFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_CONFIG_FILES)
+    @example(b"modality_gap = inf\n")
+    @example(b"noise_sigma = nan\n")
+    def test_valid_config_or_contract_violation(self, tmp_path_factory, data):
+        """Any bytes give an ExperimentConfig whose floats are all finite,
+        or a ContractViolation, never another exception."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_bytes(data)
+        try:
+            cfg = load_config_file(path)
+        except ContractViolation:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            assert not isinstance(value, float) or math.isfinite(value), f.name
 
 
 class TestExperimentHelpers:

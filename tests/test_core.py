@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sasoftmax.core import (
     Dataset,
@@ -180,6 +180,46 @@ class TestSampleAndDataset:
         path.write_bytes(data)
         with pytest.raises(ContractViolation, match="bin.csv is not UTF-8"):
             load_dataset_csv(path)
+
+
+_CSV_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["V", "N", "X", "", "nan", "-inf", "1e999", "abc", " 1", "1_0", "2" * 25]),
+    st.text(max_size=4),
+)
+_CSV_FILES = st.one_of(
+    # near-valid files: the right header over rows of mixed tokens
+    st.tuples(
+        st.integers(0, 3),
+        st.lists(st.lists(_CSV_TOKENS, max_size=6).map(",".join), max_size=6),
+    ).map(
+        lambda hr: "\n".join(
+            [",".join(["id", "modality"] + [f"f{i}" for i in range(hr[0])]), *hr[1]]
+        ).encode()
+    ),
+    st.text().map(str.encode),
+    st.binary(max_size=64),
+)
+
+
+class TestLoadDatasetCsvFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_CSV_FILES)
+    @example(b"id,modality,f0\n0,V,1.0\n0,N,nan\n")
+    @example(b"id,modality,f0\n99999999999999999999999,V,1.0\n")
+    @example(b"id," + b"x" * 200_000 + b"\n")
+    def test_valid_dataset_or_contract_violation(self, tmp_path_factory, data):
+        """Any bytes give a Dataset with finite features or a
+        ContractViolation, never another exception."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(data)
+        try:
+            ds = load_dataset_csv(path)
+        except ContractViolation:
+            return
+        assert ds.features.shape == (len(ds), ds.input_dim)
+        assert np.isfinite(ds.features).all()
 
 
 class TestAtomicWrite:

@@ -89,6 +89,10 @@ class TestGenerate:
             SynthConfig(num_identities=0)
         with pytest.raises(ContractViolation):
             SynthConfig(modality_gap=-1.0)
+        with pytest.raises(ContractViolation, match="modality_gap must be finite .* got inf"):
+            SynthConfig(modality_gap=float("inf"))
+        with pytest.raises(ContractViolation, match="noise_sigma must be finite .* got nan"):
+            SynthConfig(noise_sigma=float("nan"))
 
 
 class TestSplit:

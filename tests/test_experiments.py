@@ -54,6 +54,10 @@ class TestValidatesBeforeTraining:
             (lambda: run_ablation(small_protocol(p=100)), "P exceeds"),
             (lambda: run_sweep(small_protocol(), "beta", [0.5, -1.0]), "beta"),
             (lambda: run_sweep(small_protocol(), "alpha", [0.5, 1.5]), "alpha"),
+            # the head-only variants' values are checked when each point is built
+            (lambda: run_sweep(small_protocol(), "am_margin", [0.1, -0.2]), "am_margin"),
+            (lambda: run_sweep(small_protocol(), "circle_gamma", [32.0, 0.0]), "circle_gamma"),
+            (lambda: run_sweep(small_protocol(), "alpha", [0.5, float("nan")]), "alpha"),
         ],
     )
     def test_bad_value_trains_nothing(self, monkeypatch, run, message):
