@@ -145,7 +145,8 @@ def cmd_eval(args) -> int:
     cfg = _effective_config(args)
     params, w_mod, w_id = load_checkpoint(args.checkpoint)
     dataset = load_dataset_csv(args.data)
-    reports = cross_modal_eval(params, dataset, _direction_list(cfg.direction))
+    directions = _direction_list(cfg.direction)
+    reports = cross_modal_eval(params, dataset, directions)
     report = {
         direction.value: {"cmc": rep.cmc.tolist(), "map": rep.map, "rank1": rep.rank1}
         for direction, rep in reports.items()
@@ -157,7 +158,7 @@ def cmd_eval(args) -> int:
             save_histogram_csv(rep.intra_hist, out / f"hist_intra_{direction.value}.csv")
             save_histogram_csv(rep.inter_hist, out / f"hist_inter_{direction.value}.csv")
         save_json(report, out / "report.json")
-        export_embeddings(params, dataset, out / "embeddings.csv")
+        export_embeddings(reports[directions[0]].embeddings, dataset, out / "embeddings.csv")
     for key, rep in report.items():
         if key != "prototype_diagnostics":
             print(f"{key}: rank1={rep['rank1']:.4f} map={rep['map']:.4f}")
@@ -227,6 +228,8 @@ def cmd_diagnose(args) -> int:
     cfg = _effective_config(args)
     if args.budget < 1:
         raise ContractViolation(f"--budget: expected >= 1, got {args.budget}")
+    if args.seed_start < 0:
+        raise ContractViolation(f"--seed-start: expected >= 0, got {args.seed_start}")
     reports, hists = {}, {}
     if args.checkpoint is not None:
         params, w_mod, w_id = load_checkpoint(args.checkpoint)

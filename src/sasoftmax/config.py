@@ -38,7 +38,11 @@ class ExperimentConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        self.seed_list()  # a malformed seed list fails here, before any output
+        # a malformed or negative seed fails here, before any output
+        seeds = [("data_seed", self.data_seed), ("split_seed", self.split_seed)]
+        for name, value in seeds + [("seeds", s) for s in self.seed_list()]:
+            if value < 0:
+                raise ContractViolation(f"{name} must be non-negative, got {value}")
         if self.direction not in DIRECTIONS:
             raise ContractViolation(
                 f"direction: expected one of {', '.join(DIRECTIONS)}, got {self.direction!r}"

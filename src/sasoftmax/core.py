@@ -216,11 +216,15 @@ def save_rows_csv(rows: list[dict], path, fieldnames=None) -> None:
 def _save_samples_csv(path, identities, modalities, values: np.ndarray, prefix: str) -> None:
     """The `id,modality,<prefix>0..` CSV format: one row per sample, the
     modality coded V/N, floats written by repr."""
+    # every field is an int, a modality code or a float repr, none of which
+    # csv quotes, so each row is one join, in csv.writer's bytes
+    header = ",".join(["id", "modality"] + [f"{prefix}{i}" for i in range(values.shape[1])])
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "modality"] + [f"{prefix}{i}" for i in range(values.shape[1])])
-        for ident, mod, row in zip(identities.tolist(), modalities.tolist(), values):
-            writer.writerow([ident, _MODALITY_CODE[mod], *map(repr, row.tolist())])
+        fh.write(header + "\r\n")
+        fh.writelines(
+            f"{ident},{_MODALITY_CODE[mod]},{','.join(map(repr, row))}\r\n"
+            for ident, mod, row in zip(identities.tolist(), modalities.tolist(), values.tolist())
+        )
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:

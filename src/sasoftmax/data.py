@@ -36,6 +36,8 @@ class SynthConfig:
             or self.input_dim <= 0
         ):
             raise ContractViolation("counts must be positive")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be non-negative, got {self.seed}")
         for name in ("modality_gap", "noise_sigma"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

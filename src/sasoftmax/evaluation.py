@@ -20,6 +20,10 @@ HIST_BINS = np.linspace(-1.0, 1.0, 61)  # 60 fixed bins, comparable across runs
 # Query rows cmc_map sorts per call, which bounds its sorted copy to
 # _RANK_BLOCK x gallery floats.
 _RANK_BLOCK = 256
+# HIST_BINS as searchsorted keys counting the values below each edge: the
+# last edge one ulp up, so that its bin is closed as in np.histogram
+_EDGE_KEYS = HIST_BINS.copy()
+_EDGE_KEYS[-1] = np.nextafter(HIST_BINS[-1], np.inf)
 
 
 class Direction(Enum):
@@ -34,6 +38,7 @@ class EvalReport:
     intra_hist: np.ndarray  # cross-modality pair counts; shared by both directions
     inter_hist: np.ndarray
     intra_cosine_mean: float  # mean cosine of the same-identity (VIS, NIR) pairs
+    embeddings: np.ndarray  # the forward pass that was ranked, every sample in order
 
     @property
     def rank1(self) -> float:
@@ -66,42 +71,97 @@ def _c_ordered(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray):
+def _identity_groups(q_ids: np.ndarray, g_ids: np.ndarray):
+    """Gallery columns grouped by identity, ascending within each group, and
+    each query's group in that order: its start and its size, 0 when the
+    gallery lacks the query's identity."""
+    order = np.argsort(g_ids, kind="stable")
+    keys, starts, sizes = np.unique(g_ids[order], return_index=True, return_counts=True)
+    q_ids = np.asarray(q_ids)
+    code = np.searchsorted(keys, q_ids)
+    found = code < len(keys)
+    found[found] = keys[code[found]] == q_ids[found]
+    start = np.zeros(len(q_ids), dtype=np.intp)
+    size = np.zeros(len(q_ids), dtype=np.intp)
+    start[found], size[found] = starts[code[found]], sizes[code[found]]
+    return order, start, size
+
+
+def _pair_columns(order: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """Query rows and gallery columns of every same-identity pair of the
+    queries described by (`start`, `size`), row-major with columns ascending:
+    the order in which a boolean mask over the query x gallery matrix lists
+    them."""
+    rows = np.repeat(np.arange(len(size)), size)
+    first = np.cumsum(size) - size
+    within = np.arange(len(rows)) - np.repeat(first, size)
+    return rows, order[np.repeat(start, size) + within]
+
+
+def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
     """Rank-based CMC and interpolation-free mAP.
 
     Only each query's relevant gallery items are ranked. Ties are broken
     deterministically, lower gallery index first: the rank of item g is
     1 + #(items strictly more similar) + #(equally similar items at a lower
     index). AP = mean over relevant items of precision at their ranks.
+
+    Each block of _RANK_BLOCK query rows is sorted once; one searchsorted
+    per row then locates the row's relevant values, and, when `counts` is
+    given (an int64 array of len(HIST_BINS)), the histogram edges too:
+    `counts` receives, per edge, how many similarities of the whole matrix
+    lie below it (the last edge closed), so np.diff(counts) equals
+    np.histogram(sim, HIST_BINS)[0].
     """
     n_q, n_g = sim.shape
-    order = np.argsort(g_ids, kind="stable")
-    keys, starts = np.unique(g_ids[order], return_index=True)
-    relevant = dict(zip(keys.tolist(), np.split(order, starts[1:])))
-    queries = np.asarray(q_ids).tolist()
-    for qi, q in enumerate(queries):
-        if q not in relevant:
-            raise ContractViolation(f"query {qi} has no relevant gallery item")
+    order, start, size = _identity_groups(q_ids, g_ids)
+    missing = np.flatnonzero(size == 0)
+    if missing.size:
+        raise ContractViolation(f"query {missing[0]} has no relevant gallery item")
+    n_edges = 0
+    if counts is not None:
+        counts[:] = 0
+        n_edges = len(_EDGE_KEYS)
     first_hits = np.empty(n_q, dtype=np.intp)
     aps = np.empty(n_q)
-    ap_terms = np.zeros(n_g)
     for lo in range(0, n_q, _RANK_BLOCK):
         block = _c_ordered(sim[lo : lo + _RANK_BLOCK])
-        for qi, row, ascending in zip(range(lo, n_q), block, np.sort(block, axis=1)):
-            rel = relevant[queries[qi]]
-            vals = row[rel]
-            right = np.searchsorted(ascending, vals, "right")
-            ranks = n_g + 1 - right
-            ties = right - np.searchsorted(ascending, vals, "left") > 1
-            for t in np.flatnonzero(ties):
-                ranks[t] += np.count_nonzero(row[: rel[t]] == vals[t])
-            ranks.sort()
-            first_hits[qi] = ranks[0] - 1
-            # precision j / rank_j at each hit and zero elsewhere; summing
-            # the whole row keeps a full ranking's summation order, and bits
-            ap_terms[ranks - 1] = np.arange(1, len(ranks) + 1) / ranks
-            aps[qi] = ap_terms.sum() / len(ranks)
-            ap_terms[ranks - 1] = 0.0
+        ascending = np.sort(block, axis=1)
+        n_b = len(block)
+        m = size[lo : lo + n_b]
+        first = np.cumsum(m) - m  # each row's first pair
+        rows, cols = _pair_columns(order, start[lo : lo + n_b], m)
+        vals = block[rows, cols]
+        # row r's search keys: its relevant values, then the edges
+        val_at = np.arange(len(rows)) + rows * n_edges
+        seg_end = np.cumsum(m + n_edges)
+        keys = np.empty(seg_end[-1])
+        keys[val_at] = vals
+        if n_edges:
+            edge_at = (seg_end - n_edges)[:, None] + np.arange(n_edges)
+            keys[edge_at] = _EDGE_KEYS
+        below = np.empty(len(keys), dtype=np.intp)
+        for r, (s, e) in enumerate(zip((seg_end - m - n_edges).tolist(), seg_end.tolist())):
+            below[s:e] = np.searchsorted(ascending[r], keys[s:e])
+        if n_edges:
+            counts += below[edge_at].sum(axis=0)
+        # 1 + #(items strictly more similar), unless the next sorted value
+        # equals this one (or is NaN): then the tie is counted the slow way
+        below = below[val_at]
+        ranks = n_g - below
+        upper = ascending[rows, np.minimum(below + 1, n_g - 1)]
+        for t in np.flatnonzero((below + 1 < n_g) & ~(upper > vals)).tolist():
+            r, v = rows[t], vals[t]
+            right = np.searchsorted(ascending[r], v, "right")
+            ranks[t] = n_g + 1 - right + np.count_nonzero(block[r, : cols[t]] == v)
+        # each row's ranks in ascending order
+        ranks = np.sort(rows * (n_g + 1) + ranks) - rows * (n_g + 1)
+        first_hits[lo : lo + n_b] = ranks[first] - 1
+        # precision j / rank_j at each hit and zero elsewhere; summing each
+        # whole row keeps a full ranking's summation order, and bits
+        ascending[:] = 0.0
+        ascending[rows, ranks - 1] = (np.arange(len(rows)) - first[rows] + 1) / ranks
+        aps[lo : lo + n_b] = ascending.sum(axis=1) / m
     cmc = np.cumsum(np.bincount(first_hits, minlength=n_g)) / n_q
     return cmc, float(aps.mean())
 
@@ -153,8 +213,9 @@ def cross_modal_eval(
     """Retrieval evaluation: in each direction, source-modality samples query
     the full target-modality gallery. One forward pass and one VIS x NIR
     similarity matrix serve every direction and the histograms; NIR -> VIS
-    ranks the transpose. An identity with no item in a direction's gallery
-    raises ContractViolation naming it and the direction, before any work."""
+    ranks the transpose, and each report carries those embeddings. An
+    identity with no item in a direction's gallery raises ContractViolation
+    naming it and the direction, before any work."""
     ids, mods = dataset.identities, dataset.modalities
     vis, nir = mods == int(Modality.VIS), mods == int(Modality.NIR)
     if not vis.any() or not nir.any():
@@ -171,20 +232,24 @@ def cross_modal_eval(
     emb, _ = encoder_forward(params, dataset.features)
     sim = cosine_matrix(emb[vis], emb[nir])
     vis_ids, nir_ids = ids[vis], ids[nir]
+    # Over all (VIS, NIR) pairs, counted while the first direction ranks
+    # them; same-modality pairs are ignored
+    counts = np.zeros(len(HIST_BINS), dtype=np.int64)
     ranked = {}
     for direction in directions:
+        edges = counts if not ranked else None
         if direction == Direction.VIS_TO_NIR:
-            ranked[direction] = cmc_map(sim, vis_ids, nir_ids)
+            ranked[direction] = cmc_map(sim, vis_ids, nir_ids, counts=edges)
         else:
-            ranked[direction] = cmc_map(sim.T, nir_ids, vis_ids)
-    # Over all (VIS, NIR) pairs; same-modality pairs are ignored. Counts are
-    # integers, so the subtraction is exact.
-    intra_sims = sim[vis_ids[:, None] == nir_ids[None, :]]
+            ranked[direction] = cmc_map(sim.T, nir_ids, vis_ids, counts=edges)
+    # the same-identity pairs in the order a VIS x NIR mask lists them.
+    # Counts are integers, so the subtraction is exact.
+    intra_sims = sim[_pair_columns(*_identity_groups(vis_ids, nir_ids))]
     intra, _ = np.histogram(intra_sims, bins=HIST_BINS)
-    inter = np.histogram(sim, bins=HIST_BINS)[0] - intra
+    inter = np.diff(counts) - intra
     intra_mean = float(intra_sims.mean())
     return {
-        d: EvalReport(cmc, mean_ap, intra, inter, intra_mean)
+        d: EvalReport(cmc, mean_ap, intra, inter, intra_mean, emb)
         for d, (cmc, mean_ap) in ranked.items()
     }
 
@@ -221,9 +286,9 @@ def prototype_diagnostics(
     }
 
 
-def export_embeddings(params: EncoderParams, dataset: Dataset, path) -> None:
-    """CSV `id,modality,e0..` for external projection/plotting."""
-    emb, _ = encoder_forward(params, dataset.features)
+def export_embeddings(emb: np.ndarray, dataset: Dataset, path) -> None:
+    """CSV `id,modality,e0..` of `dataset`'s embeddings `emb` (one row per
+    sample, in order), for external projection/plotting."""
     _save_samples_csv(path, dataset.identities, dataset.modalities, emb, "e")
 
 

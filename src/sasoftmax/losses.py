@@ -65,11 +65,22 @@ def _check_labels(labels: np.ndarray, num_classes: int, name: str = "label") -> 
     return labels
 
 
+def _check_finite_logits(logits: np.ndarray) -> None:
+    """NumericError if any logit is NaN or infinite. Their sum is finite
+    exactly when none is, unless finite logits overflow it; only then are
+    they checked one by one, so the check holds no B x C temporary."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = logits.sum()
+    if not np.isfinite(total) and not np.isfinite(logits).all():
+        raise NumericError("non-finite logits")
+
+
 def masked_ce(
     logits: np.ndarray,
     labels: np.ndarray,
     drop: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    checked: bool = False,
 ):
     """Stabilized mean cross-entropy over the columns of `logits`, with
     column drop[i] removed from row i's softmax (numerator candidates and
@@ -78,12 +89,13 @@ def masked_ce(
 
     Returns (value, G) with G = dL/dlogits. G is written into `out` when one
     is given (a C-contiguous float64 array of the logits' shape, apart from
-    them), and the kernel then allocates no B x C float array; without `out`,
-    G is the only one it allocates. Every step after G's first write runs in
-    place. (The finiteness check takes a B x C bool temporary either way.)
+    them), and the kernel then allocates no B x C array; without `out`, G is
+    the only one it allocates. Every step after G's first write runs in
+    place. A NaN or infinite logit raises NumericError, unless `checked`
+    says the caller has already run that check on these logits.
     """
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
+    if not checked:
+        _check_finite_logits(logits)
     b, c = logits.shape
     labels = _check_labels(labels, c)
     if out is not None and not (
@@ -138,8 +150,8 @@ def sas_w_loss_weight_masked(logits, y_w, y_f, out=None):
     return masked_ce(logits, y_w, y_f, out)
 
 
-def sas_f_loss(logits, y_f, y_w=None, out=None):
-    return masked_ce(logits, y_f, y_w, out)
+def sas_f_loss(logits, y_f, y_w=None, out=None, checked=False):
+    return masked_ce(logits, y_f, y_w, out, checked)
 
 
 class _HeadBuffers:
@@ -332,14 +344,15 @@ def combined_loss(
         logits, g = workspace.modality.product(embeddings, w)
         # L_W (label yW) flows only to the prototypes, L_F (label yF) only to
         # the embeddings; each mask drops the other term's label column.
-        # L_W's G is consumed before L_F overwrites the same buffer.
+        # L_W's G is consumed before L_F overwrites the same buffer, and
+        # L_W's finiteness check covers L_F's logits too.
         if config.use_weight_mask:
             components["loss_w"], _ = sas_w_loss_weight_masked(logits, y_w, y_f, g)
         else:
             components["loss_w"], _ = sas_w_loss(logits, y_w, g)
         grad_mod = a * (embeddings.T @ g)
         components["loss_f"], _ = sas_f_loss(
-            logits, y_f, y_w if config.use_feature_mask else None, g
+            logits, y_f, y_w if config.use_feature_mask else None, g, checked=True
         )
         grad_emb += a * (g @ w.T)
     if a < 1.0:

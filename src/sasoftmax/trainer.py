@@ -81,6 +81,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ContractViolation(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be non-negative, got {self.seed}")
         if self.variant not in VARIANTS:
             raise ContractViolation(f"unknown variant {self.variant!r}")
         if self.epochs < 0 or self.batches_per_epoch <= 0:

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -19,3 +22,14 @@ def random_instance(seed, b=6, d=4, n=3):
     mods = r.integers(0, 2, size=b)
     y_w, y_f = rewrite_labels_batch(ids, mods, n)
     return x, w_mod, w_id, ids, mods, y_w, y_f
+
+
+def csv_writer_bytes(identities, modalities, values, prefix) -> bytes:
+    """The `id,modality,<prefix>0..` sample CSV as csv.writer renders it,
+    floats by repr: the reference for the sample writer's bytes."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["id", "modality"] + [f"{prefix}{i}" for i in range(values.shape[1])])
+    for ident, mod, row in zip(identities.tolist(), modalities.tolist(), values):
+        writer.writerow([ident, "VN"[mod], *map(repr, row.tolist())])
+    return buf.getvalue().encode()

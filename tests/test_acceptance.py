@@ -69,14 +69,19 @@ def test_desk_rows_bit_identical_to_references(ablation_rows, tmp_path):
     assert not mismatched
 
 
+def perfbench_workload(name: str):
+    """The benchmark's own workload object, loaded from perfbench/ by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name]
+
+
 def test_wide_rows_bit_identical_to_references(tmp_path):
     """One wide_train unit (1,200 prototype columns, a 256-sample batch), run
     through the benchmark's own workload code, hashes to the digest recorded
     in perfbench/references/wide_train.json."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    work, seed = workloads.WORKLOADS["wide_train"], 7
+    work, seed = perfbench_workload("wide_train"), 7
     work.setup(seed, "full", tmp_path)
     ctx = work.prepare(seed, "full", tmp_path)
     rows = work.run(ctx)
@@ -85,6 +90,22 @@ def test_wide_rows_bit_identical_to_references(tmp_path):
     report("golden wide rows", digest == expected["digest"], f"seed {seed} digest {digest}")
     assert digest == expected["digest"]
     assert work.verify(ctx, rows) == []
+
+
+def test_gallery_report_bit_identical_to_references(tmp_path):
+    """One gallery_eval unit (`sas eval` on 5,000 samples per modality), run
+    through the benchmark's own workload code: report.json hashes to the
+    digest in perfbench/references/gallery_eval.json, and the workload's
+    oracle, which recomputes CMC/mAP from embeddings.csv, agrees."""
+    work, seed = perfbench_workload("gallery_eval"), 3
+    work.setup(seed, "full", tmp_path)
+    ctx = work.prepare(seed, "full", tmp_path)
+    out_dir = work.run(ctx)
+    digest = work.outputs(ctx, out_dir, 0)["digest"]
+    expected = json.loads((PERFBENCH / "references" / "gallery_eval.json").read_text())[str(seed)]
+    report("golden gallery report", digest == expected["digest"], f"seed {seed} digest {digest}")
+    assert digest == expected["digest"]
+    assert work.verify(ctx, out_dir) == []
 
 
 def test_criterion_1_gradient_correctness():

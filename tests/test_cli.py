@@ -8,12 +8,19 @@ import numpy as np
 import pytest
 
 import sasoftmax
-from sasoftmax import analysis, cli
+from sasoftmax import analysis, cli, evaluation
 from sasoftmax.cli import main
 from sasoftmax.config import load_config_file
-from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix, atomic_write
-from sasoftmax.encoder import init_encoder, save_checkpoint
+from sasoftmax.core import (
+    IdentityPrototypeMatrix,
+    ModalityPrototypeMatrix,
+    atomic_write,
+    load_dataset_csv,
+)
+from sasoftmax.encoder import init_encoder, load_checkpoint, save_checkpoint
 from sasoftmax.experiments import desk_protocol, run_ablation, save_rows_csv
+
+from conftest import csv_writer_bytes
 
 FAST_FLAGS = [
     "--num-identities", "6",
@@ -305,6 +312,12 @@ class TestBadInput:
             (["train", "--epochs", "1", "--squared-ast", "true"], None, "--squared-ast"),
             (["train", "--epochs", "1"], "alternate_batches = true\n", "'alternate_batches'"),
             (["train", "--epochs", "1"], "squared_ast = false\n", "'squared_ast'"),
+            # negative seeds, which np.random.default_rng rejects with a traceback
+            (["gen-data", "--data-seed", "-1"], None, "data_seed must be non-negative, got -1"),
+            (["gen-data", "--split", "--split-seed", "-1"], None, "split_seed must be non-negative, got -1"),
+            (["train", "--epochs", "1", "--seed", "-1"], None, "seed must be non-negative, got -1"),
+            (["ablation", "--epochs", "1", "--seeds=-1"], None, "seeds must be non-negative, got -1"),
+            (["diagnose", "--seed-start", "-1"], None, "--seed-start: expected >= 0, got -1"),
         ],
     )
     def test_exits_1_with_one_line_naming_the_value(self, tmp_path, argv, config_text, name):
@@ -339,6 +352,23 @@ class TestOutputContract:
         assert main(["gen-data", "--out", str(gen), "--split", *FAST_FLAGS]) == 0
         assert main(["train", "--out", str(tr), "--data", str(gen / "train.csv"), *FAST_FLAGS]) == 0
         return ["eval", "--checkpoint", str(tr / "checkpoint.txt"), "--data", str(gen / "test.csv")]
+
+    @pytest.mark.parametrize("direction", ["both", "vis2nir", "nir2vis"])
+    def test_eval_embeds_once_and_exports_what_it_ranked(
+        self, tmp_path, monkeypatch, eval_argv, direction
+    ):
+        forward = evaluation.encoder_forward
+        calls = []
+        monkeypatch.setattr(
+            evaluation, "encoder_forward", lambda *args: calls.append(1) or forward(*args)
+        )
+        out = tmp_path / "ev"
+        assert main([*eval_argv, "--direction", direction, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        dataset = load_dataset_csv(eval_argv[4])
+        emb, _ = forward(load_checkpoint(eval_argv[2])[0], dataset.features)
+        expected = csv_writer_bytes(dataset.identities, dataset.modalities, emb, "e")
+        assert (out / "embeddings.csv").read_bytes() == expected
 
     def test_failed_write_leaves_no_metadata(self, tmp_path, monkeypatch, eval_argv):
         def failing_export(params, dataset, path):

@@ -69,6 +69,11 @@ class TestExperimentConfig:
             (dict(am_margin=-0.2), "am_margin must be non-negative, got -0.2"),
             (dict(am_scale=0.0), "am_scale must be positive, got 0.0"),
             (dict(circle_gamma=0.0), "circle_gamma must be positive, got 0.0"),
+            # a negative seed would reach np.random.default_rng
+            (dict(seed=-1), "seed must be non-negative, got -1"),
+            (dict(data_seed=-1), "data_seed must be non-negative, got -1"),
+            (dict(split_seed=-3), "split_seed must be non-negative, got -3"),
+            (dict(seeds="1,-2"), "seeds must be non-negative, got -2"),
         ],
     )
     def test_bad_training_value_rejected_when_built(self, bad, message):

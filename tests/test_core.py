@@ -15,6 +15,8 @@ from sasoftmax.core import (
 )
 from sasoftmax.errors import ContractViolation
 
+from conftest import csv_writer_bytes
+
 
 class TestRewriteLabels:
     def test_vis_branch(self):
@@ -136,6 +138,21 @@ class TestSampleAndDataset:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.identities, ds.identities)
         np.testing.assert_array_equal(back.modalities, ds.modalities)
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.array([[-0.0, 5e-324, 1e308], [0.1 + 0.2, -1e-300, 7.0], [np.pi, -2.5, 1e16]]),
+            np.zeros((0, 3)),
+        ],
+        ids=["edge-floats", "no-rows"],
+    )
+    def test_csv_bytes_match_csv_writer(self, tmp_path, features):
+        ids = np.array([0, 12, 123456789])[: len(features)]
+        mods = np.array([0, 1, 1])[: len(features)]
+        path = tmp_path / "data.csv"
+        save_dataset_csv(Dataset(features, ids, mods, 123456790, 3), path)
+        assert path.read_bytes() == csv_writer_bytes(ids, mods, features, "f")
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

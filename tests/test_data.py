@@ -93,6 +93,9 @@ class TestGenerate:
             SynthConfig(modality_gap=float("inf"))
         with pytest.raises(ContractViolation, match="noise_sigma must be finite .* got nan"):
             SynthConfig(noise_sigma=float("nan"))
+        with pytest.raises(ContractViolation, match="seed must be non-negative, got -1"):
+            SynthConfig(seed=-1)
+        SynthConfig(seed=0)
 
 
 class TestSplit:

@@ -125,10 +125,12 @@ class TestCmcMap:
         n_g=st.integers(2, 9),
         grid=st.sampled_from([None, 1.0, 2.0]),
         seed=st.integers(0, 2**32 - 1),
+        with_counts=st.booleans(),
     )
-    def test_brute_force_oracle_across_blocks(self, n_q, n_g, grid, seed):
+    def test_brute_force_oracle_across_blocks(self, n_q, n_g, grid, seed, with_counts):
         """Query counts up to past the second block boundary, ties quantised
-        onto a grid, and gallery identities that no query asks for."""
+        onto a grid (and onto histogram edges), and gallery identities that
+        no query asks for; with `counts`, the edge counts besides."""
         rng = np.random.default_rng(seed)
         g_ids = rng.integers(0, 4, size=n_g)
         present = np.unique(g_ids)
@@ -137,10 +139,13 @@ class TestCmcMap:
         sim = rng.normal(size=(n_q, n_g))
         if grid is not None:
             sim = np.round(sim * grid) / grid
-        cmc, mean_ap = cmc_map(sim, q_ids, g_ids)
+        counts = np.full(len(HIST_BINS), -7, dtype=np.int64) if with_counts else None
+        cmc, mean_ap = cmc_map(sim, q_ids, g_ids, counts=counts)
         ref_cmc, ref_map = brute_force_cmc_map(sim, q_ids, g_ids)
         np.testing.assert_allclose(cmc, ref_cmc, atol=1e-12)
         assert mean_ap == pytest.approx(ref_map, abs=1e-12)
+        if with_counts:
+            np.testing.assert_array_equal(np.diff(counts), np.histogram(sim, HIST_BINS)[0])
 
     def test_transposed_view_matches_copy(self, rng):
         sim = np.round(rng.normal(size=(7, 300)), 1)
@@ -202,6 +207,56 @@ class TestHistograms:
         np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
         np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
         assert rep.intra_cosine_mean == mean_intra_cross_cosine(emb, ds.identities, ds.modalities)
+
+    @pytest.mark.parametrize(
+        "directions",
+        [
+            [Direction.VIS_TO_NIR],
+            [Direction.NIR_TO_VIS],
+            [Direction.VIS_TO_NIR, Direction.NIR_TO_VIS],
+            [Direction.NIR_TO_VIS, Direction.VIS_TO_NIR],
+        ],
+        ids=["vis2nir", "nir2vis", "both", "both-nir-first"],
+    )
+    def test_match_np_histogram_and_an_explicit_mask(self, monkeypatch, directions):
+        """Similarities drawn from the bin edges, exactly +-1, one ulp
+        beyond +-1, +-0 and random values, with ties in every row and across
+        the rows either side of a _RANK_BLOCK boundary, over ragged identity
+        counts; both galleries span more than one block."""
+        rng = np.random.default_rng(11)
+        n_vis, n_nir, n_ids = _RANK_BLOCK + 5, _RANK_BLOCK + 9, 23
+        ids = np.concatenate(
+            [np.arange(n_ids), np.arange(n_ids), rng.integers(0, n_ids, n_vis + n_nir - 2 * n_ids)]
+        )
+        mods = np.concatenate([np.zeros(n_ids, int), np.ones(n_ids, int)])
+        mods = np.concatenate([mods, rng.permutation([0] * (n_vis - n_ids) + [1] * (n_nir - n_ids))])
+        order = rng.permutation(len(ids))
+        ids, mods = ids[order], mods[order]
+        pool = np.concatenate(
+            [HIST_BINS, [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), -0.0, 0.0]]
+        )
+        sim = np.where(
+            rng.random((n_vis, n_nir)) < 0.6,
+            rng.choice(pool, (n_vis, n_nir)),
+            rng.uniform(-1.05, 1.05, (n_vis, n_nir)),
+        )
+        sim[_RANK_BLOCK - 1 : _RANK_BLOCK + 1] = sim[_RANK_BLOCK - 2]  # ties across the boundary
+        sim[:, _RANK_BLOCK - 1 : _RANK_BLOCK + 1] = sim[:, [_RANK_BLOCK - 2]]
+        monkeypatch.setattr(evaluation, "cosine_matrix", lambda q, g: sim)
+        ds = Dataset(rng.normal(size=(len(ids), 3)), ids, mods, n_ids, 3)
+        reps = cross_modal_eval(EncoderParams([np.eye(3)], [np.zeros(3)]), ds, directions)
+
+        vis_ids, nir_ids = ids[mods == int(Modality.VIS)], ids[mods == int(Modality.NIR)]
+        same = vis_ids[:, None] == nir_ids[None, :]
+        assert set(reps) == set(directions)
+        for rep in reps.values():
+            np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
+            np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
+            assert rep.intra_cosine_mean == float(sim[same].mean())
+        # the beyond-range values fall in no bin, and +-1 in the closed end bins
+        outside = np.count_nonzero(np.abs(sim) > 1.0)
+        assert outside > 0
+        assert rep.intra_hist.sum() + rep.inter_hist.sum() == sim.size - outside
 
     def test_overlap_bounds(self):
         a = np.zeros(60)
@@ -436,9 +491,8 @@ class TestPrototypeDiagnostics:
 class TestExportEmbeddings:
     def test_header_only_for_empty_dataset(self, tmp_path):
         ds = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=int), 1, 3)
-        params = EncoderParams([np.eye(3)], [np.zeros(3)])
         path = tmp_path / "emb.csv"
-        export_embeddings(params, ds, path)
+        export_embeddings(np.zeros((0, 3)), ds, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith("id,modality,e0")
@@ -450,10 +504,10 @@ class TestExportEmbeddings:
         ds = Dataset(feats, ids, mods, 3, 3)
         params = init_encoder([3, 2], 9)
         path = tmp_path / "emb.csv"
-        export_embeddings(params, ds, path)
+        emb, _ = encoder_forward(params, feats)
+        export_embeddings(emb, ds, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 7
-        emb, _ = encoder_forward(params, feats)
         back = np.array([[float(v) for v in row[2:]] for row in rows[1:]])
         np.testing.assert_allclose(back, emb, atol=1e-9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sasoftmax import losses
 from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix
 from sasoftmax.errors import ContractViolation, DegenerateNormError, NumericError
 from sasoftmax.gradcheck import central_difference, relative_error
@@ -106,7 +107,8 @@ class TestMaskedCE:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < b * c * 8
+        # no B x C array of any dtype, the finiteness check's bools included
+        assert peak < b * c
 
     @pytest.mark.parametrize(
         "make_out",
@@ -131,6 +133,24 @@ class TestMaskedCE:
     def test_non_finite_logits_rejected(self):
         with pytest.raises(NumericError):
             masked_ce(np.array([[0.0, np.inf]]), np.array([0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["label", "dropped", "elsewhere"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_every_non_finite_logit_rejected(self, value, where, masked):
+        logits = np.random.default_rng(3).normal(size=(4, 6))
+        labels, drop = np.array([0, 1, 2, 0]), np.array([3, 4, 5, 3])
+        column = {"label": labels[2], "dropped": drop[2], "elsewhere": 1}[where]
+        logits[2, column] = value
+        with pytest.raises(NumericError, match="non-finite logits"):
+            masked_ce(logits, labels, drop if masked else None)
+        with pytest.raises(NumericError, match="non-finite logits"):
+            masked_ce(logits, labels, drop if masked else None, out=np.empty_like(logits))
+
+    def test_finite_logits_whose_sum_overflows_accepted(self):
+        logits = np.array([[1e308, 1e308, 0.0], [0.0, 1.0, 2.0]])
+        value, g = masked_ce(logits, np.array([0, 2]))
+        assert np.isfinite(value) and np.all(np.isfinite(g))
 
     def test_dropped_column_out_of_range(self):
         with pytest.raises(ContractViolation):
@@ -496,7 +516,21 @@ class TestLossWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < b * 2 * n * 8
+        assert peak < b * 2 * n * 2
+
+    @pytest.mark.parametrize("variant", COMBINED_VARIANTS)
+    def test_each_head_checks_its_logits_once(self, variant, monkeypatch):
+        cfg = TrainConfig(variant=variant).loss_config()
+        seen = []
+        check = losses._check_finite_logits
+        monkeypatch.setattr(losses, "_check_finite_logits", lambda z: seen.append(z.shape) or check(z))
+        inputs = loss_inputs(0, *SHAPES["desk"])
+        combined_loss(*inputs, cfg)
+        heads = [(128, 80)] * (cfg.alpha > 0.0) + [(128, 40)] * (cfg.alpha < 1.0)
+        assert seen == heads
+        inputs[0][5, 2] = np.nan
+        with pytest.raises(NumericError, match="non-finite logits"):
+            combined_loss(*inputs, cfg, workspace=LossWorkspace())
 
 
 class TestAmSoftmax:

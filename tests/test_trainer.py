@@ -98,6 +98,7 @@ class TestConfig:
             (dict(circle_margin=float("nan")), "circle_margin must be finite, got nan"),
             (dict(am_margin=-0.2), "am_margin must be non-negative, got -0.2"),
             (dict(circle_gamma=-1.0), "circle_gamma must be positive, got -1.0"),
+            (dict(seed=-1), "seed must be non-negative, got -1"),
         ],
     )
     def test_bad_value_rejected_when_built(self, bad, message):
@@ -105,7 +106,7 @@ class TestConfig:
             tiny_config(**bad)
 
     def test_boundary_values_accepted(self):
-        tiny_config(alpha=0.0, beta=0.0, milestones=(), hidden_dims=())
+        tiny_config(alpha=0.0, beta=0.0, milestones=(), hidden_dims=(), seed=0)
         tiny_config(alpha=1.0, milestones=(3, 3))
 
 
