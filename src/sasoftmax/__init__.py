@@ -8,14 +8,13 @@ retrieval evaluator, and an experiment CLI.
 from .core import (
     Dataset,
     IdentityPrototypeMatrix,
-    LossResult,
     Modality,
     ModalityPrototypeMatrix,
-    rewrite_labels,
     rewrite_labels_batch,
 )
 from .losses import (
     CombinedLossConfig,
+    LossResult,
     am_softmax_loss,
     ast_loss,
     circle_loss,
@@ -27,12 +26,11 @@ from .losses import (
 __all__ = [
     "Dataset",
     "IdentityPrototypeMatrix",
-    "LossResult",
     "Modality",
     "ModalityPrototypeMatrix",
-    "rewrite_labels",
     "rewrite_labels_batch",
     "CombinedLossConfig",
+    "LossResult",
     "am_softmax_loss",
     "ast_loss",
     "circle_loss",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import rewrite_labels_batch
 from .errors import SearchBudgetExhausted
 from .losses import masked_ce, theta_derivative_probe
 
@@ -93,8 +94,7 @@ def check_fm_ambiguity(seeds, step_size: float = 0.5) -> dict:
         x = rng.normal(size=(2, d))
         ids = np.array([0, 0])
         mods = np.array([0, 1])  # one VIS, one NIR
-        y_w = ids + mods * n
-        y_f = ids + (1 - mods) * n
+        y_w, y_f = rewrite_labels_batch(ids, mods, n)
 
         loss_u, g_u = masked_ce(x @ w, y_f)
         _, g_m = masked_ce(x @ w, y_f, drop=y_w)

@@ -144,21 +144,22 @@ def _direction_list(name: str) -> list[Direction]:
 def cmd_eval(args) -> int:
     cfg = _effective_config(args)
     params, w_mod, w_id = load_checkpoint(args.checkpoint)
-    dataset = load_dataset_csv(args.data)
-    directions = _direction_list(cfg.direction)
-    reports = cross_modal_eval(params, dataset, directions)
-    report = {
-        direction.value: {"cmc": rep.cmc.tolist(), "map": rep.map, "rank1": rep.rank1}
-        for direction, rep in reports.items()
-    }
+    # a degenerate head fails before the gallery is ranked
     diag = prototype_diagnostics(w_mod, w_id)
+    dataset = load_dataset_csv(args.data)
+    result = cross_modal_eval(params, dataset, _direction_list(cfg.direction))
+    report = {
+        direction.value: {"cmc": cmc.tolist(), "map": mean_ap, "rank1": float(cmc[0])}
+        for direction, (cmc, mean_ap) in result.ranked.items()
+    }
     report["prototype_diagnostics"] = {k: v for k, v in diag.items() if isinstance(v, float)}
     with _prepare_out(args, cfg, "eval") as out:
-        for direction, rep in reports.items():
-            save_histogram_csv(rep.intra_hist, out / f"hist_intra_{direction.value}.csv")
-            save_histogram_csv(rep.inter_hist, out / f"hist_inter_{direction.value}.csv")
+        # one pair of histograms, under each evaluated direction's name
+        for direction in result.ranked:
+            save_histogram_csv(result.intra_hist, out / f"hist_intra_{direction.value}.csv")
+            save_histogram_csv(result.inter_hist, out / f"hist_inter_{direction.value}.csv")
         save_json(report, out / "report.json")
-        export_embeddings(reports[directions[0]].embeddings, dataset, out / "embeddings.csv")
+        export_embeddings(result.embeddings, dataset, out / "embeddings.csv")
     for key, rep in report.items():
         if key != "prototype_diagnostics":
             print(f"{key}: rank1={rep['rank1']:.4f} map={rep['map']:.4f}")
@@ -233,11 +234,11 @@ def cmd_diagnose(args) -> int:
     reports, hists = {}, {}
     if args.checkpoint is not None:
         params, w_mod, w_id = load_checkpoint(args.checkpoint)
+        diag = prototype_diagnostics(w_mod, w_id)
         if args.data is not None:
             dataset = load_dataset_csv(args.data)
-            rep = cross_modal_eval(params, dataset, [Direction.VIS_TO_NIR])[Direction.VIS_TO_NIR]
-            hists = {"hist_intra.csv": rep.intra_hist, "hist_inter.csv": rep.inter_hist}
-        diag = prototype_diagnostics(w_mod, w_id)
+            result = cross_modal_eval(params, dataset, [Direction.VIS_TO_NIR])
+            hists = {"hist_intra.csv": result.intra_hist, "hist_inter.csv": result.inter_hist}
         reports["prototype_diagnostics.json"] = {
             k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in diag.items()
         }

@@ -1,4 +1,4 @@
-"""Shared data model: datasets, prototype matrices, loss results.
+"""Shared data model: datasets, prototype matrices, label rewriting.
 
 Column layout of the modality prototype matrix is fixed as visible-first:
 columns [0, N) are visible prototypes, columns [N, 2N) are infrared ones.
@@ -104,10 +104,6 @@ class ModalityPrototypeMatrix:
     def num_identities(self) -> int:
         return self.W.shape[1] // 2
 
-    @property
-    def dim(self) -> int:
-        return self.W.shape[0]
-
     def visible(self) -> np.ndarray:
         return self.W[:, : self.num_identities]
 
@@ -131,42 +127,16 @@ class IdentityPrototypeMatrix:
     def num_identities(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.W.shape[0]
-
-
-@dataclass
-class LossResult:
-    """Loss value plus gradients, with absent gradients encoding routing.
-
-    grad_embeddings / grad_prototypes are None exactly when the loss does
-    not flow to that target.
-    """
-
-    value: float
-    grad_embeddings: np.ndarray | None = None
-    grad_prototypes: np.ndarray | None = None
-
-
-def rewrite_labels(identity: int, modality: Modality, num_identities: int):
-    """Spectral label rewriting: prototype-side target keeps the sample's own
-    modality column, feature-side target is the cross-modality column.
-
-    Returns (yW, yF), both in [0, 2N)."""
-    if not 0 <= identity < num_identities:
-        raise ContractViolation(
-            f"identity {identity} out of range [0, {num_identities})"
-        )
-    if modality == Modality.VIS:
-        return identity, identity + num_identities
-    return identity + num_identities, identity
-
 
 def rewrite_labels_batch(
     identities: np.ndarray, modalities: np.ndarray, num_identities: int
 ):
-    """Vectorized rewrite_labels. Returns (yW, yF) integer arrays."""
+    """Spectral label rewriting over the modality prototype columns. Sample
+    i of identity k keeps its own-modality column as the prototype-side
+    target yW and takes the cross-modality column as the feature-side
+    target yF: (k, N + k) for a visible sample, (N + k, k) for an infrared
+    one. Returns (yW, yF) integer arrays in [0, 2N); an identity outside
+    [0, N) raises ContractViolation."""
     ids = np.asarray(identities, dtype=int)
     mods = np.asarray(modalities, dtype=int)
     if ids.size and (ids.min() < 0 or ids.max() >= num_identities):

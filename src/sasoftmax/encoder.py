@@ -26,9 +26,6 @@ class EncoderParams:
     def layer_dims(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 @dataclass
 class ForwardCache:

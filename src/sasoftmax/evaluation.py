@@ -14,7 +14,7 @@ from .core import Dataset, IdentityPrototypeMatrix, Modality, ModalityPrototypeM
 from .core import _save_samples_csv, atomic_write
 from .encoder import EncoderParams, encoder_forward
 from .errors import ContractViolation, DegenerateNormError
-from .losses import NORM_EPS
+from .losses import NORM_EPS, _safe_norms
 
 HIST_BINS = np.linspace(-1.0, 1.0, 61)  # 60 fixed bins, comparable across runs
 # Query rows cmc_map sorts per call, which bounds its sorted copy to
@@ -33,16 +33,15 @@ class Direction(Enum):
 
 @dataclass
 class EvalReport:
-    cmc: np.ndarray  # hit rate at ranks 1..R
-    map: float
-    intra_hist: np.ndarray  # cross-modality pair counts; shared by both directions
-    inter_hist: np.ndarray
+    """One evaluation of a test set: per requested direction, cmc_map's
+    (cmc, map), cmc[r - 1] being the hit rate at rank r; and once, the parts
+    that belong to the test set rather than to a direction."""
+
+    ranked: dict[Direction, tuple[np.ndarray, float]]
+    intra_hist: np.ndarray  # counts over the same-identity (VIS, NIR) pairs
+    inter_hist: np.ndarray  # counts over the other (VIS, NIR) pairs
     intra_cosine_mean: float  # mean cosine of the same-identity (VIS, NIR) pairs
     embeddings: np.ndarray  # the forward pass that was ranked, every sample in order
-
-    @property
-    def rank1(self) -> float:
-        return float(self.cmc[0])
 
 
 def _unit_rows(rows: np.ndarray, name: str) -> np.ndarray:
@@ -207,13 +206,11 @@ def mean_intra_cross_cosine(emb: np.ndarray, ids: np.ndarray, mods: np.ndarray) 
     return float(pairs.mean())
 
 
-def cross_modal_eval(
-    params: EncoderParams, dataset: Dataset, directions
-) -> dict[Direction, EvalReport]:
+def cross_modal_eval(params: EncoderParams, dataset: Dataset, directions) -> EvalReport:
     """Retrieval evaluation: in each direction, source-modality samples query
     the full target-modality gallery. One forward pass and one VIS x NIR
     similarity matrix serve every direction and the histograms; NIR -> VIS
-    ranks the transpose, and each report carries those embeddings. An
+    ranks the transpose, and the report carries those embeddings. An
     identity with no item in a direction's gallery raises ContractViolation
     naming it and the direction, before any work."""
     ids, mods = dataset.identities, dataset.modalities
@@ -247,11 +244,7 @@ def cross_modal_eval(
     intra_sims = sim[_pair_columns(*_identity_groups(vis_ids, nir_ids))]
     intra, _ = np.histogram(intra_sims, bins=HIST_BINS)
     inter = np.diff(counts) - intra
-    intra_mean = float(intra_sims.mean())
-    return {
-        d: EvalReport(cmc, mean_ap, intra, inter, intra_mean, emb)
-        for d, (cmc, mean_ap) in ranked.items()
-    }
+    return EvalReport(ranked, intra, inter, float(intra_sims.mean()), emb)
 
 
 def prototype_diagnostics(
@@ -259,20 +252,14 @@ def prototype_diagnostics(
     identity_prototypes: IdentityPrototypeMatrix,
 ) -> dict:
     """Per-identity cosines between the two modality prototypes and the
-    identity prototype, plus their means."""
+    identity prototype, plus their means. A column of near-zero norm raises
+    DegenerateNormError naming its head."""
     n = modality_prototypes.num_identities
     if identity_prototypes.num_identities != n:
         raise ContractViolation("prototype heads disagree on identity count")
-
-    def unit_cols(m: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(m, axis=0)
-        if np.any(norms < NORM_EPS):
-            raise DegenerateNormError("prototype column with near-zero norm")
-        return m / norms
-
-    pv = unit_cols(modality_prototypes.visible())
-    pn = unit_cols(modality_prototypes.infrared())
-    ps = unit_cols(identity_prototypes.W)
+    heads = {"visible modality": modality_prototypes.visible(),
+             "infrared modality": modality_prototypes.infrared(), "identity": identity_prototypes.W}
+    pv, pn, ps = (m / _safe_norms(m, 0, f"{head} prototype columns") for head, m in heads.items())
     cos_vs = np.einsum("di,di->i", pv, ps)
     cos_ns = np.einsum("di,di->i", pn, ps)
     cos_vn = np.einsum("di,di->i", pv, pn)

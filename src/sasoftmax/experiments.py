@@ -72,20 +72,21 @@ def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None, sched
     row."""
     train_set, test_set = split if split is not None else make_split(cfg)
     state, log = train(train_set, replace(cfg, variant=variant, seed=seed), schedule)
-    reports = cross_modal_eval(state.params, test_set, list(Direction))
-    rep_vn, rep_nv = reports[Direction.VIS_TO_NIR], reports[Direction.NIR_TO_VIS]
+    result = cross_modal_eval(state.params, test_set, list(Direction))
+    (cmc_vn, map_vn), (cmc_nv, map_nv) = (result.ranked[d] for d in Direction)
+    rank1_vn, rank1_nv = float(cmc_vn[0]), float(cmc_nv[0])
     diag = prototype_diagnostics(state.modality_prototypes, state.identity_prototypes)
     row = {
         "variant": variant,
         "seed": seed,
-        "map_vis2nir": rep_vn.map,
-        "map_nir2vis": rep_nv.map,
-        "rank1_vis2nir": rep_vn.rank1,
-        "rank1_nir2vis": rep_nv.rank1,
-        "mean_map": 0.5 * (rep_vn.map + rep_nv.map),
-        "mean_rank1": 0.5 * (rep_vn.rank1 + rep_nv.rank1),
-        "test_intra_cross_cosine": rep_vn.intra_cosine_mean,
-        "hist_overlap": histogram_overlap(rep_vn.intra_hist, rep_vn.inter_hist),
+        "map_vis2nir": map_vn,
+        "map_nir2vis": map_nv,
+        "rank1_vis2nir": rank1_vn,
+        "rank1_nir2vis": rank1_nv,
+        "mean_map": 0.5 * (map_vn + map_nv),
+        "mean_rank1": 0.5 * (rank1_vn + rank1_nv),
+        "test_intra_cross_cosine": result.intra_cosine_mean,
+        "hist_overlap": histogram_overlap(result.intra_hist, result.inter_hist),
         "proto_cos_vis_nir": diag["mean_cos_vis_nir"],
         "final_train_loss": log.records[-1]["loss_total"] if log.records else float("nan"),
         "initial_train_loss": log.records[0]["loss_total"] if log.records else float("nan"),

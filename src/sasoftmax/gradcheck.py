@@ -119,18 +119,18 @@ def check_all_losses(seeds, tolerance: float = 1e-6, corrupt: bool = False) -> l
                 w, corrupt,
             )
 
-        res = ast_loss(x, ModalityPrototypeMatrix(w_mod), y_f)
+        _, grad_x = ast_loss(x, ModalityPrototypeMatrix(w_mod), y_f)
         _check_pair(
             "ast_loss", seed, rows, tolerance, x,
-            res.grad_embeddings, None,
-            lambda a: ast_loss(a, ModalityPrototypeMatrix(w_mod), y_f).value,
+            grad_x, None,
+            lambda a: ast_loss(a, ModalityPrototypeMatrix(w_mod), y_f)[0],
             None, None, corrupt,
         )
 
         res = am_softmax_loss(x, IdentityPrototypeMatrix(w_id), ids)
         _check_pair(
             "am_softmax_loss", seed, rows, tolerance, x,
-            res.grad_embeddings, res.grad_prototypes,
+            res.grad_embeddings, res.grad_identity_prototypes,
             lambda a: am_softmax_loss(a, IdentityPrototypeMatrix(w_id), ids).value,
             lambda a: am_softmax_loss(x, IdentityPrototypeMatrix(a), ids).value,
             w_id, corrupt,
@@ -139,7 +139,7 @@ def check_all_losses(seeds, tolerance: float = 1e-6, corrupt: bool = False) -> l
         res = circle_loss(x, IdentityPrototypeMatrix(w_id), ids)
         _check_pair(
             "circle_loss", seed, rows, tolerance, x,
-            res.grad_embeddings, res.grad_prototypes,
+            res.grad_embeddings, res.grad_identity_prototypes,
             lambda a: circle_loss(a, IdentityPrototypeMatrix(w_id), ids).value,
             lambda a: circle_loss(x, IdentityPrototypeMatrix(a), ids).value,
             w_id, corrupt,

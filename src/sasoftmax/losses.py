@@ -6,10 +6,13 @@ asynchronous training protocol. Every loss is mean-reduced over the batch so
 the mixing weights keep their meaning across batch sizes.
 
 The softmax family (plain softmax, L_W, L_F and their masked forms) is one
-kernel, `masked_ce`, returning dL/dlogits. `combined_loss` computes the
+kernel, `masked_ce`, returning (value, dL/dlogits); the AST term,
+`ast_loss`, returns (value, dL/dembeddings). `combined_loss` computes the
 modality logits once, applies the chain rule itself and owns the routing
 contract: L_W flows only to the modality prototypes, L_F only to the
-embeddings.
+embeddings. The objectives a training step runs (`combined_loss` and the
+identity-head-only `am_softmax_loss` and `circle_loss`) each return one
+`LossResult`.
 
 Its B x C arrays (each head's logits and G = dL/dlogits) live in a
 `LossWorkspace`. `trainer.train` owns one per run and hands it to every
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IdentityPrototypeMatrix, LossResult, ModalityPrototypeMatrix
+from .core import IdentityPrototypeMatrix, ModalityPrototypeMatrix, rewrite_labels_batch
 from .errors import ContractViolation, DegenerateNormError, NumericError
 
 NORM_EPS = 1e-12
@@ -50,7 +53,12 @@ class CombinedLossConfig:
 
 
 @dataclass
-class CombinedLossResult:
+class LossResult:
+    """An objective's value, its terms' values by train-log name, and its
+    gradients; a prototype gradient is None exactly when the objective does
+    not flow to that head. The identity-head-only objectives report their
+    value as the one term loss_softmax."""
+
     value: float
     components: dict
     grad_embeddings: np.ndarray
@@ -191,13 +199,10 @@ def _safe_norms(x: np.ndarray, axis: int, what: str) -> np.ndarray:
     return norms
 
 
-def ast_loss(
-    embeddings: np.ndarray,
-    prototypes: ModalityPrototypeMatrix,
-    y_f: np.ndarray,
-) -> LossResult:
+def ast_loss(embeddings: np.ndarray, prototypes: ModalityPrototypeMatrix, y_f: np.ndarray):
     """Absolute-similarity penalty: mean of (1 - cos) between each embedding
-    and its cross-modality target column."""
+    and its cross-modality target column. Returns (value, dL/dembeddings);
+    the term does not flow to the prototypes."""
     w = prototypes.W
     y_f = _check_labels(y_f, w.shape[1], "yF")
     b = embeddings.shape[0]
@@ -208,7 +213,7 @@ def ast_loss(
     cos = dots / (xn * wn)
     # d cos / dx_i = W/( |W||x| ) - cos * x / |x|^2
     dcos_dx = targets / (xn * wn)[:, None] - cos[:, None] * embeddings / (xn**2)[:, None]
-    return LossResult(value=float(np.mean(1.0 - cos)), grad_embeddings=-dcos_dx / b)
+    return float(np.mean(1.0 - cos)), -dcos_dx / b
 
 
 def _cosine_backprop(dcos, cos, xhat, what, xn, wn):
@@ -229,8 +234,8 @@ def am_softmax_loss(
     scale: float = 15.0,
 ) -> LossResult:
     """Additive-margin softmax on L2-normalized logits: s * (cos - m) at the
-    target class, s * cos elsewhere. Gradients flow to both targets through
-    the normalization.
+    target class, s * cos elsewhere. Gradients flow to the embeddings and the
+    identity head through the normalization.
     """
     if margin < 0.0 or scale <= 0.0:
         raise ContractViolation("require margin >= 0 and scale > 0")
@@ -247,7 +252,7 @@ def am_softmax_loss(
     value, g = masked_ce(logits, labels)
     g *= scale  # dL/dcos
     grad_x, grad_w = _cosine_backprop(g, cos, xhat, what, xn, wn)
-    return LossResult(value=value, grad_embeddings=grad_x, grad_prototypes=grad_w)
+    return LossResult(value, {"loss_softmax": value}, grad_x, None, grad_w)
 
 
 def circle_loss(
@@ -263,7 +268,8 @@ def circle_loss(
     ap = relu(1 + m - sp), an = relu(sn + m); loss =
     log(1 + sum_j exp(gamma * an_j * (sn_j - m)) * exp(-gamma * ap * (sp - (1 - m)))).
     The gradient differentiates the full expression (relu weights included),
-    with subgradient zero at clipped terms.
+    with subgradient zero at clipped terms, and flows to the embeddings and
+    the identity head.
     """
     if gamma <= 0.0:
         raise ContractViolation("gamma must be positive")
@@ -305,7 +311,7 @@ def circle_loss(
     dcos = soft_n * dlogit_n * sig[:, None] / b
     dcos[rows, labels] = sig * dlogit_p / b
     grad_x, grad_w = _cosine_backprop(dcos, cos, xhat, what, xn, wn)
-    return LossResult(value=value, grad_embeddings=grad_x, grad_prototypes=grad_w)
+    return LossResult(value, {"loss_softmax": value}, grad_x, None, grad_w)
 
 
 def combined_loss(
@@ -316,7 +322,7 @@ def combined_loss(
     modalities: np.ndarray,
     config: CombinedLossConfig,
     workspace: LossWorkspace | None = None,
-) -> CombinedLossResult:
+) -> LossResult:
     """Full objective: alpha * (L_W + L_F) + (1 - alpha) * L_softmax + beta * L_AST.
 
     Routing contract: the prototype-side term is the only contributor to the
@@ -326,8 +332,6 @@ def combined_loss(
     The logits and G buffers come from `workspace`, or from a fresh one when
     it is None; the result is bit-identical either way.
     """
-    from .core import rewrite_labels_batch
-
     if workspace is None:
         workspace = LossWorkspace()
 
@@ -362,16 +366,15 @@ def combined_loss(
         grad_id = (1.0 - a) * (embeddings.T @ g)
         grad_emb += (1.0 - a) * (g @ w.T)
     if bta > 0.0:
-        a_res = ast_loss(embeddings, modality_prototypes, y_f)
-        components["loss_ast"] = a_res.value
-        grad_emb += bta * a_res.grad_embeddings
+        components["loss_ast"], g_ast = ast_loss(embeddings, modality_prototypes, y_f)
+        grad_emb += bta * g_ast
 
     value = (
         a * (components["loss_w"] + components["loss_f"])
         + (1.0 - a) * components["loss_softmax"]
         + bta * components["loss_ast"]
     )
-    return CombinedLossResult(
+    return LossResult(
         value=float(value),
         components=components,
         grad_embeddings=grad_emb,

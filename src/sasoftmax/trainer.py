@@ -29,7 +29,7 @@ from .errors import ContractViolation, DegenerateNormError, NumericError
 from .evaluation import mean_intra_cross_cosine
 from .losses import (
     CombinedLossConfig,
-    CombinedLossResult,
+    LossResult,
     LossWorkspace,
     am_softmax_loss,
     circle_loss,
@@ -97,6 +97,8 @@ class TrainConfig:
             raise ContractViolation(f"beta must be non-negative, got {self.beta}")
         if not self.base_lr > 0.0:
             raise ContractViolation(f"base_lr: learning rate must be positive, got {self.base_lr}")
+        if not self.lr_factor > 0.0:
+            raise ContractViolation(f"lr_factor must be positive, got {self.lr_factor}")
         if list(self.milestones) != sorted(self.milestones):
             raise ContractViolation(f"milestones must be ascending, got {self.milestones}")
         if self.embed_dim <= 0:
@@ -169,19 +171,16 @@ def init_train_state(dataset: Dataset, config: TrainConfig) -> TrainState:
 
 def _evaluate_loss(
     state: TrainState, embeddings, ids, mods, config: TrainConfig, workspace
-) -> CombinedLossResult:
+) -> LossResult:
     """The step's one loss evaluation, against the prototypes as they are.
     The identity-head-only variants (AM_SOFTMAX, CIRCLE) have no modality
     gradient and leave `workspace` unused."""
     w_mod, w_id = state.modality_prototypes, state.identity_prototypes
-    if config.variant not in HEAD_ONLY_VARIANTS:
-        return combined_loss(embeddings, w_mod, w_id, ids, mods, config.loss_config(), workspace)
     if config.variant == "AM_SOFTMAX":
-        res = am_softmax_loss(embeddings, w_id, ids, config.am_margin, config.am_scale)
-    else:
-        res = circle_loss(embeddings, w_id, ids, config.circle_gamma, config.circle_margin)
-    comps = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": res.value, "loss_ast": 0.0}
-    return CombinedLossResult(res.value, comps, res.grad_embeddings, None, res.grad_prototypes)
+        return am_softmax_loss(embeddings, w_id, ids, config.am_margin, config.am_scale)
+    if config.variant == "CIRCLE":
+        return circle_loss(embeddings, w_id, ids, config.circle_gamma, config.circle_margin)
+    return combined_loss(embeddings, w_mod, w_id, ids, mods, config.loss_config(), workspace)
 
 
 def train_step(

@@ -18,8 +18,10 @@ import pytest
 
 from sasoftmax.analysis import check_eq3_grid, check_fm_ambiguity, check_softmax_failure_mode
 from sasoftmax.data import generate_synthetic
+from sasoftmax.encoder import save_checkpoint
 from sasoftmax.experiments import (
     desk_protocol,
+    make_split,
     run_ablation,
     run_sweep,
     save_rows_csv,
@@ -106,6 +108,37 @@ def test_gallery_report_bit_identical_to_references(tmp_path):
     report("golden gallery report", digest == expected["digest"], f"seed {seed} digest {digest}")
     assert digest == expected["digest"]
     assert work.verify(ctx, out_dir) == []
+
+
+# sha256 of trainlog.csv and of the save_checkpoint bytes after six desk
+# epochs (seed 1); no ablation or benchmark digest trains these variants
+HEAD_ONLY_DIGESTS = {
+    "AM_SOFTMAX": (
+        "c4a919b168cd9cde55e111cb3d36bcedff2442a1a316ff57e867d702b8d1c7f7",
+        "407a4648a77fda75716b1b293e064daa7d2d27ca7615058aebb671d4c4d6225f",
+    ),
+    "CIRCLE": (
+        "42b6c35abb1a3db48eb7fc3c8326b275ba38a0349f382b41b6330f11d5bdd14d",
+        "9721298dd8ad35af34aab135e5d6a2364ce358290889ec759403924afe0e33fd",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(HEAD_ONLY_DIGESTS))
+def test_head_only_variants_bit_identical_to_recorded_digests(variant, tmp_path):
+    """The identity-head-only variants, trained at the desk protocol, write
+    the training log and checkpoint whose digests are recorded above."""
+    cfg = desk_protocol(epochs=6, seed=1, variant=variant)
+    state, log = train(make_split(cfg)[0], cfg)
+    log.save_csv(tmp_path / "trainlog.csv")
+    save_checkpoint(tmp_path / "checkpoint.txt", state.params,
+                    state.modality_prototypes, state.identity_prototypes)
+    got = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("trainlog.csv", "checkpoint.txt")
+    )
+    report(f"golden {variant} training", got == HEAD_ONLY_DIGESTS[variant], f"digests {got}")
+    assert got == HEAD_ONLY_DIGESTS[variant]
 
 
 def test_criterion_1_gradient_correctness():

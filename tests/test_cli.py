@@ -318,6 +318,7 @@ class TestBadInput:
             (["train", "--epochs", "1", "--seed", "-1"], None, "seed must be non-negative, got -1"),
             (["ablation", "--epochs", "1", "--seeds=-1"], None, "seeds must be non-negative, got -1"),
             (["diagnose", "--seed-start", "-1"], None, "--seed-start: expected >= 0, got -1"),
+            (["train", "--protocol", "desk", "--lr-factor", "0"], None, "lr_factor must be positive, got 0.0"),
         ],
     )
     def test_exits_1_with_one_line_naming_the_value(self, tmp_path, argv, config_text, name):
@@ -332,6 +333,40 @@ class TestBadInput:
         assert "Traceback" not in done.stderr
         lines = done.stderr.strip().splitlines()
         assert len(lines) == 1 and name in lines[0]
+        assert not out.exists()
+
+    def test_bad_lr_factor_fails_before_training(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+        out = tmp_path / "out"
+        assert main(["train", "--protocol", "desk", "--lr-factor", "0", "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize(
+        "head, column, name",
+        [
+            ("identity", 2, "identity prototype columns"),
+            ("modality", 1, "visible modality prototype columns"),
+            ("modality", 5, "infrared modality prototype columns"),
+        ],
+    )
+    def test_degenerate_checkpoint_fails_before_ranking(
+        self, tmp_path, monkeypatch, capsys, head, column, name
+    ):
+        """A prototype column of zero norm exits 2 with one line naming its
+        head, and the gallery is never ranked."""
+        rng = np.random.default_rng(0)
+        w_mod, w_id = rng.normal(size=(3, 8)), rng.normal(size=(3, 4))
+        (w_id if head == "identity" else w_mod)[:, column] = 0.0
+        save_checkpoint(tmp_path / "c.txt", init_encoder([4, 3], 0),
+                        ModalityPrototypeMatrix(w_mod), IdentityPrototypeMatrix(w_id))
+        gen = tmp_path / "gen"
+        assert main(["gen-data", "--out", str(gen), *FAST_FLAGS]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cross_modal_eval", lambda *args: pytest.fail("gallery ranked"))
+        out = tmp_path / "out"
+        argv = ["eval", "--checkpoint", str(tmp_path / "c.txt"), "--data", str(gen / "data.csv")]
+        assert main([*argv, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"numeric failure: near-zero norm in {name}"]
         assert not out.exists()
 
     def test_exhausted_witness_search_exits_2(self, tmp_path):

@@ -8,7 +8,6 @@ from sasoftmax.core import (
     Modality,
     ModalityPrototypeMatrix,
     load_dataset_csv,
-    rewrite_labels,
     atomic_write,
     rewrite_labels_batch,
     save_dataset_csv,
@@ -18,25 +17,31 @@ from sasoftmax.errors import ContractViolation
 from conftest import csv_writer_bytes
 
 
+def rewrite_one(identity, modality, n):
+    """rewrite_labels_batch on a length-1 batch, as a pair of ints."""
+    y_w, y_f = rewrite_labels_batch(np.array([identity]), np.array([int(modality)]), n)
+    return int(y_w[0]), int(y_f[0])
+
+
 class TestRewriteLabels:
     def test_vis_branch(self):
-        assert rewrite_labels(2, Modality.VIS, 4) == (2, 6)
+        assert rewrite_one(2, Modality.VIS, 4) == (2, 6)
 
     def test_nir_branch(self):
-        assert rewrite_labels(2, Modality.NIR, 4) == (6, 2)
+        assert rewrite_one(2, Modality.NIR, 4) == (6, 2)
 
     def test_smallest_instance(self):
-        assert rewrite_labels(0, Modality.VIS, 1) == (0, 1)
+        assert rewrite_one(0, Modality.VIS, 1) == (0, 1)
 
     def test_out_of_range_identity(self):
         with pytest.raises(ContractViolation):
-            rewrite_labels(4, Modality.VIS, 4)
+            rewrite_one(4, Modality.VIS, 4)
 
     @given(st.integers(1, 50), st.data())
     def test_properties(self, n, data):
         ident = data.draw(st.integers(0, n - 1))
         for mod in (Modality.VIS, Modality.NIR):
-            y_w, y_f = rewrite_labels(ident, mod, n)
+            y_w, y_f = rewrite_one(ident, mod, n)
             assert y_w != y_f
             assert abs(y_w - y_f) == n
             assert {y_w % n, y_f % n} == {ident}
@@ -46,8 +51,8 @@ class TestRewriteLabels:
     @given(st.integers(1, 50), st.data())
     def test_modality_swap_is_involution(self, n, data):
         ident = data.draw(st.integers(0, n - 1))
-        y_w, y_f = rewrite_labels(ident, Modality.VIS, n)
-        assert rewrite_labels(ident, Modality.NIR, n) == (y_f, y_w)
+        y_w, y_f = rewrite_one(ident, Modality.VIS, n)
+        assert rewrite_one(ident, Modality.NIR, n) == (y_f, y_w)
 
     def test_batch_matches_scalar(self):
         n = 5
@@ -55,7 +60,7 @@ class TestRewriteLabels:
         mods = np.array([0, 1, 0, 1])
         y_w, y_f = rewrite_labels_batch(ids, mods, n)
         for i in range(len(ids)):
-            sw, sf = rewrite_labels(int(ids[i]), Modality(int(mods[i])), n)
+            sw, sf = rewrite_one(int(ids[i]), Modality(int(mods[i])), n)
             assert (y_w[i], y_f[i]) == (sw, sf)
 
     def test_batch_rejects_out_of_range(self):
@@ -68,7 +73,6 @@ class TestPrototypeMatrices:
         w = np.arange(12, dtype=float).reshape(2, 6)
         m = ModalityPrototypeMatrix(w)
         assert m.num_identities == 3
-        assert m.dim == 2
         np.testing.assert_array_equal(m.visible(), w[:, :3])
         np.testing.assert_array_equal(m.infrared(), w[:, 3:])
 
@@ -87,7 +91,6 @@ class TestPrototypeMatrices:
     def test_identity_matrix_shape(self):
         m = IdentityPrototypeMatrix(np.zeros((3, 7)))
         assert m.num_identities == 7
-        assert m.dim == 3
 
 
 def _labelled_samples(n):

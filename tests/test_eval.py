@@ -182,13 +182,12 @@ class TestHistograms:
             SynthConfig(num_identities=5, samples_per_identity_per_modality=3, input_dim=4, seed=2)
         )
         params = init_encoder([4, 4], 0)
-        reps = cross_modal_eval(params, ds, list(Direction))
-        rep = reps[Direction.VIS_TO_NIR]
+        rep = cross_modal_eval(params, ds, list(Direction))
         n_vis = int((ds.modalities == int(Modality.VIS)).sum())
         n_nir = int((ds.modalities == int(Modality.NIR)).sum())
         assert rep.intra_hist.sum() + rep.inter_hist.sum() == n_vis * n_nir
         assert len(rep.intra_hist) == len(HIST_BINS) - 1 == 60
-        other = reps[Direction.NIR_TO_VIS]
+        other = cross_modal_eval(params, ds, [Direction.NIR_TO_VIS])
         np.testing.assert_array_equal(other.intra_hist, rep.intra_hist)
         np.testing.assert_array_equal(other.inter_hist, rep.inter_hist)
 
@@ -199,7 +198,7 @@ class TestHistograms:
             SynthConfig(num_identities=6, samples_per_identity_per_modality=4, input_dim=4, seed=3)
         )
         params = init_encoder([4, 4], 1)
-        rep = cross_modal_eval(params, ds, [Direction.NIR_TO_VIS])[Direction.NIR_TO_VIS]
+        rep = cross_modal_eval(params, ds, [Direction.NIR_TO_VIS])
         emb, _ = encoder_forward(params, ds.features)
         vis = ds.modalities == int(Modality.VIS)
         sim = cosine_matrix(emb[vis], emb[~vis])
@@ -244,15 +243,14 @@ class TestHistograms:
         sim[:, _RANK_BLOCK - 1 : _RANK_BLOCK + 1] = sim[:, [_RANK_BLOCK - 2]]
         monkeypatch.setattr(evaluation, "cosine_matrix", lambda q, g: sim)
         ds = Dataset(rng.normal(size=(len(ids), 3)), ids, mods, n_ids, 3)
-        reps = cross_modal_eval(EncoderParams([np.eye(3)], [np.zeros(3)]), ds, directions)
+        rep = cross_modal_eval(EncoderParams([np.eye(3)], [np.zeros(3)]), ds, directions)
 
         vis_ids, nir_ids = ids[mods == int(Modality.VIS)], ids[mods == int(Modality.NIR)]
         same = vis_ids[:, None] == nir_ids[None, :]
-        assert set(reps) == set(directions)
-        for rep in reps.values():
-            np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
-            np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
-            assert rep.intra_cosine_mean == float(sim[same].mean())
+        assert set(rep.ranked) == set(directions)
+        np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
+        np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
+        assert rep.intra_cosine_mean == float(sim[same].mean())
         # the beyond-range values fall in no bin, and +-1 in the closed end bins
         outside = np.count_nonzero(np.abs(sim) > 1.0)
         assert outside > 0
@@ -291,9 +289,9 @@ class TestCrossModalEval:
             )
         )
         params = EncoderParams([np.eye(4)], [np.zeros(4)])
-        for rep in cross_modal_eval(params, ds, list(Direction)).values():
-            assert rep.rank1 == 1.0
-            assert rep.map == 1.0
+        for cmc, mean_ap in cross_modal_eval(params, ds, list(Direction)).ranked.values():
+            assert cmc[0] == 1.0
+            assert mean_ap == 1.0
 
     @pytest.mark.parametrize(
         "direction, lone_modality, message",
@@ -313,7 +311,7 @@ class TestCrossModalEval:
             cross_modal_eval(params, ds, [direction])
         # the other direction never queries identity 1, so it evaluates
         other = next(d for d in Direction if d != direction)
-        assert set(cross_modal_eval(params, ds, [other])) == {other}
+        assert set(cross_modal_eval(params, ds, [other]).ranked) == {other}
 
     def test_random_embeddings_match_permutation_baseline(self):
         """Identity-free embeddings score like the shuffled-label baseline."""
@@ -325,7 +323,7 @@ class TestCrossModalEval:
         mods = np.tile(np.repeat([0, 1], per), n)
         ds = Dataset(feats, ids, mods, n, 6)
         params = EncoderParams([np.eye(6)], [np.zeros(6)])
-        rep = cross_modal_eval(params, ds, [Direction.VIS_TO_NIR])[Direction.VIS_TO_NIR]
+        _, rep_map = cross_modal_eval(params, ds, [Direction.VIS_TO_NIR]).ranked[Direction.VIS_TO_NIR]
 
         emb = feats
         q_mask = mods == 0
@@ -338,16 +336,16 @@ class TestCrossModalEval:
             baseline.append(m)
         lo, hi = np.quantile(baseline, [0.0, 1.0])
         spread = hi - lo
-        assert lo - spread <= rep.map <= hi + spread
+        assert lo - spread <= rep_map <= hi + spread
 
     def test_directions_roughly_symmetric(self):
         ds = generate_synthetic(
             SynthConfig(num_identities=10, samples_per_identity_per_modality=6, input_dim=8, seed=4)
         )
         params = init_encoder([8, 6], 1)
-        reps = cross_modal_eval(params, ds, list(Direction))
-        vn, nv = reps[Direction.VIS_TO_NIR], reps[Direction.NIR_TO_VIS]
-        assert abs(vn.map - nv.map) < 0.2
+        ranked = cross_modal_eval(params, ds, list(Direction)).ranked
+        (_, vn_map), (_, nv_map) = ranked[Direction.VIS_TO_NIR], ranked[Direction.NIR_TO_VIS]
+        assert abs(vn_map - nv_map) < 0.2
 
     def test_one_forward_and_one_similarity_matrix(self, monkeypatch):
         calls = {"encoder_forward": 0, "cosine_matrix": 0}
@@ -366,8 +364,8 @@ class TestCrossModalEval:
         ds = generate_synthetic(
             SynthConfig(num_identities=6, samples_per_identity_per_modality=3, input_dim=4, seed=5)
         )
-        reps = cross_modal_eval(init_encoder([4, 3], 2), ds, list(Direction))
-        assert set(reps) == set(Direction)
+        rep = cross_modal_eval(init_encoder([4, 3], 2), ds, list(Direction))
+        assert set(rep.ranked) == set(Direction)
         assert calls == {"encoder_forward": 1, "cosine_matrix": 1}
 
     def test_reverse_direction_equals_its_own_product(self):
@@ -377,14 +375,16 @@ class TestCrossModalEval:
             SynthConfig(num_identities=8, samples_per_identity_per_modality=5, input_dim=6, seed=7)
         )
         params = init_encoder([6, 5, 4], 3)
-        rep = cross_modal_eval(params, ds, [Direction.NIR_TO_VIS])[Direction.NIR_TO_VIS]
+        got_cmc, got_map = cross_modal_eval(params, ds, [Direction.NIR_TO_VIS]).ranked[
+            Direction.NIR_TO_VIS
+        ]
         emb, _ = encoder_forward(params, ds.features)
         nir = ds.modalities == int(Modality.NIR)
         cmc, mean_ap = cmc_map(
             cosine_matrix(emb[nir], emb[~nir]), ds.identities[nir], ds.identities[~nir]
         )
-        np.testing.assert_array_equal(rep.cmc, cmc)
-        assert rep.map == mean_ap
+        np.testing.assert_array_equal(got_cmc, cmc)
+        assert got_map == mean_ap
 
     def test_mean_intra_cross_cosine_closed_case(self):
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

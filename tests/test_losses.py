@@ -350,14 +350,14 @@ class TestAstLoss:
     def test_perfect_alignment(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([[3.0, 0.0]])  # positive multiple of column 0
-        res = ast_loss(x, mod_head(w), np.array([0]))
-        assert res.value == pytest.approx(0.0, abs=1e-12)
+        value, _ = ast_loss(x, mod_head(w), np.array([0]))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_contribution(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([[0.0, 2.0]])  # orthogonal to column 0
-        res = ast_loss(x, mod_head(w), np.array([0]))
-        assert res.value == pytest.approx(1.0, abs=1e-12)
+        value, _ = ast_loss(x, mod_head(w), np.array([0]))
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_norm(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -367,13 +367,16 @@ class TestAstLoss:
     def test_finite_difference(self):
         for seed in range(5):
             x, w_mod, _, _, _, _, y_f = random_instance(seed, b=5, d=6, n=3)
-            res = ast_loss(x, w_mod, y_f)
-            fd = central_difference(lambda a: ast_loss(a, w_mod, y_f).value, x)
-            assert relative_error(res.grad_embeddings, fd) <= FD_TOL
+            _, grad_x = ast_loss(x, w_mod, y_f)
+            fd = central_difference(lambda a: ast_loss(a, w_mod, y_f)[0], x)
+            assert relative_error(grad_x, fd) <= FD_TOL
 
     def test_routing_no_prototype_grad(self):
         x, w_mod, _, _, _, _, y_f = random_instance(1)
-        assert ast_loss(x, w_mod, y_f).grad_prototypes is None
+        # the term is (value, dL/dembeddings): no prototype gradient to return
+        value, grad = ast_loss(x, w_mod, y_f)
+        assert isinstance(value, float)
+        assert grad.shape == x.shape
 
 
 class TestCombinedLoss:
@@ -404,10 +407,10 @@ class TestCombinedLoss:
         f_value, f_grad_x, _ = ce(x, w_mod, y_f, drop=y_w)
         w_value, _, w_grad_w = ce(x, w_mod, y_w)
         s_value, s_grad_x, s_grad_w = ce(x, w_id, ids)
-        a = ast_loss(x, w_mod, y_f)
+        a_value, a_grad_x = ast_loss(x, w_mod, y_f)
         np.testing.assert_allclose(
             res.grad_embeddings,
-            0.7 * f_grad_x + 0.3 * s_grad_x + 1.0 * a.grad_embeddings,
+            0.7 * f_grad_x + 0.3 * s_grad_x + 1.0 * a_grad_x,
             atol=1e-12,
         )
         np.testing.assert_allclose(
@@ -417,7 +420,7 @@ class TestCombinedLoss:
             res.grad_identity_prototypes, 0.3 * s_grad_w, atol=1e-12
         )
         assert res.value == pytest.approx(
-            0.7 * (w_value + f_value) + 0.3 * s_value + a.value, abs=1e-12
+            0.7 * (w_value + f_value) + 0.3 * s_value + a_value, abs=1e-12
         )
 
     def test_weight_mask_switch(self):
@@ -569,7 +572,7 @@ class TestAmSoftmax:
             fd_w = central_difference(
                 lambda a: am_softmax_loss(x, id_head(a), ids).value, w_id.W
             )
-            assert relative_error(res.grad_prototypes, fd_w) <= FD_TOL
+            assert relative_error(res.grad_identity_prototypes, fd_w) <= FD_TOL
 
     def test_parameter_validation(self):
         x = np.ones((1, 2))
@@ -615,11 +618,22 @@ class TestCircleLoss:
             fd_w = central_difference(
                 lambda a: circle_loss(x, id_head(a), ids).value, w_id.W
             )
-            assert relative_error(res.grad_prototypes, fd_w) <= FD_TOL
+            assert relative_error(res.grad_identity_prototypes, fd_w) <= FD_TOL
 
     def test_needs_two_classes(self):
         with pytest.raises(ContractViolation):
             circle_loss(np.ones((1, 2)), id_head(np.ones((2, 1))), np.array([0]))
+
+
+class TestHeadOnlyLossResult:
+    @pytest.mark.parametrize("loss", [am_softmax_loss, circle_loss])
+    def test_value_is_loss_softmax_and_flows_to_the_identity_head(self, loss):
+        x, _, w_id, ids, _, _, _ = random_instance(2)
+        res = loss(x, w_id, ids)
+        assert res.components == {"loss_softmax": res.value}
+        assert res.grad_modality_prototypes is None
+        assert res.grad_identity_prototypes.shape == w_id.W.shape
+        assert res.grad_embeddings.shape == x.shape
 
 
 class TestThetaProbe:
@@ -704,7 +718,7 @@ class TestSoftmaxFamilyProperties:
         ):
             assert np.isfinite(value)
             assert value >= 0.0
-        assert ast_loss(x, w_mod, y_f).value >= 0.0
+        assert ast_loss(x, w_mod, y_f)[0] >= 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))

@@ -99,6 +99,8 @@ class TestConfig:
             (dict(am_margin=-0.2), "am_margin must be non-negative, got -0.2"),
             (dict(circle_gamma=-1.0), "circle_gamma must be positive, got -1.0"),
             (dict(seed=-1), "seed must be non-negative, got -1"),
+            (dict(lr_factor=0.0), "lr_factor must be positive, got 0.0"),
+            (dict(lr_factor=-0.1), "lr_factor must be positive, got -0.1"),
         ],
     )
     def test_bad_value_rejected_when_built(self, bad, message):
