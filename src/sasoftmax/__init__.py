@@ -1,7 +1,7 @@
 """Cross-modality metric learning with spectral-aware softmax losses.
 
 Pure-numpy implementation: loss kernels with hand-derived gradients, a small
-MLP encoder with manual backprop, an asynchronous two-step trainer, a
+MLP encoder with manual backprop, an asynchronous trainer, a
 retrieval evaluator, and an experiment CLI.
 """
 

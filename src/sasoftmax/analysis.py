@@ -43,13 +43,14 @@ def verify_failure_witness(witness: dict) -> dict:
     return checks
 
 
-def check_softmax_failure_mode(seed: int = 0, budget: int = 1_000_000, dim: int = 2) -> dict:
-    """Random search for a configuration where both identities are correctly
-    classified against their prototypes yet cross-modality retrieval fails.
+def check_softmax_failure_mode(seed: int = 0, budget: int = 1_000_000) -> dict:
+    """Random search in the plane for a configuration where both identities
+    are correctly classified against their prototypes yet cross-modality
+    retrieval fails.
     """
     rng = np.random.default_rng(seed)
     for attempt in range(budget):
-        vecs = rng.normal(size=(5, dim))
+        vecs = rng.normal(size=(5, 2))
         v1, n1, n2, w1, w2 = vecs
         witness = {
             "v1": v1.tolist(),
@@ -76,7 +77,7 @@ def check_softmax_failure_mode(seed: int = 0, budget: int = 1_000_000, dim: int 
     )
 
 
-def check_fm_ambiguity(seeds, step_size: float = 0.5) -> dict:
+def check_fm_ambiguity(seeds) -> dict:
     """Compare one unmasked vs masked feature-side gradient step on a
     two-identity instance holding one visible and one infrared sample of
     identity 0.
@@ -87,6 +88,7 @@ def check_fm_ambiguity(seeds, step_size: float = 0.5) -> dict:
     """
     results = []
     n = 2
+    step_size = 0.5
     for seed in seeds:
         rng = np.random.default_rng(seed)
         d = 3

@@ -22,19 +22,13 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, experiments, gradcheck
-from .config import (
-    ExperimentConfig,
-    _coerce,
-    apply_overrides,
-    load_config_file,
-    save_config_file,
-)
+from .config import ExperimentConfig, _coerce, load_config_file, save_config_file
 from .core import load_dataset_csv, save_dataset_csv, save_json, save_rows_csv
 from .data import generate_synthetic, split_by_identity
 from .encoder import load_checkpoint, save_checkpoint
@@ -86,7 +80,7 @@ def _effective_config(args) -> ExperimentConfig:
         raw = getattr(args, f.name)
         if raw is not None:
             overrides[f.name] = _coerce(raw, f.default, "--" + f.name.replace("_", "-"))
-    return apply_overrides(cfg, overrides)
+    return replace(cfg, **overrides)
 
 
 @contextmanager

@@ -109,10 +109,3 @@ def save_config_file(cfg: ExperimentConfig, path) -> None:
                 value = ",".join(map(str, value))
             fh.write(f"{key} = {value}\n")
 
-
-def apply_overrides(cfg: ExperimentConfig, pairs: dict) -> ExperimentConfig:
-    """Apply CLI overrides (already typed) onto a config."""
-    unknown = set(pairs) - set(_DEFAULTS)
-    if unknown:
-        raise ContractViolation(f"unknown config keys: {sorted(unknown)}")
-    return replace(cfg, **pairs)

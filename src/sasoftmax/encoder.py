@@ -86,7 +86,7 @@ def encoder_backward(params: EncoderParams, cache: ForwardCache, grad_embeddings
 
 
 class SGDState:
-    """Velocity buffers for one optimization target (list of arrays)."""
+    """Velocity buffers, one per array the optimizer updates."""
 
     def __init__(self, arrays: list[np.ndarray]):
         self.velocities = [np.zeros_like(a) for a in arrays]
@@ -94,18 +94,21 @@ class SGDState:
 
 def sgd_step(
     arrays: list[np.ndarray],
-    grads: list[np.ndarray],
+    grads: list[np.ndarray | None],
     state: SGDState,
     lr: float,
     momentum: float = 0.9,
     weight_decay: float = 5e-4,
 ) -> None:
-    """In-place heavy-ball update: v <- mu v + g + wd p; p <- p - lr v."""
+    """In-place heavy-ball update: v <- mu v + g + wd p; p <- p - lr v.
+    An array whose gradient is None keeps its values and its velocity."""
     if lr <= 0.0:
         raise ContractViolation("learning rate must be positive")
     if len(arrays) != len(grads) or len(arrays) != len(state.velocities):
         raise ContractViolation("parameter / gradient / state length mismatch")
     for p, g, v in zip(arrays, grads, state.velocities):
+        if g is None:
+            continue
         if p.shape != g.shape:
             raise ContractViolation("parameter / gradient shape mismatch")
         v *= momentum

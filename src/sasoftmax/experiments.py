@@ -22,7 +22,7 @@ from .evaluation import (
     histogram_overlap,
     prototype_diagnostics,
 )
-from .trainer import HEAD_ONLY_VARIANTS, batch_schedule, train
+from .trainer import batch_schedule, train
 
 ABLATION_VARIANTS = ("SOFTMAX", "SAS", "SAS_FM", "SAS_FM_AST", "SAS_FM_WM")
 
@@ -94,14 +94,18 @@ def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None, sched
     return row
 
 
-def _check_loss_configs(configs) -> None:
-    """Build each config's loss mapping, so a variant-dependent bad value
-    (SAS_FM_AST with beta 0) fails before the first training rather than
-    after the earlier runs. Out-of-range values already failed when each
+def _checked_seeds(cfg: ExperimentConfig, configs) -> list[int]:
+    """The training seeds, once the bad input that would otherwise fail only
+    after data is made or earlier runs are trained is ruled out: an empty
+    seed list, and a variant-dependent bad value (SAS_FM_AST with beta 0) in
+    any config's loss mapping. Out-of-range values already failed when each
     config was built."""
+    seeds = cfg.seed_list()
+    if not seeds:
+        raise ContractViolation("seeds: needs at least one seed, got an empty list")
     for c in configs:
-        if c.variant not in HEAD_ONLY_VARIANTS:
-            c.loss_config()
+        c.loss_config()
+    return seeds
 
 
 def _seed_schedules(cfg: ExperimentConfig, train_set, seeds) -> dict:
@@ -110,15 +114,12 @@ def _seed_schedules(cfg: ExperimentConfig, train_set, seeds) -> dict:
     return {seed: batch_schedule(train_set, replace(cfg, seed=seed)) for seed in seeds}
 
 
-def run_ablation(cfg: ExperimentConfig, variants=ABLATION_VARIANTS) -> list[dict]:
-    seeds = cfg.seed_list()
-    if len(seeds) < 1:
-        raise ContractViolation("ablation needs at least one seed")
-    _check_loss_configs(replace(cfg, variant=v) for v in variants)
+def run_ablation(cfg: ExperimentConfig) -> list[dict]:
+    seeds = _checked_seeds(cfg, (replace(cfg, variant=v) for v in ABLATION_VARIANTS))
     split = make_split(cfg)
     schedules = _seed_schedules(cfg, split[0], seeds)
     rows = []
-    for variant in variants:
+    for variant in ABLATION_VARIANTS:
         for seed in seeds:
             rows.append(run_single(cfg, variant, seed, split=split, schedule=schedules[seed]))
     return rows
@@ -167,8 +168,7 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, grid: list[float]) -> list[
                 variant="SAS_FM" if parameter == "beta" and value == 0.0 else variant)
         for value in grid
     ]
-    _check_loss_configs(points)
-    seeds = cfg.seed_list()
+    seeds = _checked_seeds(cfg, points)
     split = make_split(cfg)
     schedules = _seed_schedules(cfg, split[0], seeds)
     rows = []

@@ -26,19 +26,19 @@ from .losses import (
 FD_STEP = 1e-5
 
 
-def central_difference(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def central_difference(fn, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of a scalar function of an array."""
     g = np.zeros_like(x, dtype=float)
     it = np.nditer(x, flags=["multi_index"])
     while not it.finished:
         idx = it.multi_index
         orig = x[idx]
-        x[idx] = orig + h
+        x[idx] = orig + FD_STEP
         fp = fn(x)
-        x[idx] = orig - h
+        x[idx] = orig - FD_STEP
         fm = fn(x)
         x[idx] = orig
-        g[idx] = (fp - fm) / (2.0 * h)
+        g[idx] = (fp - fm) / (2.0 * FD_STEP)
         it.iternext()
     return g
 

@@ -1,10 +1,10 @@
-"""Two-step asynchronous training loop.
+"""Asynchronous training loop.
 
 Each step runs one forward pass and one loss evaluation per batch, against
 the modality prototypes as they are BEFORE any update. That one result feeds
-both steps: step 1 updates the modality prototypes from the prototype-side
-gradient, with embeddings held constant; step 2 updates the encoder and the
-identity-prototype head from the feature-side gradients.
+both sides: L_W's gradient reaches the modality prototypes, embeddings held
+constant, and the feature-side gradients reach the encoder and the identity
+head. One SGD update then moves every target that got a gradient.
 """
 
 from __future__ import annotations
@@ -36,9 +36,16 @@ from .losses import (
     combined_loss,
 )
 
-VARIANTS = ("SOFTMAX", "SAS", "SAS_FM", "SAS_FM_AST", "SAS_FM_WM", "AM_SOFTMAX", "CIRCLE")
-# variants trained on the identity head alone, with no combined-loss mapping
-HEAD_ONLY_VARIANTS = ("AM_SOFTMAX", "CIRCLE")
+# each variant's combined-loss switches; None: trained on the identity head alone
+VARIANTS = {
+    "SOFTMAX": dict(alpha=0.0, beta=0.0),
+    "SAS": dict(beta=0.0),
+    "SAS_FM": dict(beta=0.0, use_feature_mask=True),
+    "SAS_FM_AST": dict(use_feature_mask=True),
+    "SAS_FM_WM": dict(beta=0.0, use_feature_mask=True, use_weight_mask=True),
+    "AM_SOFTMAX": None,
+    "CIRCLE": None,
+}
 
 TRAINLOG_FIELDS = [
     "epoch",
@@ -101,6 +108,16 @@ class TrainConfig:
             raise ContractViolation(f"lr_factor must be positive, got {self.lr_factor}")
         if list(self.milestones) != sorted(self.milestones):
             raise ContractViolation(f"milestones must be ascending, got {self.milestones}")
+        # the rate is monotone in the epoch: the last one underflows or overflows first
+        try:
+            last_lr = lr_schedule(self.base_lr, self.epochs - 1, self.milestones, self.lr_factor)
+        except OverflowError:  # lr_factor ** drops
+            last_lr = math.inf
+        if not 0.0 < last_lr < math.inf:
+            raise ContractViolation(
+                f"base_lr, lr_factor, milestones: last epoch's learning rate {last_lr} "
+                "is not positive and finite"
+            )
         if self.embed_dim <= 0:
             raise ContractViolation(f"embed_dim must be positive, got {self.embed_dim}")
         if any(h <= 0 for h in self.hidden_dims):
@@ -112,23 +129,14 @@ class TrainConfig:
         if self.circle_gamma <= 0.0:
             raise ContractViolation(f"circle_gamma must be positive, got {self.circle_gamma}")
 
-    def loss_config(self) -> CombinedLossConfig:
-        """Map the variant onto the combined-loss switches."""
-        if self.variant == "SOFTMAX":
-            return CombinedLossConfig(alpha=0.0, beta=0.0)
-        if self.variant == "SAS":
-            return CombinedLossConfig(alpha=self.alpha, beta=0.0)
-        if self.variant == "SAS_FM":
-            return CombinedLossConfig(alpha=self.alpha, beta=0.0, use_feature_mask=True)
-        if self.variant == "SAS_FM_AST":
-            if self.beta <= 0.0:
-                raise ContractViolation("SAS_FM_AST requires beta > 0")
-            return CombinedLossConfig(alpha=self.alpha, beta=self.beta, use_feature_mask=True)
-        if self.variant == "SAS_FM_WM":
-            return CombinedLossConfig(
-                alpha=self.alpha, beta=0.0, use_feature_mask=True, use_weight_mask=True
-            )
-        raise ContractViolation(f"variant {self.variant} has no combined-loss mapping")
+    def loss_config(self) -> CombinedLossConfig | None:
+        """The variant's combined-loss switches; None for a head-only variant."""
+        switches = VARIANTS[self.variant]
+        if switches is None:
+            return None
+        if self.variant == "SAS_FM_AST" and self.beta <= 0.0:
+            raise ContractViolation("SAS_FM_AST requires beta > 0")
+        return CombinedLossConfig(**{"alpha": self.alpha, "beta": self.beta, **switches})
 
 
 @dataclass
@@ -136,9 +144,8 @@ class TrainState:
     params: EncoderParams
     modality_prototypes: ModalityPrototypeMatrix
     identity_prototypes: IdentityPrototypeMatrix
-    opt_encoder: SGDState
-    opt_modality: SGDState
-    opt_identity: SGDState
+    # velocities of weights + biases + [modality W, identity W], in that order
+    optimizer: SGDState
 
 
 @dataclass
@@ -163,9 +170,7 @@ def init_train_state(dataset: Dataset, config: TrainConfig) -> TrainState:
         params=params,
         modality_prototypes=w_mod,
         identity_prototypes=w_id,
-        opt_encoder=SGDState(params.weights + params.biases),
-        opt_modality=SGDState([w_mod.W]),
-        opt_identity=SGDState([w_id.W]),
+        optimizer=SGDState(params.weights + params.biases + [w_mod.W, w_id.W]),
     )
 
 
@@ -176,11 +181,12 @@ def _evaluate_loss(
     The identity-head-only variants (AM_SOFTMAX, CIRCLE) have no modality
     gradient and leave `workspace` unused."""
     w_mod, w_id = state.modality_prototypes, state.identity_prototypes
+    loss_config = config.loss_config()
+    if loss_config is not None:
+        return combined_loss(embeddings, w_mod, w_id, ids, mods, loss_config, workspace)
     if config.variant == "AM_SOFTMAX":
         return am_softmax_loss(embeddings, w_id, ids, config.am_margin, config.am_scale)
-    if config.variant == "CIRCLE":
-        return circle_loss(embeddings, w_id, ids, config.circle_gamma, config.circle_margin)
-    return combined_loss(embeddings, w_mod, w_id, ids, mods, config.loss_config(), workspace)
+    return circle_loss(embeddings, w_id, ids, config.circle_gamma, config.circle_margin)
 
 
 def train_step(
@@ -198,8 +204,8 @@ def train_step(
     mods = dataset.modalities[batch_indices]
     embeddings, cache = encoder_forward(state.params, x)
 
-    # the one loss evaluation of this step, against the pre-step-1
-    # prototypes: step 1 takes its prototype gradient, step 2 the rest
+    # the one loss evaluation of this step, against the pre-update
+    # prototypes: every gradient below comes from it
     try:
         res = _evaluate_loss(state, embeddings, ids, mods, config, workspace)
     except DegenerateNormError as exc:
@@ -208,37 +214,13 @@ def train_step(
     if not np.isfinite(res.value):
         raise NumericError(f"training diverged (loss={res.value}); {_batch_context(batch_indices)}")
 
-    # step 1: prototype-side update, embeddings held constant; None when
-    # alpha is 0 or the variant trains the identity head alone
-    if res.grad_modality_prototypes is not None:
-        sgd_step(
-            [state.modality_prototypes.W],
-            [res.grad_modality_prototypes],
-            state.opt_modality,
-            lr,
-            config.momentum,
-            config.weight_decay,
-        )
-
-    # step 2: encoder + identity head, from the same pre-step-1 evaluation
+    # one update of every target, in the optimizer's order; a head the
+    # objective does not reach (alpha 0 or 1, AM_SOFTMAX, CIRCLE) gets None
     grad_w, grad_b = encoder_backward(state.params, cache, res.grad_embeddings)
-    sgd_step(
-        state.params.weights + state.params.biases,
-        grad_w + grad_b,
-        state.opt_encoder,
-        lr,
-        config.momentum,
-        config.weight_decay,
-    )
-    if res.grad_identity_prototypes is not None:
-        sgd_step(
-            [state.identity_prototypes.W],
-            [res.grad_identity_prototypes],
-            state.opt_identity,
-            lr,
-            config.momentum,
-            config.weight_decay,
-        )
+    heads = [state.modality_prototypes.W, state.identity_prototypes.W]
+    head_grads = [res.grad_modality_prototypes, res.grad_identity_prototypes]
+    sgd_step(state.params.weights + state.params.biases + heads, grad_w + grad_b + head_grads,
+             state.optimizer, lr, config.momentum, config.weight_decay)
     return {"loss_total": res.value, **res.components}
 
 

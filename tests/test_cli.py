@@ -319,6 +319,12 @@ class TestBadInput:
             (["ablation", "--epochs", "1", "--seeds=-1"], None, "seeds must be non-negative, got -1"),
             (["diagnose", "--seed-start", "-1"], None, "--seed-start: expected >= 0, got -1"),
             (["train", "--protocol", "desk", "--lr-factor", "0"], None, "lr_factor must be positive, got 0.0"),
+            # a rate that underflows to 0.0 by the last epoch, and no seeds to run
+            (["train", "--protocol", "desk", "--lr-factor", "1e-200", "--milestones", "1,2", "--epochs", "3"],
+             None, "base_lr, lr_factor, milestones: last epoch's learning rate 0.0"),
+            (["ablation", "--protocol", "desk", "--seeds", ""], None, "needs at least one seed"),
+            (["sweep", "--protocol", "desk", "--parameter", "alpha", "--grid", "0.5", "--seeds", ""],
+             None, "needs at least one seed"),
         ],
     )
     def test_exits_1_with_one_line_naming_the_value(self, tmp_path, argv, config_text, name):

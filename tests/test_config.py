@@ -5,12 +5,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sasoftmax.config import (
-    ExperimentConfig,
-    apply_overrides,
-    load_config_file,
-    save_config_file,
-)
+from sasoftmax.config import ExperimentConfig, load_config_file, save_config_file
 from sasoftmax.data import SynthConfig
 from sasoftmax.errors import ContractViolation
 from sasoftmax.experiments import (
@@ -132,12 +127,6 @@ class TestConfigFile:
         path.write_text("shared_offset = maybe\n")
         with pytest.raises(ContractViolation):
             load_config_file(path)
-
-    def test_apply_overrides(self):
-        cfg = apply_overrides(ExperimentConfig(), {"alpha": 0.2})
-        assert cfg.alpha == 0.2
-        with pytest.raises(ContractViolation):
-            apply_overrides(cfg, {"bogus": 1})
 
 
 _CONFIG_VALUES = st.one_of(

@@ -144,6 +144,30 @@ class TestSGD:
         sgd_step([p], [np.array([g])], state, lr, momentum=0.0, weight_decay=wd)
         assert p[0] == pytest.approx(p0 - lr * (g + wd * p0), abs=1e-15)
 
+    def test_none_gradient_leaves_its_array_and_velocity(self):
+        """A None gradient skips its array; the others move exactly as in a
+        call without that array."""
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=s) for s in ((2, 3), (4,), (3,))]
+        grads = [rng.normal(size=(2, 3)), None, rng.normal(size=3)]
+        state = SGDState(arrays)
+        for v in state.velocities:
+            v[...] = rng.normal(size=v.shape)
+        ref_arrays = [arrays[0].copy(), arrays[2].copy()]
+        ref = SGDState(ref_arrays)
+        ref.velocities = [state.velocities[0].copy(), state.velocities[2].copy()]
+        held = arrays[1].copy(), state.velocities[1].copy()
+        for _ in range(2):
+            sgd_step(arrays, grads, state, 0.1, momentum=0.9, weight_decay=0.01)
+            sgd_step(ref_arrays, [grads[0], grads[2]], ref, 0.1, momentum=0.9, weight_decay=0.01)
+        np.testing.assert_array_equal(arrays[1], held[0])
+        np.testing.assert_array_equal(state.velocities[1], held[1])
+        for got, want in zip(
+            [arrays[0], arrays[2], state.velocities[0], state.velocities[2]],
+            ref_arrays + ref.velocities,
+        ):
+            np.testing.assert_array_equal(got, want)
+
     def test_rejects_bad_lr_and_shapes(self):
         p = np.zeros(2)
         state = SGDState([p])

@@ -58,6 +58,7 @@ class TestValidatesBeforeTraining:
             (lambda: run_sweep(small_protocol(), "am_margin", [0.1, -0.2]), "am_margin"),
             (lambda: run_sweep(small_protocol(), "circle_gamma", [32.0, 0.0]), "circle_gamma"),
             (lambda: run_sweep(small_protocol(), "alpha", [0.5, float("nan")]), "alpha"),
+            (lambda: run_sweep(small_protocol(seeds=""), "alpha", [0.5]), "needs at least one seed"),
         ],
     )
     def test_bad_value_trains_nothing(self, monkeypatch, run, message):

@@ -101,6 +101,8 @@ class TestConfig:
             (dict(seed=-1), "seed must be non-negative, got -1"),
             (dict(lr_factor=0.0), "lr_factor must be positive, got 0.0"),
             (dict(lr_factor=-0.1), "lr_factor must be positive, got -0.1"),
+            (dict(lr_factor=1e-200, milestones=(1, 2)), "learning rate 0.0 is not positive"),
+            (dict(lr_factor=1e200, milestones=(1, 2)), "learning rate inf is not positive"),
         ],
     )
     def test_bad_value_rejected_when_built(self, bad, message):
@@ -110,6 +112,12 @@ class TestConfig:
     def test_boundary_values_accepted(self):
         tiny_config(alpha=0.0, beta=0.0, milestones=(), hidden_dims=(), seed=0)
         tiny_config(alpha=1.0, milestones=(3, 3))
+        # milestones the run never reaches do not scale its rate
+        tiny_config(lr_factor=1e-200, milestones=(2, 3))
+
+    def test_head_only_variants_have_no_loss_config(self):
+        assert tiny_config(variant="AM_SOFTMAX").loss_config() is None
+        assert tiny_config(variant="CIRCLE").loss_config() is None
 
 
 class TestRouting:
@@ -255,15 +263,17 @@ class TestStepSemantics:
 
     def test_skipped_steps_leave_targets_unchanged(self):
         """SOFTMAX (alpha 0), AM_SOFTMAX and CIRCLE have no modality gradient:
-        step 1 is skipped on every batch of a run, so the modality prototypes
-        and their momentum end bit-unchanged while step 2 still trains."""
+        every step's update skips the modality prototypes, so they and their
+        momentum end bit-unchanged while the encoder and identity head train."""
         ds = tiny_dataset()
         for variant in ("SOFTMAX", "AM_SOFTMAX", "CIRCLE"):
             cfg = tiny_config(variant=variant)
             w0, _, m0, i0 = snapshot(init_train_state(ds, cfg))
             state, _ = train(ds, cfg)
             np.testing.assert_array_equal(state.modality_prototypes.W, m0)
-            assert not np.any(state.opt_modality.velocities[0])
+            modality_velocity = state.optimizer.velocities[-2]
+            assert modality_velocity.shape == m0.shape
+            assert not np.any(modality_velocity)
             assert not np.array_equal(state.params.weights[0], w0[0])
             assert not np.array_equal(state.identity_prototypes.W, i0)
 
