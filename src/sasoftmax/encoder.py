@@ -146,7 +146,12 @@ def _read_array(fh, path, expect: str, shape: tuple | None = None) -> np.ndarray
         flat = np.array([float(v) for v in line.split()])
     except ValueError as exc:
         raise ContractViolation(f"checkpoint {path} corrupt: array {expect}: {exc}") from None
-    if any(d < 0 for d in got) or flat.size != math.prod(got):
+    # no array of a checkpoint is empty, and an empty shape may be too big to make
+    if any(d < 1 for d in got):
+        raise ContractViolation(
+            f"checkpoint {path} corrupt: array {expect} has shape {got}, a dimension below 1"
+        )
+    if flat.size != math.prod(got):
         raise ContractViolation(
             f"checkpoint {path} corrupt: array {expect} of shape {got} "
             f"holds {flat.size} values"
@@ -177,8 +182,9 @@ def save_checkpoint(
 
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint. Every array must have the
-    shape the layer-dims line and the identity count give it, and finite
-    values; anything else raises ContractViolation naming the path."""
+    shape the layer-dims line and the identity count give it, no dimension
+    below 1, and finite values; anything else raises ContractViolation
+    naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return _read_checkpoint(fh, path)

@@ -5,6 +5,7 @@ histograms over cross-modality pairs, and prototype-geometry diagnostics.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,9 +18,13 @@ from .errors import ContractViolation, DegenerateNormError
 from .losses import NORM_EPS, _safe_norms
 
 HIST_BINS = np.linspace(-1.0, 1.0, 61)  # 60 fixed bins, comparable across runs
-# Query rows cmc_map sorts per call, which bounds its sorted copy to
-# _RANK_BLOCK x gallery floats.
-_RANK_BLOCK = 256
+# Query rows cmc_map ranks as one block: its sorted copy, and a C-ordered
+# copy of a transposed block, are _RANK_BLOCK x gallery floats each.
+_RANK_BLOCK = 128
+# Similarities from which cmc_map ranks its blocks on a thread pool, one
+# worker per CPU; the blocks in flight then hold up to workers x 2 x
+# _RANK_BLOCK x gallery floats. Smaller matrices rank inline.
+_POOL_MIN_SIMS = 4_000_000
 # HIST_BINS as searchsorted keys counting the values below each edge: the
 # last edge one ulp up, so that its bin is closed as in np.histogram
 _EDGE_KEYS = HIST_BINS.copy()
@@ -97,6 +102,14 @@ def _pair_columns(order: np.ndarray, start: np.ndarray, size: np.ndarray):
     return rows, order[np.repeat(start, size) + within]
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
     """Rank-based CMC and interpolation-free mAP.
 
@@ -111,19 +124,27 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
     `counts` receives, per edge, how many similarities of the whole matrix
     lie below it (the last edge closed), so np.diff(counts) equals
     np.histogram(sim, HIST_BINS)[0].
+
+    From _POOL_MIN_SIMS similarities on, the blocks are ranked on a thread
+    pool of one worker per CPU (NumPy's sort and search release the GIL),
+    so up to that many blocks' copies are held at once. Each block writes
+    its own queries' results and returns its edge counts, which are added
+    in block order: every output is the bits the inline loop gives.
     """
     n_q, n_g = sim.shape
     order, start, size = _identity_groups(q_ids, g_ids)
     missing = np.flatnonzero(size == 0)
     if missing.size:
         raise ContractViolation(f"query {missing[0]} has no relevant gallery item")
-    n_edges = 0
-    if counts is not None:
-        counts[:] = 0
-        n_edges = len(_EDGE_KEYS)
+    n_edges = len(_EDGE_KEYS) if counts is not None else 0
     first_hits = np.empty(n_q, dtype=np.intp)
     aps = np.empty(n_q)
-    for lo in range(0, n_q, _RANK_BLOCK):
+
+    # Runs on the pool's threads, so it calls only NumPy and private helpers:
+    # a tracer that wraps the public functions keeps one call stack
+    def rank_block(lo: int) -> np.ndarray:
+        """Rank queries lo.. of one block into first_hits and aps; return
+        the block's edge counts."""
         block = _c_ordered(sim[lo : lo + _RANK_BLOCK])
         ascending = np.sort(block, axis=1)
         n_b = len(block)
@@ -136,14 +157,12 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
         seg_end = np.cumsum(m + n_edges)
         keys = np.empty(seg_end[-1])
         keys[val_at] = vals
-        if n_edges:
-            edge_at = (seg_end - n_edges)[:, None] + np.arange(n_edges)
-            keys[edge_at] = _EDGE_KEYS
+        edge_at = (seg_end - n_edges)[:, None] + np.arange(n_edges)
+        keys[edge_at] = _EDGE_KEYS[:n_edges]
         below = np.empty(len(keys), dtype=np.intp)
         for r, (s, e) in enumerate(zip((seg_end - m - n_edges).tolist(), seg_end.tolist())):
             below[s:e] = np.searchsorted(ascending[r], keys[s:e])
-        if n_edges:
-            counts += below[edge_at].sum(axis=0)
+        edge_counts = below[edge_at].sum(axis=0)
         # 1 + #(items strictly more similar), unless the next sorted value
         # equals this one (or is NaN): then the tie is counted the slow way
         below = below[val_at]
@@ -161,6 +180,22 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
         ascending[:] = 0.0
         ascending[rows, ranks - 1] = (np.arange(len(rows)) - first[rows] + 1) / ranks
         aps[lo : lo + n_b] = ascending.sum(axis=1) / m
+        return edge_counts
+
+    blocks = range(0, n_q, _RANK_BLOCK)
+    workers = min(_cpu_count(), len(blocks))
+    if n_q * n_g >= _POOL_MIN_SIMS and workers > 1:
+        # imported here, as it imports logging: no cost to a start-up that never pools
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            per_block = list(pool.map(rank_block, blocks))
+    else:
+        per_block = [rank_block(lo) for lo in blocks]
+    if counts is not None:
+        counts[:] = 0
+        for edge_counts in per_block:
+            counts += edge_counts
     cmc = np.cumsum(np.bincount(first_hits, minlength=n_g)) / n_q
     return cmc, float(aps.mean())
 

@@ -327,18 +327,37 @@ class TestBadInput:
              None, "needs at least one seed"),
         ],
     )
-    def test_exits_1_with_one_line_naming_the_value(self, tmp_path, argv, config_text, name):
+    def test_exits_1_with_one_line_naming_the_value(
+        self, tmp_path, monkeypatch, capsys, argv, config_text, name
+    ):
+        """In this process, through cli.main; argparse's usage errors
+        leave it as SystemExit."""
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "out"
         argv = [*argv, "--out", str(out)]
         if config_text is not None:
             data = config_text if isinstance(config_text, bytes) else config_text.encode()
             (tmp_path / "c.txt").write_bytes(data)
             argv += ["--config", str(tmp_path / "c.txt")]
-        done = run_cli(argv, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        stderr = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in stderr
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1 and name in lines[0]
+        assert not out.exists()
+
+    def test_module_entry_exits_1_with_one_line(self, tmp_path):
+        """`python -m sasoftmax.cli` turns main's code into the exit status."""
+        out = tmp_path / "out"
+        done = run_cli(["train", "--epochs", "ten", "--out", str(out)], tmp_path)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         lines = done.stderr.strip().splitlines()
-        assert len(lines) == 1 and name in lines[0]
+        assert len(lines) == 1 and "--epochs" in lines[0]
         assert not out.exists()
 
     def test_bad_lr_factor_fails_before_training(self, tmp_path, monkeypatch):

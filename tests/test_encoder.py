@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix
 from sasoftmax.encoder import (
@@ -266,6 +267,27 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert f"array {what} has shape" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            # too big for NumPy to shape, though it holds no values
+            {10: "modality_prototypes 100000000000000000000 0", 11: ""},
+            # no identities: the heads' diagnostics would be means of nothing
+            {10: "modality_prototypes 3 0", 11: "", 12: "identity_prototypes 3 0", 13: ""},
+        ],
+    )
+    def test_empty_array_names_path_and_array(self, tmp_path, edits):
+        path = self._saved(tmp_path)
+        lines = path.read_text().split("\n")
+        for i, text in edits.items():
+            lines[i] = text
+        path.write_text("\n".join(lines))
+        with pytest.raises(
+            ContractViolation, match=r"model.txt corrupt: array modality_prototypes has shape \("
+        ) as err:
+            load_checkpoint(path)
+        assert str(err.value).endswith("a dimension below 1")
+
     @pytest.mark.parametrize("line, what", [(3, "W0"), (9, "b1"), (13, "identity_prototypes")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_path_and_array(self, tmp_path, line, what, value):
@@ -291,3 +313,97 @@ class TestCheckpoint:
         path.write_bytes(b"SASMODEL1\n" + tail)
         with pytest.raises(ContractViolation, match="bin.txt is not UTF-8"):
             load_checkpoint(path)
+
+
+_CHECKPOINT_TOKENS = st.one_of(
+    st.sampled_from(
+        ["SASMODEL1", "W0", "b1", "modality_prototypes", "identity_prototypes", "nan", "-inf",
+         "1e999", "abc", "", "9" * 30, "100000000000000000000", "\u0663", "1_0"]
+    ),
+    st.integers(-2, 9).map(str),
+    st.floats().map(repr),
+)
+# (kind, where, what): a line replaced by tokens; bytes replaced, inserted or
+# deleted; or the file cut. Positions wrap around the file's length.
+_CHECKPOINT_EDITS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("line"),
+            st.integers(0, 20),
+            st.lists(_CHECKPOINT_TOKENS, max_size=5).map(lambda t: " ".join(t).encode()),
+        ),
+        st.tuples(
+            st.sampled_from(["replace", "insert"]),
+            st.integers(0, 10_000),
+            st.binary(min_size=1, max_size=3),
+        ),
+        st.tuples(st.sampled_from(["delete", "cut"]), st.integers(0, 10_000), st.just(b"")),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edited(data: bytes, edits) -> bytes:
+    for kind, at, piece in edits:
+        if kind == "line":
+            lines = data.split(b"\n")
+            lines[at % len(lines)] = piece
+            data = b"\n".join(lines)
+            continue
+        at %= len(data) + 1
+        if kind == "cut":
+            data = data[:at]
+        elif kind == "delete":
+            data = data[:at] + data[at + 1 :]
+        elif kind == "replace":
+            data = data[:at] + piece + data[at + len(piece) :]
+        else:
+            data = data[:at] + piece + data[at:]
+    return data
+
+
+class TestLoadCheckpointFuzz:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        """A two-layer checkpoint with 2 identities. Lines: 1 dims "3 4 2",
+        2/3 W0, 4/5 b0, 6/7 W1, 8/9 b1, 10/11 modality_prototypes (2 x 4),
+        12/13 identity_prototypes (2 x 2)."""
+        path = tmp_path_factory.mktemp("ckpt") / "model.txt"
+        rng = np.random.default_rng(3)
+        save_checkpoint(
+            path,
+            init_encoder([3, 4, 2], 5),
+            ModalityPrototypeMatrix(rng.normal(size=(2, 4))),
+            IdentityPrototypeMatrix(rng.normal(size=(2, 2))),
+        )
+        return path.read_bytes()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_CHECKPOINT_EDITS)
+    @example([("line", 10, b"modality_prototypes 100000000000000000000 0"), ("line", 11, b"")])
+    @example([("line", 10, b"modality_prototypes 2 0"), ("line", 11, b""),
+              ("line", 12, b"identity_prototypes 2 0"), ("line", 13, b"")])
+    @example([("insert", 40, b"\xff")])
+    @example([("cut", 0, b"")])
+    def test_checkpoint_or_one_line_contract_violation(self, tmp_path_factory, saved, edits):
+        """Truncated, mutated or non-UTF-8 bytes give a checkpoint whose
+        arrays have the shapes its dims line and identity count give them,
+        or a one-line ContractViolation naming the file, never another
+        exception."""
+        path = tmp_path_factory.getbasetemp() / "fuzz-ckpt.txt"
+        path.write_bytes(_edited(saved, edits))
+        try:
+            params, w_mod, w_id = load_checkpoint(path)
+        except ContractViolation as exc:
+            message = str(exc)
+            assert "\n" not in message and str(path) in message
+            return
+        dims = params.layer_dims
+        assert [w.shape for w in params.weights] == list(zip(dims[:-1], dims[1:]))
+        assert [b.shape for b in params.biases] == [(d,) for d in dims[1:]]
+        n = w_id.num_identities
+        assert n >= 1 and w_id.W.shape == (dims[-1], n)
+        assert w_mod.W.shape == (dims[-1], 2 * n)
+        for arr in params.weights + params.biases + [w_mod.W, w_id.W]:
+            assert np.isfinite(arr).all()

@@ -1,6 +1,10 @@
 import csv
+import inspect
 import re
+import sys
+import threading
 import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -73,6 +77,34 @@ class TestCosineMatrix:
     def test_degenerate_norm_names_row(self):
         with pytest.raises(DegenerateNormError, match="gallery row 1"):
             cosine_matrix(np.ones((1, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def edge_case_similarities(n_vis, n_nir, n_ids=23, extra=()):
+    """(ids, mods, VIS x NIR similarities) over ragged identity counts, every
+    identity in both modalities. Values come from the bin edges, exactly
+    +-1, one ulp beyond +-1, +-0, `extra` and random values, with ties in
+    every row and across the rows and columns either side of each
+    _RANK_BLOCK boundary."""
+    rng = np.random.default_rng(11)
+    ids = np.concatenate(
+        [np.arange(n_ids), np.arange(n_ids), rng.integers(0, n_ids, n_vis + n_nir - 2 * n_ids)]
+    )
+    mods = np.concatenate([np.zeros(n_ids, int), np.ones(n_ids, int)])
+    mods = np.concatenate([mods, rng.permutation([0] * (n_vis - n_ids) + [1] * (n_nir - n_ids))])
+    order = rng.permutation(len(ids))
+    ids, mods = ids[order], mods[order]
+    pool = np.concatenate(
+        [HIST_BINS, [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), -0.0, 0.0], extra]
+    )
+    sim = np.where(
+        rng.random((n_vis, n_nir)) < 0.6,
+        rng.choice(pool, (n_vis, n_nir)),
+        rng.uniform(-1.05, 1.05, (n_vis, n_nir)),
+    )
+    for b in range(_RANK_BLOCK, max(n_vis, n_nir), _RANK_BLOCK):
+        sim[b - 1 : b + 1] = sim[b - 2]  # ties across the boundary
+        sim[:, b - 1 : b + 1] = sim[:, [b - 2]]
+    return ids, mods, sim
 
 
 class TestCmcMap:
@@ -176,6 +208,212 @@ class TestCmcMap:
             assert mean_ap == pytest.approx(base[1], abs=1e-12)
 
 
+def force_pool(monkeypatch, workers):
+    """Rank every matrix on a pool of `workers` threads."""
+    monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", 0)
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
+
+
+def ranked_twice(sim, q_ids, g_ids):
+    """cmc_map's (cmc, map, counts), inline and then on a 3-thread pool."""
+    results = []
+    for workers in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            force_pool(mp, workers)
+            counts = np.full(len(HIST_BINS), -7, dtype=np.int64)
+            results.append((*cmc_map(sim, q_ids, g_ids, counts=counts), counts))
+    return results
+
+
+class TestRankingPool:
+    """Blocks ranked on the thread pool give the inline loop's bits, keep
+    every public function on the calling thread, let a block's exception
+    through and hold at most a few blocks' copies at once."""
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["vis2nir", "nir2vis"])
+    def test_pool_equals_inline_on_edge_cases(self, transposed):
+        # both query sets span at least 3 blocks; NaN joins the ties
+        ids, mods, sim = edge_case_similarities(
+            3 * _RANK_BLOCK + 5, 3 * _RANK_BLOCK + 9, extra=[np.nan]
+        )
+        vis_ids, nir_ids = ids[mods == int(Modality.VIS)], ids[mods == int(Modality.NIR)]
+        args = (sim.T, nir_ids, vis_ids) if transposed else (sim, vis_ids, nir_ids)
+        assert np.isnan(sim).any()
+        (cmc, mean_ap, counts), (pool_cmc, pool_map, pool_counts) = ranked_twice(*args)
+        np.testing.assert_array_equal(pool_cmc, cmc)
+        assert pool_map == mean_ap
+        np.testing.assert_array_equal(pool_counts, counts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_q=st.integers(2 * _RANK_BLOCK + 1, 4 * _RANK_BLOCK + 3),
+        n_g=st.integers(2, 12),
+        grid=st.sampled_from([None, 1.0, 4.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pool_matches_brute_force(self, n_q, n_g, grid, seed):
+        """Many queries over a small gallery, as in the gallery's blocks:
+        both paths equal each other bit for bit and the oracle."""
+        rng = np.random.default_rng(seed)
+        g_ids = rng.integers(0, 4, size=n_g)
+        q_ids = rng.choice(np.unique(g_ids), size=n_q)
+        sim = rng.normal(size=(n_q, n_g))
+        if grid is not None:
+            sim = np.round(sim * grid) / grid
+        (cmc, mean_ap, counts), (pool_cmc, pool_map, pool_counts) = ranked_twice(
+            sim, q_ids, g_ids
+        )
+        np.testing.assert_array_equal(pool_cmc, cmc)
+        assert pool_map == mean_ap
+        np.testing.assert_array_equal(pool_counts, counts)
+        ref_cmc, ref_map = brute_force_cmc_map(sim, q_ids, g_ids)
+        np.testing.assert_allclose(pool_cmc, ref_cmc, atol=1e-12)
+        assert pool_map == pytest.approx(ref_map, abs=1e-12)
+        np.testing.assert_array_equal(np.diff(pool_counts), np.histogram(sim, HIST_BINS)[0])
+
+    def test_more_workers_than_cores_at_a_short_switch_interval(self, monkeypatch):
+        """8 workers, 12 blocks and a thread switch every microsecond: a lost
+        or misplaced block write would show in the bits."""
+        rng = np.random.default_rng(5)
+        n_q, n_g = 12 * _RANK_BLOCK - 3, 200
+        g_ids = rng.integers(0, 40, size=n_g)
+        q_ids = rng.choice(np.unique(g_ids), size=n_q)
+        sim = np.round(rng.normal(size=(n_q, n_g)), 2)
+        inline = ranked_twice(sim, q_ids, g_ids)[0]
+        force_pool(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = np.zeros(len(HIST_BINS), dtype=np.int64)
+            cmc, mean_ap = cmc_map(sim, q_ids, g_ids, counts=counts)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(cmc, inline[0])
+        assert mean_ap == inline[1]
+        np.testing.assert_array_equal(counts, inline[2])
+
+    @pytest.mark.parametrize(
+        "n_q, n_g, workers, pooled",
+        [(300, 2, 2, True), (299, 2, 2, False), (300, 2, 1, False), (_RANK_BLOCK, 5, 2, False)],
+    )
+    def test_pool_from_the_threshold_on(self, monkeypatch, n_q, n_g, workers, pooled):
+        """A pool only for a matrix of at least _POOL_MIN_SIMS similarities,
+        more than one CPU and more than one block."""
+        monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", 600)
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
+        made = []
+        pool_class = futures.ThreadPoolExecutor
+        monkeypatch.setattr(
+            futures, "ThreadPoolExecutor", lambda n: made.append(n) or pool_class(n)
+        )
+        cmc_map(np.random.default_rng(0).normal(size=(n_q, n_g)), np.zeros(n_q), np.zeros(n_g))
+        assert made == ([min(workers, -(-n_q // _RANK_BLOCK))] if pooled else [])
+
+    def test_cpu_count_is_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert evaluation._cpu_count() == 3
+        monkeypatch.delattr(evaluation.os, "sched_getaffinity")
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
+        assert evaluation._cpu_count() == 1
+
+    @staticmethod
+    def gallery(n_per_modality=3 * _RANK_BLOCK + 7):
+        ds = generate_synthetic(
+            SynthConfig(
+                num_identities=n_per_modality // 3,
+                samples_per_identity_per_modality=3,
+                input_dim=8,
+                seed=9,
+            )
+        )
+        return init_encoder([8, 6], 4), ds
+
+    def test_public_functions_stay_on_the_calling_thread(self, monkeypatch):
+        """Every public package function, wrapped at each lookup site as a
+        tracer wraps it, runs on the main thread; the blocks do not."""
+        force_pool(monkeypatch, 3)
+        public, private = set(), set()
+
+        def recorded(fn, seen):
+            def wrapper(*args, **kwargs):
+                seen.add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        wrapped = {}
+        for name, module in list(sys.modules.items()):
+            if not (name == "sasoftmax" or name.startswith("sasoftmax.")):
+                continue
+            for attr, obj in list(vars(module).items()):
+                if (
+                    inspect.isfunction(obj)
+                    and obj.__module__.startswith("sasoftmax")
+                    and not obj.__name__.startswith("_")
+                ):
+                    wrapped.setdefault(id(obj), recorded(obj, public))
+                    monkeypatch.setattr(module, attr, wrapped[id(obj)])
+        monkeypatch.setattr(
+            evaluation, "_pair_columns", recorded(evaluation._pair_columns, private)
+        )
+        params, ds = self.gallery()
+        ranked = evaluation.cross_modal_eval(params, ds, list(Direction)).ranked
+        assert set(ranked) == set(Direction)
+        assert public == {threading.get_ident()}
+        assert private - public, "no block ran on a pool thread"
+
+    def test_block_exception_reaches_the_caller(self, monkeypatch):
+        force_pool(monkeypatch, 3)
+        boom = RuntimeError("block failed")
+        calls = []
+        lock = threading.Lock()
+        pair_columns = evaluation._pair_columns
+
+        def failing(*args):
+            with lock:
+                calls.append(1)
+                if len(calls) == 3:
+                    raise boom
+            return pair_columns(*args)
+
+        monkeypatch.setattr(evaluation, "_pair_columns", failing)
+        params, ds = self.gallery()
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as err:
+            cross_modal_eval(params, ds, list(Direction))
+        assert err.value is boom
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_memory_is_a_few_blocks(self, monkeypatch, workers):
+        """Beyond its result, cmc_map holds at most two gallery-wide copies
+        (the sorted block and a C-ordered block of the transpose) per
+        worker; ranking the whole matrix at once would take several times
+        that."""
+        force_pool(monkeypatch, workers)
+        peaks = []
+        original = evaluation.cmc_map
+
+        def measured(sim, *args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = original(sim, *args, **kwargs)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before, sim.shape))
+            return result
+
+        monkeypatch.setattr(evaluation, "cmc_map", measured)
+        params, ds = self.gallery(12 * _RANK_BLOCK)
+        tracemalloc.start()
+        try:
+            cross_modal_eval(params, ds, list(Direction))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2
+        for extra, (n_q, n_g) in peaks:
+            assert n_q >= 4 * workers * _RANK_BLOCK
+            assert extra <= 2 * workers * _RANK_BLOCK * n_g * 8 + 1_000_000
+
+
 class TestHistograms:
     def test_partition_all_cross_pairs(self):
         ds = generate_synthetic(
@@ -222,27 +460,9 @@ class TestHistograms:
         beyond +-1, +-0 and random values, with ties in every row and across
         the rows either side of a _RANK_BLOCK boundary, over ragged identity
         counts; both galleries span more than one block."""
-        rng = np.random.default_rng(11)
-        n_vis, n_nir, n_ids = _RANK_BLOCK + 5, _RANK_BLOCK + 9, 23
-        ids = np.concatenate(
-            [np.arange(n_ids), np.arange(n_ids), rng.integers(0, n_ids, n_vis + n_nir - 2 * n_ids)]
-        )
-        mods = np.concatenate([np.zeros(n_ids, int), np.ones(n_ids, int)])
-        mods = np.concatenate([mods, rng.permutation([0] * (n_vis - n_ids) + [1] * (n_nir - n_ids))])
-        order = rng.permutation(len(ids))
-        ids, mods = ids[order], mods[order]
-        pool = np.concatenate(
-            [HIST_BINS, [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), -0.0, 0.0]]
-        )
-        sim = np.where(
-            rng.random((n_vis, n_nir)) < 0.6,
-            rng.choice(pool, (n_vis, n_nir)),
-            rng.uniform(-1.05, 1.05, (n_vis, n_nir)),
-        )
-        sim[_RANK_BLOCK - 1 : _RANK_BLOCK + 1] = sim[_RANK_BLOCK - 2]  # ties across the boundary
-        sim[:, _RANK_BLOCK - 1 : _RANK_BLOCK + 1] = sim[:, [_RANK_BLOCK - 2]]
+        ids, mods, sim = edge_case_similarities(_RANK_BLOCK + 5, _RANK_BLOCK + 9)
         monkeypatch.setattr(evaluation, "cosine_matrix", lambda q, g: sim)
-        ds = Dataset(rng.normal(size=(len(ids), 3)), ids, mods, n_ids, 3)
+        ds = Dataset(np.ones((len(ids), 3)), ids, mods, 23, 3)
         rep = cross_modal_eval(EncoderParams([np.eye(3)], [np.zeros(3)]), ds, directions)
 
         vis_ids, nir_ids = ids[mods == int(Modality.VIS)], ids[mods == int(Modality.NIR)]
