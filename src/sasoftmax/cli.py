@@ -97,8 +97,7 @@ def _prepare_out(args, cfg: ExperimentConfig, name: str):
     save_json({"created_unix": time.time(), "command": name}, out / "metadata.json")
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _effective_config(args)
+def cmd_gen_data(args, cfg: ExperimentConfig) -> int:
     dataset = generate_synthetic(cfg.synth_config())
     parts = {"data.csv": dataset}
     if args.split:
@@ -112,8 +111,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _effective_config(args)
+def cmd_train(args, cfg: ExperimentConfig) -> int:
     if args.data is not None:
         train_set = load_dataset_csv(args.data)
     else:
@@ -129,19 +127,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _direction_list(name: str) -> list[Direction]:
-    if name == "both":
-        return [Direction.VIS_TO_NIR, Direction.NIR_TO_VIS]
-    return [Direction(name)]
-
-
-def cmd_eval(args) -> int:
-    cfg = _effective_config(args)
+def cmd_eval(args, cfg: ExperimentConfig) -> int:
     params, w_mod, w_id = load_checkpoint(args.checkpoint)
     # a degenerate head fails before the gallery is ranked
     diag = prototype_diagnostics(w_mod, w_id)
     dataset = load_dataset_csv(args.data)
-    result = cross_modal_eval(params, dataset, _direction_list(cfg.direction))
+    result = cross_modal_eval(params, dataset, cfg.direction_list())
     report = {
         direction.value: {"cmc": cmc.tolist(), "map": mean_ap, "rank1": float(cmc[0])}
         for direction, (cmc, mean_ap) in result.ranked.items()
@@ -160,13 +151,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _effective_config(args)
+def cmd_gradcheck(args, cfg: ExperimentConfig) -> int:
     if args.num_seeds < 1:
         raise ContractViolation(f"--num-seeds: expected >= 1, got {args.num_seeds}")
+    for flag, tol in (("--tolerance", args.tolerance), ("--pipeline-tolerance", args.pipeline_tolerance)):
+        # inf passes every check, and nan or a value <= 0 fails every one
+        if not 0.0 < tol < np.inf:
+            raise ContractViolation(f"{flag}: expected a finite value > 0, got {tol}")
     seeds = range(args.num_seeds)
-    rows = gradcheck.check_all_losses(seeds, args.tolerance, corrupt=args.corrupt)
-    rows += gradcheck.check_pipeline(seeds, args.pipeline_tolerance, corrupt=args.corrupt)
+    rows = gradcheck.check_all_losses(seeds, args.tolerance)
+    rows += gradcheck.check_pipeline(seeds, args.pipeline_tolerance)
     with _prepare_out(args, cfg, "gradcheck") as out:
         gradcheck.save_rows_csv(rows, out / "gradcheck.csv")
     failed = [r for r in rows if not r.passed]
@@ -183,8 +177,7 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def cmd_ablation(args) -> int:
-    cfg = _effective_config(args)
+def cmd_ablation(args, cfg: ExperimentConfig) -> int:
     rows = experiments.run_ablation(cfg)
     summary = experiments.summarize(rows)
     with _prepare_out(args, cfg, "ablation") as out:
@@ -203,8 +196,7 @@ def cmd_ablation(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _effective_config(args)
+def cmd_sweep(args, cfg: ExperimentConfig) -> int:
     grid = [_coerce(v, 0.0, "--grid") for v in args.grid.split(",") if v.strip()]
     rows = experiments.run_sweep(cfg, args.parameter, grid)
     summary = experiments.summarize(rows, group_key="value", metrics=["mean_rank1", "mean_map"])
@@ -219,8 +211,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    cfg = _effective_config(args)
+def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
     if args.budget < 1:
         raise ContractViolation(f"--budget: expected >= 1, got {args.budget}")
     if args.seed_start < 0:
@@ -258,63 +249,50 @@ def cmd_diagnose(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sas", description="Cross-modality metric learning experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic two-modality dataset")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--split", action="store_true", help="also write train/test CSVs")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train one variant")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--data", type=Path, help="training CSV (default: generated split)")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset CSV")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--data", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--num-seeds", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--pipeline-tolerance", type=float, default=1e-5)
-    p.add_argument("--corrupt", action="store_true", help="fault-injection hook")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("ablation", help="train/eval all loss variants")
-    p.add_argument("--out", type=Path)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_ablation)
-
-    p = sub.add_parser("sweep", help="hyper-parameter sweep")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--parameter", choices=experiments.SWEEP_PARAMETERS, required=True)
-    p.add_argument("--grid", required=True, help="comma-separated values")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("diagnose", help="prototype diagnostics and analytic checks")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--checkpoint", type=Path)
-    p.add_argument("--data", type=Path)
-    p.add_argument("--budget", type=int, default=1_000_000)
-    p.add_argument("--seed-start", type=int, default=0)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_diagnose)
-
+    # name -> (command, help, its own flags as (flag, add_argument keywords));
+    # built here so that a traced run sees the module's current cmd_* functions
+    commands = {
+        "gen-data": (cmd_gen_data, "generate a synthetic two-modality dataset", [
+            ("--split", dict(action="store_true", help="also write train/test CSVs")),
+        ]),
+        "train": (cmd_train, "train one variant", [
+            ("--data", dict(type=Path, help="training CSV (default: generated split)")),
+        ]),
+        "eval": (cmd_eval, "evaluate a checkpoint on a dataset CSV", [
+            ("--checkpoint", dict(type=Path, required=True)),
+            ("--data", dict(type=Path, required=True)),
+        ]),
+        "gradcheck": (cmd_gradcheck, "finite-difference check of all gradients", [
+            ("--num-seeds", dict(type=int, default=20)),
+            ("--tolerance", dict(type=float, default=1e-6)),
+            ("--pipeline-tolerance", dict(type=float, default=1e-5)),
+        ]),
+        "ablation": (cmd_ablation, "train/eval all loss variants", []),
+        "sweep": (cmd_sweep, "hyper-parameter sweep", [
+            ("--parameter", dict(choices=experiments.SWEEP_PARAMETERS, required=True)),
+            ("--grid", dict(required=True, help="comma-separated values")),
+        ]),
+        "diagnose": (cmd_diagnose, "prototype diagnostics and analytic checks", [
+            ("--checkpoint", dict(type=Path)),
+            ("--data", dict(type=Path)),
+            ("--budget", dict(type=int, default=1_000_000)),
+            ("--seed-start", dict(type=int, default=0)),
+        ]),
+    }
+    for name, (func, help_text, flags) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", type=Path)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        _add_config_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _effective_config(args))
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -56,6 +56,9 @@ class ExperimentConfig(TrainConfig):
     def seed_list(self) -> list[int]:
         return list(_coerce(self.seeds, (), "seeds"))
 
+    def direction_list(self) -> list[Direction]:
+        return list(Direction) if self.direction == "both" else [Direction(self.direction)]
+
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 _TRUE = ("1", "true", "yes", "on")

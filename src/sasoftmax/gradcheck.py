@@ -80,23 +80,17 @@ class CheckRow:
     passed: bool
 
 
-def _check_pair(name, seed, rows, tol, x, analytic_x, analytic_w, value_fn_x, value_fn_w, w, corrupt=False):
+def _check_pair(name, seed, rows, tol, x, analytic_x, analytic_w, value_fn_x, value_fn_w, w):
     if analytic_x is not None:
-        a = analytic_x + (1e-3 if corrupt else 0.0)
-        err = relative_error(a, central_difference(value_fn_x, x))
+        err = relative_error(analytic_x, central_difference(value_fn_x, x))
         rows.append(CheckRow(name, seed, "embeddings", err, err <= tol))
     if analytic_w is not None:
-        a = analytic_w + (1e-3 if corrupt else 0.0)
-        err = relative_error(a, central_difference(value_fn_w, w))
+        err = relative_error(analytic_w, central_difference(value_fn_w, w))
         rows.append(CheckRow(name, seed, "prototypes", err, err <= tol))
 
 
-def check_all_losses(seeds, tolerance: float = 1e-6, corrupt: bool = False) -> list[CheckRow]:
-    """FD-check every loss on one random instance per seed.
-
-    `corrupt` deliberately perturbs the analytic gradients; it exists so the
-    harness can prove the check reports failures.
-    """
+def check_all_losses(seeds, tolerance: float = 1e-6) -> list[CheckRow]:
+    """FD-check every loss on one random instance per seed."""
     rows: list[CheckRow] = []
     for seed in seeds:
         x, w_mod, w_id, ids, mods, y_w, y_f = _random_instance(seed)
@@ -116,7 +110,7 @@ def check_all_losses(seeds, tolerance: float = 1e-6, corrupt: bool = False) -> l
                 g @ w.T if to_x else None, x.T @ g if to_w else None,
                 lambda a: masked_ce(a @ w, labels, drop)[0],
                 lambda a: masked_ce(x @ a, labels, drop)[0],
-                w, corrupt,
+                w,
             )
 
         _, grad_x = ast_loss(x, ModalityPrototypeMatrix(w_mod), y_f)
@@ -124,46 +118,36 @@ def check_all_losses(seeds, tolerance: float = 1e-6, corrupt: bool = False) -> l
             "ast_loss", seed, rows, tolerance, x,
             grad_x, None,
             lambda a: ast_loss(a, ModalityPrototypeMatrix(w_mod), y_f)[0],
-            None, None, corrupt,
+            None, None,
         )
 
-        res = am_softmax_loss(x, IdentityPrototypeMatrix(w_id), ids)
-        _check_pair(
-            "am_softmax_loss", seed, rows, tolerance, x,
-            res.grad_embeddings, res.grad_identity_prototypes,
-            lambda a: am_softmax_loss(a, IdentityPrototypeMatrix(w_id), ids).value,
-            lambda a: am_softmax_loss(x, IdentityPrototypeMatrix(a), ids).value,
-            w_id, corrupt,
-        )
-
-        res = circle_loss(x, IdentityPrototypeMatrix(w_id), ids)
-        _check_pair(
-            "circle_loss", seed, rows, tolerance, x,
-            res.grad_embeddings, res.grad_identity_prototypes,
-            lambda a: circle_loss(a, IdentityPrototypeMatrix(w_id), ids).value,
-            lambda a: circle_loss(x, IdentityPrototypeMatrix(a), ids).value,
-            w_id, corrupt,
-        )
+        for name, loss in (("am_softmax_loss", am_softmax_loss), ("circle_loss", circle_loss)):
+            res = loss(x, IdentityPrototypeMatrix(w_id), ids)
+            _check_pair(
+                name, seed, rows, tolerance, x,
+                res.grad_embeddings, res.grad_identity_prototypes,
+                lambda a: loss(a, IdentityPrototypeMatrix(w_id), ids).value,
+                lambda a: loss(x, IdentityPrototypeMatrix(a), ids).value,
+                w_id,
+            )
 
         # the prototype-side term is routed away from the embeddings, so the
         # FD target is the feature-routed portion of the objective
         cfg = CombinedLossConfig(alpha=0.7, beta=1.0, use_feature_mask=True)
         res = combined_loss(x, ModalityPrototypeMatrix(w_mod), IdentityPrototypeMatrix(w_id), ids, mods, cfg)
-        err = relative_error(
-            res.grad_embeddings + (1e-3 if corrupt else 0.0),
-            central_difference(
-                lambda a: feature_routed_value(
-                    a, ModalityPrototypeMatrix(w_mod), IdentityPrototypeMatrix(w_id), ids, mods, cfg
-                ),
-                x,
+        _check_pair(
+            "combined_loss", seed, rows, tolerance, x,
+            res.grad_embeddings, None,
+            lambda a: feature_routed_value(
+                a, ModalityPrototypeMatrix(w_mod), IdentityPrototypeMatrix(w_id), ids, mods, cfg
             ),
+            None, None,
         )
-        rows.append(CheckRow("combined_loss", seed, "embeddings", err, err <= tolerance))
 
     return rows
 
 
-def check_pipeline(seeds, tolerance: float = 1e-5, corrupt: bool = False) -> list[CheckRow]:
+def check_pipeline(seeds, tolerance: float = 1e-5) -> list[CheckRow]:
     """FD-check encoder parameter gradients through the composed map
     combined_loss(encoder(inputs))."""
     rows: list[CheckRow] = []
@@ -198,7 +182,7 @@ def check_pipeline(seeds, tolerance: float = 1e-5, corrupt: bool = False) -> lis
         for l, (gw, gb) in enumerate(zip(grad_w, grad_b)):
             for tag, arr, analytic in ((f"W{l}", params.weights[l], gw), (f"b{l}", params.biases[l], gb)):
                 numeric = central_difference(lambda _a: loss_of_params(), arr)
-                err = relative_error(analytic + (1e-3 if corrupt else 0.0), numeric)
+                err = relative_error(analytic, numeric)
                 rows.append(CheckRow("encoder_pipeline", seed, tag, err, err <= tolerance))
     return rows
 

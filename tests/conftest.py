@@ -4,12 +4,27 @@ import io
 import numpy as np
 import pytest
 
+from sasoftmax import gradcheck
 from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix, rewrite_labels_batch
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def wrong_softmax_gradient(monkeypatch):
+    """The gradient checker's analytic logit gradient G, off by 1e-3. The
+    loss values and every other kernel are untouched, so exactly the five
+    softmax-family rows of `check_all_losses` must fail."""
+    masked_ce = gradcheck.masked_ce
+
+    def off(*args):
+        value, g = masked_ce(*args)
+        return value, g + 1e-3
+
+    monkeypatch.setattr(gradcheck, "masked_ce", off)
 
 
 def random_instance(seed, b=6, d=4, n=3):

@@ -110,9 +110,10 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--out", str(out), "--num-seeds", "3"]) == 0
         assert (out / "gradcheck.csv").exists()
 
-    def test_corrupt_hook_fails(self, tmp_path):
-        code = main(["gradcheck", "--out", str(tmp_path / "gc"), "--num-seeds", "2", "--corrupt"])
-        assert code == 2
+    def test_wrong_gradient_fails_and_writes_csv(self, tmp_path, wrong_softmax_gradient):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--out", str(out), "--num-seeds", "2"]) == 2
+        assert (out / "gradcheck.csv").exists()
 
     def test_impossible_tolerance_fails(self, tmp_path):
         code = main([
@@ -267,13 +268,16 @@ class TestMalformedInputFiles:
             (["eval", "--checkpoint", "good.txt", "--data", "nan.csv"], "nan.csv:3"),
         ],
     )
-    def test_exits_1_and_writes_nothing(self, tmp_path, inputs, argv, name):
+    def test_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, capsys, inputs, argv, name):
+        """In this process, through cli.main, as TestBadInput's rows."""
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "out"
         argv = [str(inputs.get(a, a)) for a in argv] + ["--out", str(out)]
-        done = run_cli(argv, tmp_path)
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        lines = done.stderr.strip().splitlines()
+        code = main(argv)
+        stderr = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in stderr
+        lines = stderr.strip().splitlines()
         assert len(lines) == 1 and name in lines[0]
         assert not out.exists()
 
@@ -325,6 +329,10 @@ class TestBadInput:
             (["ablation", "--protocol", "desk", "--seeds", ""], None, "needs at least one seed"),
             (["sweep", "--protocol", "desk", "--parameter", "alpha", "--grid", "0.5", "--seeds", ""],
              None, "needs at least one seed"),
+            # a tolerance every check passes, or none can
+            *[(["gradcheck", flag, value], None, flag)
+              for flag in ("--tolerance", "--pipeline-tolerance")
+              for value in ("inf", "nan", "-1", "0")],
         ],
     )
     def test_exits_1_with_one_line_naming_the_value(

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 
+from sasoftmax import gradcheck
 from sasoftmax.gradcheck import (
     central_difference,
     check_all_losses,
@@ -9,6 +10,15 @@ from sasoftmax.gradcheck import (
     relative_error,
     save_rows_csv,
 )
+
+
+SOFTMAX_FAMILY = {
+    "softmax_ce",
+    "sas_w_loss",
+    "sas_f_loss[unmasked]",
+    "sas_f_loss[masked]",
+    "sas_w_loss_weight_masked",
+}
 
 
 class TestCentralDifference:
@@ -42,21 +52,12 @@ class TestCheckAllLosses:
         failures = [r for r in rows if not r.passed]
         assert failures == []
         names = {r.loss for r in rows}
-        assert {
-            "softmax_ce",
-            "sas_w_loss",
-            "sas_f_loss[masked]",
-            "sas_f_loss[unmasked]",
-            "sas_w_loss_weight_masked",
-            "ast_loss",
-            "am_softmax_loss",
-            "circle_loss",
-            "combined_loss",
-        } <= names
+        assert SOFTMAX_FAMILY | {"ast_loss", "am_softmax_loss", "circle_loss", "combined_loss"} <= names
 
-    def test_corruption_is_detected(self):
-        rows = check_all_losses(range(2), corrupt=True)
-        assert any(not r.passed for r in rows)
+    def test_corruption_is_detected(self, wrong_softmax_gradient):
+        rows = check_all_losses(range(2))
+        assert {r.loss for r in rows if not r.passed} == SOFTMAX_FAMILY
+        assert all(not r.passed for r in rows if r.loss in SOFTMAX_FAMILY)
 
     def test_impossible_tolerance_fails(self):
         rows = check_all_losses(range(2), tolerance=1e-15)
@@ -69,9 +70,17 @@ class TestCheckPipeline:
         assert rows
         assert all(r.passed for r in rows)
 
-    def test_corruption_is_detected(self):
-        rows = check_pipeline(range(1), corrupt=True)
-        assert any(not r.passed for r in rows)
+    def test_corruption_is_detected(self, monkeypatch):
+        backward = gradcheck.encoder_backward
+
+        def off(*args):
+            grad_w, grad_b = backward(*args)
+            return [g + 1e-3 for g in grad_w], [g + 1e-3 for g in grad_b]
+
+        monkeypatch.setattr(gradcheck, "encoder_backward", off)
+        rows = check_pipeline(range(1))
+        assert rows
+        assert all(r.loss == "encoder_pipeline" and not r.passed for r in rows)
 
 
 def test_rows_csv(tmp_path):
