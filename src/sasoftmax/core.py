@@ -14,7 +14,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
@@ -51,6 +51,8 @@ class Dataset:
     modalities: np.ndarray
     num_identities: int
     input_dim: int
+    # trainer.batch_schedule's memo: the schedules drawn on these arrays, by (P, K, seed, steps)
+    _schedules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.features.shape != (len(self.identities), self.input_dim):

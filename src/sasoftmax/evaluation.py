@@ -207,19 +207,14 @@ def histogram_overlap(intra: np.ndarray, inter: np.ndarray) -> float:
     return float(np.minimum(p, q).sum())
 
 
-def mean_intra_cross_cosine(emb: np.ndarray, ids: np.ndarray, mods: np.ndarray) -> float:
-    """Mean cosine of the same-identity (VIS, NIR) pairs, without the VIS x NIR
-    matrix. Each identity's pairs are one block product of its unit VIS rows
-    and unit NIR rows, one batched matmul per distinct (#VIS, #NIR) shape.
-    The blocks are scattered into the pairs' row-major order in that matrix,
-    so the mean sums what `cosine_matrix(vis, nir)[same].mean()` sums, in the
-    same order. Every row's norm is checked, paired or not."""
+def intra_cross_plan(ids: np.ndarray, mods: np.ndarray) -> tuple:
+    """Where `mean_intra_cross_cosine` finds the same-identity (VIS, NIR)
+    pairs of rows labelled `ids` and `mods`. It depends on the labels alone,
+    so a run builds it once: (VIS mask, NIR mask, pair count, groups)."""
     vis = mods == int(Modality.VIS)
     nir = mods == int(Modality.NIR)
-    v = _unit_rows(emb[vis], "query")
-    n = _unit_rows(emb[nir], "gallery")
     keys, codes = np.unique(np.concatenate([ids[vis], ids[nir]]), return_inverse=True)
-    v_code, n_code = codes[: len(v)], codes[len(v) :]
+    v_code, n_code = np.split(codes, [np.count_nonzero(vis)])
     # rows of each identity, identity by identity, in their original order
     v_rows, n_rows = np.argsort(v_code, kind="stable"), np.argsort(n_code, kind="stable")
     nv = np.bincount(v_code, minlength=len(keys))
@@ -228,16 +223,30 @@ def mean_intra_cross_cosine(emb: np.ndarray, ids: np.ndarray, mods: np.ndarray) 
     # a VIS row's pairs are one run of the flat order, one per NIR partner
     width = nn[v_code]
     offset = np.cumsum(width) - width
-    pairs = np.empty(int(width.sum()), dtype=np.result_type(v, n))
     paired = (nv > 0) & (nn > 0)
     shape_key = nv * (nn.max(initial=0) + 1) + nn
+    groups = []  # per (#VIS, #NIR) shape: VIS rows, NIR rows, pair positions
     for key in np.unique(shape_key[paired]):
         group = np.flatnonzero(paired & (shape_key == key))
         a, b = int(nv[group[0]]), int(nn[group[0]])
         rows_v = v_rows[v_start[group, None] + np.arange(a)]
         rows_n = n_rows[n_start[group, None] + np.arange(b)]
-        blocks = np.matmul(v[rows_v], n[rows_n].transpose(0, 2, 1))
-        pairs[offset[rows_v][..., None] + np.arange(b)] = blocks
+        groups.append((rows_v, rows_n, offset[rows_v][..., None] + np.arange(b)))
+    return vis, nir, int(width.sum()), groups
+
+
+def mean_intra_cross_cosine(emb: np.ndarray, plan: tuple) -> float:
+    """Mean cosine of the same-identity (VIS, NIR) pairs `plan` locates,
+    without the VIS x NIR matrix: one batched matmul of unit rows per
+    (#VIS, #NIR) shape, scattered into that matrix's row-major order, so the
+    mean sums what `cosine_matrix(vis, nir)[same].mean()` sums, in the same
+    order. Every row's norm is checked, paired or not."""
+    vis, nir, count, groups = plan
+    v = _unit_rows(emb[vis], "query")
+    n = _unit_rows(emb[nir], "gallery")
+    pairs = np.empty(count, dtype=np.result_type(v, n))
+    for rows_v, rows_n, at in groups:
+        pairs[at] = np.matmul(v[rows_v], n[rows_n].transpose(0, 2, 1))
     return float(pairs.mean())
 
 

@@ -22,7 +22,7 @@ from .evaluation import (
     histogram_overlap,
     prototype_diagnostics,
 )
-from .trainer import batch_schedule, train
+from .trainer import train
 
 ABLATION_VARIANTS = ("SOFTMAX", "SAS", "SAS_FM", "SAS_FM_AST", "SAS_FM_WM")
 
@@ -66,12 +66,12 @@ def make_split(cfg: ExperimentConfig):
     return split_by_identity(dataset, cfg.train_fraction, cfg.split_seed)
 
 
-def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None, schedule=None) -> dict:
-    """Train one variant with one seed, on `schedule`'s batches when given;
-    evaluate both directions on the test identities. Returns a flat metrics
-    row."""
+def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None) -> dict:
+    """Train one variant with one seed; evaluate both directions on the test
+    identities. Runs on one `split` share each seed's batch schedule, which
+    the train set memoizes. Returns a flat metrics row."""
     train_set, test_set = split if split is not None else make_split(cfg)
-    state, log = train(train_set, replace(cfg, variant=variant, seed=seed), schedule)
+    state, log = train(train_set, replace(cfg, variant=variant, seed=seed))
     result = cross_modal_eval(state.params, test_set, list(Direction))
     (cmc_vn, map_vn), (cmc_nv, map_nv) = (result.ranked[d] for d in Direction)
     rank1_vn, rank1_nv = float(cmc_vn[0]), float(cmc_nv[0])
@@ -94,34 +94,29 @@ def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None, sched
     return row
 
 
-def _checked_seeds(cfg: ExperimentConfig, configs) -> list[int]:
+def _checked_seeds(cfg: ExperimentConfig, configs, train_set) -> list[int]:
     """The training seeds, once the bad input that would otherwise fail only
-    after data is made or earlier runs are trained is ruled out: an empty
-    seed list, and a variant-dependent bad value (SAS_FM_AST with beta 0) in
-    any config's loss mapping. Out-of-range values already failed when each
-    config was built."""
+    after earlier runs are trained is ruled out: an empty seed list, a
+    variant-dependent bad value (SAS_FM_AST with beta 0) in any config's loss
+    mapping, and more identities per batch (P) than `train_set` holds. Values
+    out of range already failed when each config was built."""
     seeds = cfg.seed_list()
     if not seeds:
         raise ContractViolation("seeds: needs at least one seed, got an empty list")
     for c in configs:
         c.loss_config()
+    if cfg.p > train_set.num_identities:
+        raise ContractViolation("P exceeds the number of identities")
     return seeds
 
 
-def _seed_schedules(cfg: ExperimentConfig, train_set, seeds) -> dict:
-    """One batch schedule per seed, shared by every variant and grid point:
-    none of them changes the batches."""
-    return {seed: batch_schedule(train_set, replace(cfg, seed=seed)) for seed in seeds}
-
-
 def run_ablation(cfg: ExperimentConfig) -> list[dict]:
-    seeds = _checked_seeds(cfg, (replace(cfg, variant=v) for v in ABLATION_VARIANTS))
     split = make_split(cfg)
-    schedules = _seed_schedules(cfg, split[0], seeds)
+    seeds = _checked_seeds(cfg, (replace(cfg, variant=v) for v in ABLATION_VARIANTS), split[0])
     rows = []
     for variant in ABLATION_VARIANTS:
         for seed in seeds:
-            rows.append(run_single(cfg, variant, seed, split=split, schedule=schedules[seed]))
+            rows.append(run_single(cfg, variant, seed, split=split))
     return rows
 
 
@@ -168,13 +163,12 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, grid: list[float]) -> list[
                 variant="SAS_FM" if parameter == "beta" and value == 0.0 else variant)
         for value in grid
     ]
-    seeds = _checked_seeds(cfg, points)
     split = make_split(cfg)
-    schedules = _seed_schedules(cfg, split[0], seeds)
+    seeds = _checked_seeds(cfg, points, split[0])
     rows = []
     for seed in seeds:
         for value, point in zip(grid, points):
-            row = run_single(point, point.variant, seed, split=split, schedule=schedules[seed])
+            row = run_single(point, point.variant, seed, split=split)
             row["parameter"] = parameter
             row["value"] = value
             rows.append(row)

@@ -14,13 +14,13 @@ embeddings. The objectives a training step runs (`combined_loss` and the
 identity-head-only `am_softmax_loss` and `circle_loss`) each return one
 `LossResult`.
 
-Its B x C arrays (each head's logits and G = dL/dlogits) live in a
-`LossWorkspace`. `trainer.train` owns one per run and hands it to every
-step, so the buffers are allocated once per run (again only if B or C
-changes) instead of once per call; at wide scale each would otherwise be a
-fresh, page-faulted mapping. A call without a workspace uses a throwaway
-one. Either way the returned gradients are fresh d x C and B x d products:
-no view into the workspace escapes, so the next call may overwrite it.
+Its B x C arrays live in a `LossWorkspace`: the modality head's logits and
+L_W's G = dL/dlogits, and the identity head's logits, over which each head's
+last term (L_F, L_softmax) writes its G. `trainer.train` owns one workspace
+per run and hands it to every step, so the buffers are allocated once per
+run (again only if B or C changes), not per call: at wide scale each would
+otherwise be a fresh, page-faulted mapping. A call without a workspace uses
+a throwaway one. No view into the workspace escapes in what a call returns.
 """
 
 from __future__ import annotations
@@ -95,40 +95,38 @@ def masked_ce(
     denominator). The whole softmax family is this one kernel: it differs only
     in the label and the dropped column.
 
-    Returns (value, G) with G = dL/dlogits. G is written into `out` when one
-    is given (a C-contiguous float64 array of the logits' shape, apart from
-    them), and the kernel then allocates no B x C array; without `out`, G is
-    the only one it allocates. Every step after G's first write runs in
-    place. A NaN or infinite logit raises NumericError, unless `checked`
-    says the caller has already run that check on these logits.
+    Returns (value, G) with G = dL/dlogits, written into `out` when given: a
+    C-contiguous float64 array of the logits' shape, apart from them or the
+    logits themselves. The kernel then allocates no B x C array; without
+    `out`, G is the only one. Every step after G's first write runs in place.
+    A NaN or infinite logit, or a label or dropped column that is out of range
+    or equal in a row, raises, unless `checked` says the caller ruled them out.
     """
+    b, c = logits.shape
     if not checked:
         _check_finite_logits(logits)
-    b, c = logits.shape
-    labels = _check_labels(labels, c)
+        labels = _check_labels(labels, c)
+        drop = None if drop is None else _check_labels(drop, c, "dropped column")
+        if drop is not None and np.any(drop == labels):
+            raise ContractViolation("the dropped column must differ from the label in every row")
     if out is not None and not (
         isinstance(out, np.ndarray)
         and out.dtype == _FLOAT64
         and out.shape == logits.shape
         and out.flags.c_contiguous
-        and not np.may_share_memory(out, logits)
+        and (out is logits or not np.may_share_memory(out, logits))
     ):
         raise ContractViolation(
             f"out must be a C-contiguous float64 array of the logits' shape {logits.shape}"
-            " that shares no memory with them"
+            " that is them or shares no memory with them"
         )
     rows = np.arange(b)
     if drop is None:
         zmax = logits.max(axis=1, keepdims=True)
         g = np.subtract(logits, zmax, out=out)
     else:
-        drop = _check_labels(drop, c, "dropped column")
-        if np.any(drop == labels):
-            raise ContractViolation("the dropped column must differ from the label in every row")
-        if out is None:
-            g = logits.copy()
-        else:
-            g = out
+        g = logits.copy() if out is None else out
+        if out is not None and out is not logits:
             np.copyto(g, logits)
         g[rows, drop] = -np.inf
         zmax = g.max(axis=1, keepdims=True)
@@ -139,57 +137,48 @@ def masked_ce(
     g /= denom
     value = float(-(target - np.log(denom[:, 0])).mean())
     g[rows, labels] -= 1.0
-    g /= b
+    if b & (b - 1) == 0:
+        # 1/b is exact, so the product rounds the real x / b: the same bits
+        g *= 1.0 / b
+    else:
+        g /= b
     return value, g
 
 
 # The objective's softmax terms, each the one kernel at its label and
 # dropped column. They add no computation: they exist so the benchmark's
 # per-layer spans (losses.<name>.self_s) still see each term by name.
-def softmax_ce(logits, labels, out=None):
-    return masked_ce(logits, labels, None, out)
+def softmax_ce(logits, labels, out=None, checked=False):
+    return masked_ce(logits, labels, None, out, checked)
 
 
-def sas_w_loss(logits, y_w, out=None):
-    return masked_ce(logits, y_w, None, out)
+def sas_w_loss(logits, y_w, out=None, checked=False):
+    return masked_ce(logits, y_w, None, out, checked)
 
 
-def sas_w_loss_weight_masked(logits, y_w, y_f, out=None):
-    return masked_ce(logits, y_w, y_f, out)
+def sas_w_loss_weight_masked(logits, y_w, y_f, out=None, checked=False):
+    return masked_ce(logits, y_w, y_f, out, checked)
 
 
 def sas_f_loss(logits, y_f, y_w=None, out=None, checked=False):
     return masked_ce(logits, y_f, y_w, out, checked)
 
 
-class _HeadBuffers:
-    """One prototype head's B x C logits and G buffers."""
-
-    __slots__ = ("logits", "g")
-
-    def __init__(self):
-        self.logits = self.g = np.empty((0, 0))
-
-    def product(self, embeddings: np.ndarray, w: np.ndarray):
-        """embeddings @ w written into the logits buffer; returns (logits, G
-        buffer), both reallocated only when the shape changes."""
-        shape = (embeddings.shape[0], w.shape[1])
-        if self.logits.shape != shape:
-            self.logits, self.g = np.empty(shape), np.empty(shape)
-        return np.matmul(embeddings, w, out=self.logits), self.g
-
-
 class LossWorkspace:
-    """The B x C buffers of `combined_loss`: logits and G for the modality
-    head and for the identity head. The caller owns it and passes it to
-    consecutive calls; each call overwrites the buffers it uses, and nothing
-    it returns refers to them."""
+    """The B x C buffers of `combined_loss`, by name. The caller owns it and
+    passes it to consecutive calls; each call overwrites the buffers it uses,
+    and nothing it returns refers to them."""
 
-    __slots__ = ("modality", "identity")
+    __slots__ = ("buffers",)
 
     def __init__(self):
-        self.modality = _HeadBuffers()
-        self.identity = _HeadBuffers()
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """The buffer `name`, reallocated only when its shape changes."""
+        if name not in self.buffers or self.buffers[name].shape != shape:
+            self.buffers[name] = np.empty(shape)
+        return self.buffers[name]
 
 
 def _safe_norms(x: np.ndarray, axis: int, what: str) -> np.ndarray:
@@ -336,8 +325,13 @@ def combined_loss(
         workspace = LossWorkspace()
 
     n = modality_prototypes.num_identities
+    if identity_prototypes.num_identities != n:
+        raise ContractViolation("prototype heads disagree on identity count")
+    # rewrite_labels_batch range-checks every label, and yW != yF in every
+    # row: once a head's logits are finite, its kernel calls are checked
     y_w, y_f = rewrite_labels_batch(identities, modalities, n)
-    a, bta = config.alpha, config.beta
+    ids = np.asarray(identities, dtype=int)
+    a, bta, b = config.alpha, config.beta, embeddings.shape[0]
     grad_emb = np.zeros_like(embeddings)
     components: dict = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": 0.0, "loss_ast": 0.0}
     grad_mod = None
@@ -345,24 +339,26 @@ def combined_loss(
 
     if a > 0.0:
         w = modality_prototypes.W
-        logits, g = workspace.modality.product(embeddings, w)
+        logits = np.matmul(embeddings, w, out=workspace.buffer("modality logits", (b, 2 * n)))
+        g = workspace.buffer("L_W G", logits.shape)
+        _check_finite_logits(logits)
         # L_W (label yW) flows only to the prototypes, L_F (label yF) only to
-        # the embeddings; each mask drops the other term's label column.
-        # L_W's G is consumed before L_F overwrites the same buffer, and
-        # L_W's finiteness check covers L_F's logits too.
+        # the embeddings; each mask drops the other's label column. L_W's G
+        # is consumed before L_F, the logits' last reader, writes G over them.
         if config.use_weight_mask:
-            components["loss_w"], _ = sas_w_loss_weight_masked(logits, y_w, y_f, g)
+            components["loss_w"], _ = sas_w_loss_weight_masked(logits, y_w, y_f, g, checked=True)
         else:
-            components["loss_w"], _ = sas_w_loss(logits, y_w, g)
+            components["loss_w"], _ = sas_w_loss(logits, y_w, g, checked=True)
         grad_mod = a * (embeddings.T @ g)
-        components["loss_f"], _ = sas_f_loss(
-            logits, y_f, y_w if config.use_feature_mask else None, g, checked=True
+        components["loss_f"], g = sas_f_loss(
+            logits, y_f, y_w if config.use_feature_mask else None, logits, checked=True
         )
         grad_emb += a * (g @ w.T)
     if a < 1.0:
         w = identity_prototypes.W
-        logits, g = workspace.identity.product(embeddings, w)
-        components["loss_softmax"], _ = softmax_ce(logits, identities, g)
+        logits = np.matmul(embeddings, w, out=workspace.buffer("identity logits", (b, n)))
+        _check_finite_logits(logits)
+        components["loss_softmax"], g = softmax_ce(logits, ids, logits, checked=True)
         grad_id = (1.0 - a) * (embeddings.T @ g)
         grad_emb += (1.0 - a) * (g @ w.T)
     if bta > 0.0:

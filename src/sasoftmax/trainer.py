@@ -26,7 +26,7 @@ from .encoder import (
     sgd_step,
 )
 from .errors import ContractViolation, DegenerateNormError, NumericError
-from .evaluation import mean_intra_cross_cosine
+from .evaluation import intra_cross_plan, mean_intra_cross_cosine
 from .losses import (
     CombinedLossConfig,
     LossResult,
@@ -231,27 +231,26 @@ def _batch_context(batch_indices) -> str:
 def batch_schedule(dataset: Dataset, config: TrainConfig) -> np.ndarray:
     """A run's PK batches, one read-only row of 2PK indices per step, as
     `train` consumes them. They depend only on the dataset, P, K, the seed and
-    the step count, so every variant trained with one seed shares them."""
+    the step count, so each is drawn once, memoized on `dataset`: every run
+    on it with one seed, whatever its variant or loss weights, shares it."""
     steps = config.epochs * config.batches_per_epoch
-    schedule = np.empty((steps, 2 * config.p * config.k), dtype=np.intp)
-    batch_seed = np.random.default_rng(config.seed + 3_000_003)
-    for row in schedule:
-        row[:] = pk_sample(dataset, config.p, config.k, int(batch_seed.integers(2**63)))
-    schedule.flags.writeable = False
-    return schedule
+    key = (config.p, config.k, config.seed, steps)
+    if key not in dataset._schedules:
+        schedule = np.empty((steps, 2 * config.p * config.k), dtype=np.intp)
+        batch_seed = np.random.default_rng(config.seed + 3_000_003)
+        for row in schedule:
+            row[:] = pk_sample(dataset, config.p, config.k, int(batch_seed.integers(2**63)))
+        schedule.flags.writeable = False
+        dataset._schedules[key] = schedule
+    return dataset._schedules[key]
 
 
-def train(dataset: Dataset, config: TrainConfig, schedule: np.ndarray | None = None):
-    """Full training run on `schedule`'s batches, drawn by `batch_schedule`
-    when None. Returns (TrainState, TrainLog); deterministic per seed."""
+def train(dataset: Dataset, config: TrainConfig):
+    """Full training run on `batch_schedule`'s batches. Returns (TrainState,
+    TrainLog); deterministic per seed."""
+    schedule = batch_schedule(dataset, config)
     state = init_train_state(dataset, config)
-    if schedule is None:
-        schedule = batch_schedule(dataset, config)
-    expected = (config.epochs * config.batches_per_epoch, 2 * config.p * config.k)
-    if np.shape(schedule) != expected:
-        raise ContractViolation(
-            f"batch schedule has shape {np.shape(schedule)}, expected {expected}"
-        )
+    plan = intra_cross_plan(dataset.identities, dataset.modalities)
     log = TrainLog()
     workspace = LossWorkspace()  # the run's loss buffers, reused by every step
     for epoch in range(config.epochs):
@@ -263,7 +262,7 @@ def train(dataset: Dataset, config: TrainConfig, schedule: np.ndarray | None = N
             for key, val in metrics.items():
                 epoch_metrics[key] = epoch_metrics.get(key, 0.0) + val
         emb, _ = encoder_forward(state.params, dataset.features)
-        probe = mean_intra_cross_cosine(emb, dataset.identities, dataset.modalities)
+        probe = mean_intra_cross_cosine(emb, plan)
         rec = {k: epoch_metrics.get(k, 0.0) / config.batches_per_epoch for k in TRAINLOG_FIELDS[2:-1]}
         rec.update({"epoch": epoch, "lr": lr, "probe_cosine": probe})
         log.records.append(rec)

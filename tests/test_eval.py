@@ -24,10 +24,16 @@ from sasoftmax.evaluation import (
     cross_modal_eval,
     export_embeddings,
     histogram_overlap,
+    intra_cross_plan,
     mean_intra_cross_cosine,
     prototype_diagnostics,
     save_histogram_csv,
 )
+
+
+def probe(emb, ids, mods) -> float:
+    """The per-epoch probe on a plan built for these labels alone."""
+    return mean_intra_cross_cosine(emb, intra_cross_plan(ids, mods))
 
 
 def brute_force_cmc_map(sim, q_ids, g_ids):
@@ -443,7 +449,7 @@ class TestHistograms:
         same = ds.identities[vis][:, None] == ds.identities[~vis][None, :]
         np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
         np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
-        assert rep.intra_cosine_mean == mean_intra_cross_cosine(emb, ds.identities, ds.modalities)
+        assert rep.intra_cosine_mean == probe(emb, ds.identities, ds.modalities)
 
     @pytest.mark.parametrize(
         "directions",
@@ -611,7 +617,7 @@ class TestCrossModalEval:
         ids = np.array([0, 0, 1])
         mods = np.array([0, 1, 1])
         # single intra pair: (row0 VIS, row1 NIR) -> cos 0
-        assert mean_intra_cross_cosine(emb, ids, mods) == pytest.approx(0.0, abs=1e-15)
+        assert probe(emb, ids, mods) == pytest.approx(0.0, abs=1e-15)
 
 
 def full_matrix_probe(emb, ids, mods) -> float:
@@ -641,7 +647,7 @@ class TestMeanIntraCrossCosine:
     def test_bit_identical_to_full_matrix(self, d, n_ids, per):
         for seed in range(5):
             emb, ids, mods = interleaved_set(seed, n_ids, per, d)
-            assert mean_intra_cross_cosine(emb, ids, mods) == full_matrix_probe(emb, ids, mods)
+            assert probe(emb, ids, mods) == full_matrix_probe(emb, ids, mods)
 
     def test_ragged_counts_and_one_modality_identities_agree(self):
         # Not exact: a ragged block's tail tiles, the full matrix's own tail
@@ -654,7 +660,7 @@ class TestMeanIntraCrossCosine:
             ids = np.concatenate([rng.integers(0, 25, m), [0, 0, 90, 91, 91]])
             mods = np.concatenate([rng.integers(0, 2, m), [0, 1, 0, 1, 1]])
             emb = rng.normal(size=(len(ids), (4, 16)[seed % 2]))
-            got = mean_intra_cross_cosine(emb, ids, mods)
+            got = probe(emb, ids, mods)
             assert got == pytest.approx(full_matrix_probe(emb, ids, mods), rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("modality", [Modality.VIS, Modality.NIR])
@@ -663,14 +669,22 @@ class TestMeanIntraCrossCosine:
         emb = np.vstack([emb, np.zeros((1, 4))])
         ids, mods = np.append(ids, 99), np.append(mods, int(modality))
         with pytest.raises(DegenerateNormError, match="has near-zero norm"):
-            mean_intra_cross_cosine(emb, ids, mods)
+            probe(emb, ids, mods)
+
+    def test_one_plan_serves_every_embedding_of_its_labels(self):
+        # a run builds the plan once and probes every epoch's embeddings with it
+        _, ids, mods = interleaved_set(0, 40, 20, 4)
+        plan = intra_cross_plan(ids, mods)
+        for seed in range(5):
+            emb = np.random.default_rng(seed).normal(size=(len(ids), 4))
+            assert mean_intra_cross_cosine(emb, plan) == full_matrix_probe(emb, ids, mods)
 
     def test_memory_stays_far_below_the_full_matrix(self):
         emb, ids, mods = interleaved_set(0, 600, 4, 16)  # wide_train: 2,400 x 2,400
         full_bytes = 2400 * 2400 * 8
         tracemalloc.start()
         try:
-            mean_intra_cross_cosine(emb, ids, mods)
+            probe(emb, ids, mods)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

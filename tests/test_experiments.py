@@ -2,7 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from sasoftmax import experiments
+from sasoftmax import experiments, trainer
+from sasoftmax.core import Dataset
 from sasoftmax.errors import ContractViolation
 from sasoftmax.experiments import (
     ABLATION_VARIANTS,
@@ -19,12 +20,22 @@ def small_protocol(**kw):
     return desk_protocol(**{"seeds": "1,2", "epochs": 3, **kw})
 
 
+def fresh_split(split):
+    """Copies of the split's datasets, each with an empty schedule memo."""
+    return tuple(
+        Dataset(d.features, d.identities, d.modalities, d.num_identities, d.input_dim)
+        for d in split
+    )
+
+
 class TestSharedSchedules:
     def test_ablation_rows_match_private_schedules_byte_for_byte(self, tmp_path):
         cfg = small_protocol()
         split = make_split(cfg)
         private = [
-            run_single(cfg, v, s, split=split) for v in ABLATION_VARIANTS for s in cfg.seed_list()
+            run_single(cfg, v, s, split=fresh_split(split))
+            for v in ABLATION_VARIANTS
+            for s in cfg.seed_list()
         ]
         save_rows_csv(run_ablation(cfg), tmp_path / "shared.csv")
         save_rows_csv(private, tmp_path / "private.csv")
@@ -38,11 +49,30 @@ class TestSharedSchedules:
         for seed in cfg.seed_list():
             for value in grid:
                 variant = "SAS_FM" if value == 0.0 else "SAS_FM_AST"
-                row = run_single(replace(cfg, beta=value), variant, seed, split=split)
+                row = run_single(replace(cfg, beta=value), variant, seed, split=fresh_split(split))
                 private.append({**row, "parameter": "beta", "value": value})
         save_rows_csv(run_sweep(cfg, "beta", grid), tmp_path / "shared.csv")
         save_rows_csv(private, tmp_path / "private.csv")
         assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "private.csv").read_bytes()
+
+    def test_runs_on_one_split_draw_each_batch_once(self, monkeypatch):
+        cfg = small_protocol(seeds="1")
+        split = make_split(cfg)
+        calls = []
+        draw = trainer.pk_sample
+        monkeypatch.setattr(trainer, "pk_sample", lambda *a: calls.append(a[3]) or draw(*a))
+        run_single(cfg, "SAS_FM_AST", 1, split=split)
+        run_single(cfg, "SOFTMAX", 1, split=split)
+        assert len(calls) == cfg.epochs * cfg.batches_per_epoch
+
+    @pytest.mark.parametrize("run", [run_ablation, lambda cfg: run_sweep(cfg, "alpha", [0.3, 0.7])])
+    def test_ablation_and_sweep_draw_each_seeds_batches_once(self, monkeypatch, run):
+        cfg = small_protocol()
+        calls = []
+        draw = trainer.pk_sample
+        monkeypatch.setattr(trainer, "pk_sample", lambda *a: calls.append(a[3]) or draw(*a))
+        run(cfg)
+        assert len(calls) == len(cfg.seed_list()) * cfg.epochs * cfg.batches_per_epoch
 
 
 class TestValidatesBeforeTraining:

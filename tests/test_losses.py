@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sasoftmax import losses
-from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix
+from sasoftmax.core import IdentityPrototypeMatrix, ModalityPrototypeMatrix, rewrite_labels_batch
 from sasoftmax.errors import ContractViolation, DegenerateNormError, NumericError
 from sasoftmax.gradcheck import central_difference, relative_error
 from sasoftmax.losses import (
@@ -118,10 +118,9 @@ class TestMaskedCE:
             lambda z: np.empty((4, 5)),
             lambda z: np.empty((6, 4)).T,
             lambda z: np.empty((4, 12))[:, ::2],
-            lambda z: z,
             lambda z: z.base[1:5],
         ],
-        ids=["float32", "list", "wrong-shape", "fortran", "strided", "same-array", "overlapping-view"],
+        ids=["float32", "list", "wrong-shape", "fortran", "strided", "overlapping-view"],
     )
     def test_bad_out_rejected(self, make_out):
         logits = np.random.default_rng(2).normal(size=(5, 6))[:4]
@@ -129,6 +128,37 @@ class TestMaskedCE:
         with pytest.raises(ContractViolation, match="out must be a C-contiguous float64 array"):
             masked_ce(logits, np.arange(4), out=make_out(logits))
         np.testing.assert_array_equal(logits, before)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+    def test_out_may_be_the_logits(self, masked):
+        # the logits' last reader writes G over them: the same value and G
+        # bits as with a separate out
+        rng = np.random.default_rng(4)
+        logits = rng.normal(size=(16, 10))
+        labels = rng.integers(0, 5, size=16)
+        drop = labels + 5 if masked else None
+        value, g = masked_ce(logits, labels, drop, out=np.empty_like(logits))
+        in_place_value, in_place_g = masked_ce(logits, labels, drop, out=logits)
+        assert in_place_g is logits
+        assert in_place_value == value
+        np.testing.assert_array_equal(in_place_g.view(np.uint64), g.view(np.uint64))
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 5, 6, 7, 12, 100, 128, 256])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bits_of_the_division_reference_at_every_batch_size(self, b, masked):
+        rng = np.random.default_rng(b)
+        logits = rng.normal(scale=4.0, size=(b, 40))
+        labels = rng.integers(0, 20, size=b)
+        drop = labels + 20 if masked else None
+        want_value, want_g = reference_masked_ce(logits, labels, drop)
+        value, g = masked_ce(logits, labels, drop)
+        assert value == want_value
+        np.testing.assert_array_equal(g.view(np.uint64), want_g.view(np.uint64))
+        if b & (b - 1):
+            # for this b, x * (1/b) and x / b differ on values like these, so
+            # the comparison above would catch a kernel that multiplied
+            unscaled = want_g * b
+            assert np.any(unscaled * (1.0 / b) != unscaled / b)
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(NumericError):
@@ -155,6 +185,47 @@ class TestMaskedCE:
     def test_dropped_column_out_of_range(self):
         with pytest.raises(ContractViolation):
             masked_ce(np.zeros((1, 3)), np.array([0]), np.array([3]))
+
+
+def reference_masked_ce(logits, labels, drop=None):
+    """masked_ce written out of place, dividing by the batch size."""
+    b = len(logits)
+    rows = np.arange(b)
+    z = logits.copy()
+    if drop is not None:
+        z[rows, drop] = -np.inf
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    denom = e.sum(axis=1, keepdims=True)
+    p = e / denom
+    p[rows, labels] -= 1.0
+    return float(-(z[rows, labels] - np.log(denom[:, 0])).mean()), p / b
+
+
+FLOAT64_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(
+        [float(v) for v in (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1.7976931348623157e308)]
+    ).map(lambda v: int(np.float64(v).view(np.uint64))),
+    st.integers(0, 2**52 - 1),  # subnormals
+    st.integers(0, 2**52 - 1).map(lambda m: m | 1 << 63),  # negative subnormals
+)
+
+
+class TestPowerOfTwoScale:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12), st.lists(FLOAT64_BITS, min_size=1, max_size=64))
+    def test_multiply_by_the_reciprocal_is_the_division(self, k, bits):
+        # for b = 2**k, 1/b is exact, so x * (1/b) and x / b round the same
+        # real number: the same bits for every float64, subnormal results,
+        # signed zeros, infinities and NaNs included
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        b = 2**k
+        with np.errstate(all="ignore"):
+            by_multiply = x * (1.0 / b)
+            by_division = x / b
+        np.testing.assert_array_equal(by_multiply.view(np.uint64), by_division.view(np.uint64))
 
 
 class TestSoftmaxCE:
@@ -485,9 +556,8 @@ class TestLossWorkspace:
             kept.append((reused, result_arrays(reused)))
         # later calls and direct writes into the buffers leave every
         # returned gradient as it was
-        for head in (ws.modality, ws.identity):
-            head.logits.fill(np.nan)
-            head.g.fill(np.nan)
+        for buffer in ws.buffers.values():
+            buffer.fill(np.nan)
         for res, arrays in kept:
             for got, want in zip(result_arrays(res), arrays):
                 np.testing.assert_array_equal(got, want)
@@ -497,15 +567,15 @@ class TestLossWorkspace:
         ws = LossWorkspace()
 
         def buffers():
-            return [ws.modality.logits, ws.modality.g, ws.identity.logits, ws.identity.g]
+            return list(ws.buffers.values())
 
         combined_loss(*loss_inputs(0, 32, 10, 4), cfg, workspace=ws)
         first = buffers()
-        assert [a.shape for a in first] == [(32, 20), (32, 20), (32, 10), (32, 10)]
+        assert [a.shape for a in first] == [(32, 20), (32, 20), (32, 10)]
         combined_loss(*loss_inputs(1, 32, 10, 4), cfg, workspace=ws)
         assert all(a is b for a, b in zip(buffers(), first))
         combined_loss(*loss_inputs(2, 24, 10, 4), cfg, workspace=ws)
-        assert [a.shape for a in buffers()] == [(24, 20), (24, 20), (24, 10), (24, 10)]
+        assert [a.shape for a in buffers()] == [(24, 20), (24, 20), (24, 10)]
 
     def test_warm_call_at_wide_shape_holds_no_logits_sized_buffer(self):
         b, n, d = SHAPES["wide"]
@@ -520,6 +590,70 @@ class TestLossWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < b * 2 * n * 2
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("variant", COMBINED_VARIANTS)
+    def test_bits_of_the_two_buffer_reference(self, variant, shape):
+        # every term on its own copy of the logits, divided by the batch size
+        cfg = TrainConfig(variant=variant).loss_config()
+        x, w_mod, w_id, ids, mods = inputs = loss_inputs(7, *SHAPES[shape])
+        res = combined_loss(*inputs, cfg, workspace=LossWorkspace())
+        a, n = cfg.alpha, w_id.num_identities
+        y_w, y_f = rewrite_labels_batch(ids, mods, n)
+        want = {"loss_w": 0.0, "loss_f": 0.0, "loss_softmax": 0.0, "loss_ast": 0.0}
+        grad_x = np.zeros_like(x)
+        if a > 0.0:
+            logits = x @ w_mod.W
+            w_drop = y_f if cfg.use_weight_mask else None
+            f_drop = y_w if cfg.use_feature_mask else None
+            want["loss_w"], g_w = reference_masked_ce(logits, y_w, w_drop)
+            want["loss_f"], g_f = reference_masked_ce(logits, y_f, f_drop)
+            np.testing.assert_array_equal(res.grad_modality_prototypes, a * (x.T @ g_w))
+            grad_x += a * (g_f @ w_mod.W.T)
+        if a < 1.0:
+            want["loss_softmax"], g_s = reference_masked_ce(x @ w_id.W, ids)
+            np.testing.assert_array_equal(res.grad_identity_prototypes, (1.0 - a) * (x.T @ g_s))
+            grad_x += (1.0 - a) * (g_s @ w_id.W.T)
+        if cfg.beta > 0.0:
+            want["loss_ast"], g_ast = ast_loss(x, w_mod, y_f)
+            grad_x += cfg.beta * g_ast
+        assert res.components == want
+        np.testing.assert_array_equal(res.grad_embeddings, grad_x)
+
+    def test_warm_workspace_holds_three_logits_sized_arrays(self):
+        b, n, d = SHAPES["wide"]
+        cfg = TrainConfig(variant="SAS_FM_AST").loss_config()
+        inputs = loss_inputs(0, b, n, d)
+        tracemalloc.start()
+        try:
+            ws = LossWorkspace()
+            combined_loss(*inputs, cfg, workspace=ws)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        shapes = [a.shape for a in ws.buffers.values()]
+        assert sorted(shapes) == [(b, n), (b, 2 * n), (b, 2 * n)]
+        # the three, and nothing else logits-sized outlives the call
+        three = 8 * b * (2 * n + 2 * n + n)
+        assert three <= held < three + 8 * b * n
+
+    @pytest.mark.parametrize("columns", [39, 41])
+    def test_heads_must_agree_on_identity_count(self, columns):
+        x, w_mod, _, ids, mods = loss_inputs(0, *SHAPES["desk"])
+        w_id = IdentityPrototypeMatrix(np.ones((x.shape[1], columns)))
+        with pytest.raises(ContractViolation, match="disagree on identity count"):
+            combined_loss(x, w_mod, w_id, ids, mods, TrainConfig(variant="SAS").loss_config())
+
+    @pytest.mark.parametrize("variant", COMBINED_VARIANTS)
+    def test_kernel_calls_trust_the_rewritten_labels(self, variant, monkeypatch):
+        # rewrite_labels_batch range-checks every label the kernel gets, so
+        # only ast_loss, a kernel of its own, checks labels again
+        cfg = TrainConfig(variant=variant).loss_config()
+        seen = []
+        check = losses._check_labels
+        monkeypatch.setattr(losses, "_check_labels", lambda *a: seen.append(a[2:]) or check(*a))
+        combined_loss(*loss_inputs(0, *SHAPES["desk"]), cfg)
+        assert seen == [("yF",)] * (cfg.beta > 0.0)
 
     @pytest.mark.parametrize("variant", COMBINED_VARIANTS)
     def test_each_head_checks_its_logits_once(self, variant, monkeypatch):

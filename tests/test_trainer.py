@@ -336,8 +336,8 @@ class TestOneLossEvaluation:
         workspace = LossWorkspace()
         train_step(state, ds, np.arange(16), cfg, 0.05, workspace)
         assert len(loss_calls) == 1
-        assert workspace.modality.logits.size == 0
-        assert workspace.identity.logits.shape == (16, ds.num_identities)
+        assert list(workspace.buffers) == ["identity logits"]
+        assert workspace.buffers["identity logits"].shape == (16, ds.num_identities)
 
     def test_divergence_raises_before_any_update(self, monkeypatch):
         monkeypatch.setattr(
@@ -437,11 +437,15 @@ class TestTrain:
             smoothed = np.convolve(losses, np.ones(5) / 5, mode="valid")
             assert smoothed[-1] < factor * smoothed[0], variant
 
-    def test_explicit_schedule_trains_like_its_own_draw(self):
+    def test_explicit_schedule_trains_like_its_own_draw(self, monkeypatch):
+        # a schedule drawn on a fresh copy of the data, whose memo is empty,
+        # handed to train in place of the memoized one
         ds = tiny_dataset()
         cfg = tiny_config()
         s1, l1 = train(ds, cfg)
-        s2, l2 = train(ds, cfg, batch_schedule(ds, cfg))
+        explicit = batch_schedule(tiny_dataset(), cfg).copy()
+        monkeypatch.setattr(trainer, "batch_schedule", lambda d, c: explicit)
+        s2, l2 = train(ds, cfg)
         w1, b1, m1, i1 = snapshot(s1)
         w2, b2, m2, i2 = snapshot(s2)
         for x, y in zip([*w1, *b1, m1, i1], [*w2, *b2, m2, i2]):
@@ -465,11 +469,37 @@ class TestTrain:
             trainer, "train_step", lambda s, d, idx, *a: seen.append(idx) or {"loss_total": 0.0}
         )
         schedule = batch_schedule(ds, cfg)[::-1]
-        train(ds, cfg, schedule)
+        monkeypatch.setattr(trainer, "batch_schedule", lambda d, c: schedule)
+        train(ds, cfg)
         np.testing.assert_array_equal(np.array(seen), schedule)
 
-    @pytest.mark.parametrize("shape", [(11, 16), (12, 15), (13, 16), (192,)])
-    def test_wrong_shape_schedule_raises(self, shape):
+
+class TestScheduleMemo:
+    @pytest.mark.parametrize(
+        "change", [dict(seed=2), dict(p=3), dict(k=3), dict(epochs=2), dict(batches_per_epoch=5)]
+    )
+    def test_one_array_per_key(self, change):
         ds = tiny_dataset()
-        with pytest.raises(ContractViolation, match="batch schedule has shape"):
-            train(ds, tiny_config(), np.zeros(shape, dtype=np.intp))
+        cfg = tiny_config()
+        first = batch_schedule(ds, cfg)
+        # the variant and the loss weights are not part of the key
+        assert batch_schedule(ds, replace(cfg, variant="CIRCLE", alpha=0.2)) is first
+        other = batch_schedule(ds, replace(cfg, **change))
+        assert other is not first
+        assert batch_schedule(ds, replace(cfg, **change)) is other
+        assert len(ds._schedules) == 2
+        # each entry is what a dataset with an empty memo draws
+        np.testing.assert_array_equal(other, batch_schedule(tiny_dataset(), replace(cfg, **change)))
+        np.testing.assert_array_equal(first, batch_schedule(tiny_dataset(), cfg))
+
+    def test_runs_on_one_dataset_draw_each_batch_once(self, monkeypatch):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        calls = []
+        draw = trainer.pk_sample
+        monkeypatch.setattr(trainer, "pk_sample", lambda *a: calls.append(a[3]) or draw(*a))
+        for variant in ("SAS_FM_AST", "SOFTMAX", "CIRCLE"):
+            train(ds, replace(cfg, variant=variant))
+        assert len(calls) == cfg.epochs * cfg.batches_per_epoch
+        train(ds, replace(cfg, seed=2))
+        assert len(calls) == 2 * cfg.epochs * cfg.batches_per_epoch
