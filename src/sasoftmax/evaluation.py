@@ -5,7 +5,9 @@ histograms over cross-modality pairs, and prototype-geometry diagnostics.
 from __future__ import annotations
 
 import csv
+import functools
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,12 +20,13 @@ from .errors import ContractViolation, DegenerateNormError
 from .losses import NORM_EPS, _safe_norms
 
 HIST_BINS = np.linspace(-1.0, 1.0, 61)  # 60 fixed bins, comparable across runs
-# Query rows cmc_map ranks as one block: its sorted copy, and a C-ordered
-# copy of a transposed block, are _RANK_BLOCK x gallery floats each.
+# Query rows cmc_map ranks as one block; its sorted copy is _RANK_BLOCK x
+# gallery floats.
 _RANK_BLOCK = 128
 # Similarities from which cmc_map ranks its blocks on a thread pool, one
-# worker per CPU; the blocks in flight then hold up to workers x 2 x
-# _RANK_BLOCK x gallery floats. Smaller matrices rank inline.
+# worker per CPU; the blocks in flight then hold up to workers x _RANK_BLOCK
+# x gallery floats. Smaller matrices rank inline. cross_modal_eval cuts a
+# direction into panels of about this many similarities each.
 _POOL_MIN_SIMS = 4_000_000
 # HIST_BINS as searchsorted keys counting the values below each edge: the
 # last edge one ulp up, so that its bin is closed as in np.histogram
@@ -49,30 +52,65 @@ class EvalReport:
     embeddings: np.ndarray  # the forward pass that was ranked, every sample in order
 
 
-def _unit_rows(rows: np.ndarray, name: str) -> np.ndarray:
-    """`rows` scaled to unit norm. A row of near-zero norm raises
-    DegenerateNormError naming `name` and the row, whether or not any pair
-    would use it."""
+def _row_norms(rows: np.ndarray, name: str) -> np.ndarray:
+    """Each row's norm. A row of near-zero norm raises DegenerateNormError
+    naming `name` and the row, whether or not any pair would use it."""
     norms = np.linalg.norm(rows, axis=1)
     bad = np.nonzero(norms < NORM_EPS)[0]
     if bad.size:
         raise DegenerateNormError(f"{name} row {bad[0]} has near-zero norm")
-    return rows / norms[:, None]
+    return norms
 
 
-def cosine_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    return _unit_rows(queries, "query") @ _unit_rows(gallery, "gallery").T
+def _unit_rows(rows: np.ndarray, name: str) -> np.ndarray:
+    """`rows` scaled to unit norm, checked as _row_norms checks them."""
+    return rows / _row_norms(rows, name)[:, None]
 
 
-def _c_ordered(rows: np.ndarray) -> np.ndarray:
-    """`rows` as a C-ordered array. A block of a transposed matrix is copied
-    tile by tile: copied whole, its strided reads miss the cache."""
-    if rows.flags.c_contiguous:
-        return rows
-    out = np.empty(rows.shape, dtype=rows.dtype)
-    for c in range(0, rows.shape[1], _RANK_BLOCK):
-        out[:, c : c + _RANK_BLOCK] = rows[:, c : c + _RANK_BLOCK]
-    return out
+def cosine_matrix(queries: np.ndarray, gallery: np.ndarray, out=None) -> np.ndarray:
+    """Cosines of every (query, gallery) row pair, written into `out` when
+    given (a C-ordered float array of that shape)."""
+    return np.matmul(_unit_rows(queries, "query"), _unit_rows(gallery, "gallery").T, out=out)
+
+
+@functools.cache
+def _openblas():
+    """(library file, get_num_threads, set_num_threads) of the OpenBLAS that
+    NumPy's wheel bundles, or None where there is none. Looked up on first
+    use, so importing the package loads nothing."""
+    import ctypes
+    from pathlib import Path
+
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return lib.name, get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS held to one thread inside the block, and its thread count
+    restored on every exit. Between threaded calls its worker thread spins,
+    competing with the ranking pool for the CPUs. Does nothing where no
+    OpenBLAS is found."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    _, get, put = blas
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
 
 
 def _identity_groups(q_ids: np.ndarray, g_ids: np.ndarray):
@@ -110,7 +148,21 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
+def _pool_workers(n_q: int, n_g: int) -> int:
+    """Threads cmc_map ranks an n_q x n_g matrix on: one per CPU and block,
+    from _POOL_MIN_SIMS similarities on; 1 means inline."""
+    if n_q * n_g < _POOL_MIN_SIMS:
+        return 1
+    return min(_cpu_count(), -(-n_q // _RANK_BLOCK))
+
+
+def _cmc_and_map(first_hits: np.ndarray, aps: np.ndarray, n_g: int):
+    """(cmc, map) of queries with these 0-based first-hit ranks and APs."""
+    cmc = np.cumsum(np.bincount(first_hits, minlength=n_g)) / len(first_hits)
+    return cmc, float(aps.mean())
+
+
+def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, out=None):
     """Rank-based CMC and interpolation-free mAP.
 
     Only each query's relevant gallery items are ranked. Ties are broken
@@ -123,7 +175,9 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
     given (an int64 array of len(HIST_BINS)), the histogram edges too:
     `counts` receives, per edge, how many similarities of the whole matrix
     lie below it (the last edge closed), so np.diff(counts) equals
-    np.histogram(sim, HIST_BINS)[0].
+    np.histogram(sim, HIST_BINS)[0]. When `out` is given, a pair of arrays
+    of len(sim) (intp, float), it receives each query's 0-based first-hit
+    rank and its AP.
 
     From _POOL_MIN_SIMS similarities on, the blocks are ranked on a thread
     pool of one worker per CPU (NumPy's sort and search release the GIL),
@@ -137,15 +191,14 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
     if missing.size:
         raise ContractViolation(f"query {missing[0]} has no relevant gallery item")
     n_edges = len(_EDGE_KEYS) if counts is not None else 0
-    first_hits = np.empty(n_q, dtype=np.intp)
-    aps = np.empty(n_q)
+    first_hits, aps = out if out is not None else (np.empty(n_q, dtype=np.intp), np.empty(n_q))
 
     # Runs on the pool's threads, so it calls only NumPy and private helpers:
     # a tracer that wraps the public functions keeps one call stack
     def rank_block(lo: int) -> np.ndarray:
         """Rank queries lo.. of one block into first_hits and aps; return
         the block's edge counts."""
-        block = _c_ordered(sim[lo : lo + _RANK_BLOCK])
+        block = sim[lo : lo + _RANK_BLOCK]
         ascending = np.sort(block, axis=1)
         n_b = len(block)
         m = size[lo : lo + n_b]
@@ -183,8 +236,8 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
         return edge_counts
 
     blocks = range(0, n_q, _RANK_BLOCK)
-    workers = min(_cpu_count(), len(blocks))
-    if n_q * n_g >= _POOL_MIN_SIMS and workers > 1:
+    workers = _pool_workers(n_q, n_g)
+    if workers > 1:
         # imported here, as it imports logging: no cost to a start-up that never pools
         from concurrent.futures import ThreadPoolExecutor
 
@@ -196,8 +249,7 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None):
         counts[:] = 0
         for edge_counts in per_block:
             counts += edge_counts
-    cmc = np.cumsum(np.bincount(first_hits, minlength=n_g)) / n_q
-    return cmc, float(aps.mean())
+    return _cmc_and_map(first_hits, aps, n_g)
 
 
 def histogram_overlap(intra: np.ndarray, inter: np.ndarray) -> float:
@@ -250,13 +302,26 @@ def mean_intra_cross_cosine(emb: np.ndarray, plan: tuple) -> float:
     return float(pairs.mean())
 
 
+def _panel_rows(n_q: int, n_g: int) -> int:
+    """Query rows per panel of an n_q x n_g direction, cut into
+    max(1, n_q * n_g // _POOL_MIN_SIMS) equal slices: each panel of a
+    direction large enough to pool still holds about _POOL_MIN_SIMS
+    similarities, and a smaller direction is one panel."""
+    return -(-n_q // max(1, n_q * n_g // _POOL_MIN_SIMS))
+
+
 def cross_modal_eval(params: EncoderParams, dataset: Dataset, directions) -> EvalReport:
     """Retrieval evaluation: in each direction, source-modality samples query
-    the full target-modality gallery. One forward pass and one VIS x NIR
-    similarity matrix serve every direction and the histograms; NIR -> VIS
-    ranks the transpose, and the report carries those embeddings. An
-    identity with no item in a direction's gallery raises ContractViolation
-    naming it and the direction, before any work."""
+    the full target-modality gallery. One forward pass serves every
+    direction and the histograms, and the report carries its embeddings.
+    Each direction computes its own query x gallery product one panel of
+    rows at a time, and ranks each panel as soon as it is computed, in one
+    buffer that every panel reuses; the first direction also counts the
+    histogram edges and gathers the same-identity pairs. No direction, or an
+    identity with no item in a direction's gallery (named, with the
+    direction), raises ContractViolation before any work."""
+    if not directions:
+        raise ContractViolation("no direction to evaluate")
     ids, mods = dataset.identities, dataset.modalities
     vis, nir = mods == int(Modality.VIS), mods == int(Modality.NIR)
     if not vis.any() or not nir.any():
@@ -271,21 +336,42 @@ def cross_modal_eval(params: EncoderParams, dataset: Dataset, directions) -> Eva
                 f"identity {min(missing)} has no {target} gallery item ({direction.value})"
             )
     emb, _ = encoder_forward(params, dataset.features)
-    sim = cosine_matrix(emb[vis], emb[nir])
-    vis_ids, nir_ids = ids[vis], ids[nir]
+    vis_side, nir_side = (emb[vis], ids[vis]), (emb[nir], ids[nir])
+    # every row checked once, named as in a VIS x NIR product, before any panel
+    _row_norms(vis_side[0], "query")
+    _row_norms(nir_side[0], "gallery")
+    n_vis, n_nir = len(vis_side[1]), len(nir_side[1])
+    buf = np.empty(max(_panel_rows(n_vis, n_nir) * n_nir, _panel_rows(n_nir, n_vis) * n_vis))
     # Over all (VIS, NIR) pairs, counted while the first direction ranks
     # them; same-modality pairs are ignored
     counts = np.zeros(len(HIST_BINS), dtype=np.int64)
+    edges = np.empty_like(counts)
     ranked = {}
     for direction in directions:
-        edges = counts if not ranked else None
-        if direction == Direction.VIS_TO_NIR:
-            ranked[direction] = cmc_map(sim, vis_ids, nir_ids, counts=edges)
-        else:
-            ranked[direction] = cmc_map(sim.T, nir_ids, vis_ids, counts=edges)
-    # the same-identity pairs in the order a VIS x NIR mask lists them.
+        to_nir = direction == Direction.VIS_TO_NIR
+        (q, q_ids), (g, g_ids) = (vis_side, nir_side) if to_nir else (nir_side, vis_side)
+        n_q, n_g = len(q_ids), len(g_ids)
+        first = not ranked
+        if first:  # the same-identity pairs, row-major in this direction
+            rows, cols = _pair_columns(*_identity_groups(q_ids, g_ids))
+            intra_sims = np.empty(len(rows))
+        first_hits, aps = np.empty(n_q, dtype=np.intp), np.empty(n_q)
+        step = _panel_rows(n_q, n_g)
+        with _one_blas_thread() if _pool_workers(step, n_g) > 1 else nullcontext():
+            for lo in range(0, n_q, step):
+                hi = min(lo + step, n_q)
+                panel = buf[: (hi - lo) * n_g].reshape(hi - lo, n_g)
+                cosine_matrix(q[lo:hi], g, out=panel)
+                cmc_map(panel, q_ids[lo:hi], g_ids, counts=edges if first else None,
+                        out=(first_hits[lo:hi], aps[lo:hi]))
+                if first:
+                    counts += edges
+                    a, b = np.searchsorted(rows, [lo, hi])
+                    intra_sims[a:b] = panel[rows[a:b] - lo, cols[a:b]]
+        ranked[direction] = _cmc_and_map(first_hits, aps, n_g)
+        if first and not to_nir:  # to the order a VIS x NIR mask lists them
+            intra_sims = intra_sims[np.lexsort((rows, cols))]
     # Counts are integers, so the subtraction is exact.
-    intra_sims = sim[_pair_columns(*_identity_groups(vis_ids, nir_ids))]
     intra, _ = np.histogram(intra_sims, bins=HIST_BINS)
     inter = np.diff(counts) - intra
     return EvalReport(ranked, intra, inter, float(intra_sims.mean()), emb)

@@ -214,10 +214,25 @@ class TestCmcMap:
             assert mean_ap == pytest.approx(base[1], abs=1e-12)
 
 
+# each direction alone, both, and both with NIR -> VIS first
+DIRECTION_LISTS = pytest.mark.parametrize(
+    "directions",
+    [
+        [Direction.VIS_TO_NIR],
+        [Direction.NIR_TO_VIS],
+        [Direction.VIS_TO_NIR, Direction.NIR_TO_VIS],
+        [Direction.NIR_TO_VIS, Direction.VIS_TO_NIR],
+    ],
+    ids=["vis2nir", "nir2vis", "both", "both-nir-first"],
+)
+
+
 def force_pool(monkeypatch, workers):
-    """Rank every matrix on a pool of `workers` threads."""
+    """Rank every matrix on a pool of `workers` threads, and each direction
+    of cross_modal_eval as one panel."""
     monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", 0)
     monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: n_q)
 
 
 def ranked_twice(sim, q_ids, g_ids):
@@ -391,33 +406,27 @@ class TestRankingPool:
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_memory_is_a_few_blocks(self, monkeypatch, workers):
-        """Beyond its result, cmc_map holds at most two gallery-wide copies
-        (the sorted block and a C-ordered block of the transpose) per
-        worker; ranking the whole matrix at once would take several times
-        that."""
-        force_pool(monkeypatch, workers)
-        peaks = []
-        original = evaluation.cmc_map
-
-        def measured(sim, *args, **kwargs):
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            result = original(sim, *args, **kwargs)
-            peaks.append((tracemalloc.get_traced_memory()[1] - before, sim.shape))
-            return result
-
-        monkeypatch.setattr(evaluation, "cmc_map", measured)
-        params, ds = self.gallery(12 * _RANK_BLOCK)
+    def test_memory_is_one_panel_and_a_few_blocks(self, monkeypatch, workers):
+        """Beyond its inputs, cross_modal_eval holds one panel and at most
+        two gallery-wide copies per worker: under a quarter of the dense
+        VIS x NIR matrix, which it never builds."""
+        # panels of a little over `workers` blocks, each ranked on the pool
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
+        params, ds = self.gallery(3600)
+        n = int(np.count_nonzero(ds.modalities == int(Modality.VIS)))
+        assert n == int(np.count_nonzero(ds.modalities == int(Modality.NIR)))
+        monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", workers * _RANK_BLOCK * n)
+        rows = evaluation._panel_rows(n, n)
+        assert workers * _RANK_BLOCK < rows < (workers + 1) * _RANK_BLOCK
         tracemalloc.start()
         try:
+            before = tracemalloc.get_traced_memory()[0]
             cross_modal_eval(params, ds, list(Direction))
+            extra = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 2
-        for extra, (n_q, n_g) in peaks:
-            assert n_q >= 4 * workers * _RANK_BLOCK
-            assert extra <= 2 * workers * _RANK_BLOCK * n_g * 8 + 1_000_000
+        assert extra <= (rows + 2 * workers * _RANK_BLOCK) * n * 8 + 1_000_000
+        assert extra < n * n * 8 / 4
 
 
 class TestHistograms:
@@ -451,27 +460,33 @@ class TestHistograms:
         np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
         assert rep.intra_cosine_mean == probe(emb, ds.identities, ds.modalities)
 
-    @pytest.mark.parametrize(
-        "directions",
-        [
-            [Direction.VIS_TO_NIR],
-            [Direction.NIR_TO_VIS],
-            [Direction.VIS_TO_NIR, Direction.NIR_TO_VIS],
-            [Direction.NIR_TO_VIS, Direction.VIS_TO_NIR],
-        ],
-        ids=["vis2nir", "nir2vis", "both", "both-nir-first"],
-    )
+    @DIRECTION_LISTS
     def test_match_np_histogram_and_an_explicit_mask(self, monkeypatch, directions):
         """Similarities drawn from the bin edges, exactly +-1, one ulp
         beyond +-1, +-0 and random values, with ties in every row and across
         the rows either side of a _RANK_BLOCK boundary, over ragged identity
-        counts; both galleries span more than one block."""
+        counts; both galleries span more than one block, and each direction
+        more than one panel."""
         ids, mods, sim = edge_case_similarities(_RANK_BLOCK + 5, _RANK_BLOCK + 9)
-        monkeypatch.setattr(evaluation, "cosine_matrix", lambda q, g: sim)
-        ds = Dataset(np.ones((len(ids), 3)), ids, mods, 23, 3)
+        # each row's features name its modality and its index there, so a
+        # product returns the rows and columns of `sim` that it is asked for
+        vis = mods == int(Modality.VIS)
+        feats = np.ones((len(ids), 3))
+        feats[vis, 0] = np.arange(np.count_nonzero(vis))
+        feats[~vis, 0] = np.arange(np.count_nonzero(~vis))
+        feats[:, 1] = np.where(vis, 1.0, 2.0)
+
+        def fake_cosine(q, g, out):
+            rows, cols = q[:, 0].astype(int), g[:, 0].astype(int)
+            out[:] = (sim if q[0, 1] == 1.0 else sim.T)[rows[:, None], cols]
+            return out
+
+        monkeypatch.setattr(evaluation, "cosine_matrix", fake_cosine)
+        monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: 50)
+        ds = Dataset(feats, ids, mods, 23, 3)
         rep = cross_modal_eval(EncoderParams([np.eye(3)], [np.zeros(3)]), ds, directions)
 
-        vis_ids, nir_ids = ids[mods == int(Modality.VIS)], ids[mods == int(Modality.NIR)]
+        vis_ids, nir_ids = ids[vis], ids[~vis]
         same = vis_ids[:, None] == nir_ids[None, :]
         assert set(rep.ranked) == set(directions)
         np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
@@ -481,6 +496,13 @@ class TestHistograms:
         outside = np.count_nonzero(np.abs(sim) > 1.0)
         assert outside > 0
         assert rep.intra_hist.sum() + rep.inter_hist.sum() == sim.size - outside
+        for direction, (cmc, mean_ap) in rep.ranked.items():
+            to_nir = direction == Direction.VIS_TO_NIR
+            whole_cmc, whole_map = cmc_map(
+                *((sim, vis_ids, nir_ids) if to_nir else (sim.T, nir_ids, vis_ids))
+            )
+            np.testing.assert_array_equal(cmc, whole_cmc)
+            assert mean_ap == whole_map
 
     def test_overlap_bounds(self):
         a = np.zeros(60)
@@ -573,7 +595,7 @@ class TestCrossModalEval:
         (_, vn_map), (_, nv_map) = ranked[Direction.VIS_TO_NIR], ranked[Direction.NIR_TO_VIS]
         assert abs(vn_map - nv_map) < 0.2
 
-    def test_one_forward_and_one_similarity_matrix(self, monkeypatch):
+    def test_one_forward_and_one_product_per_panel(self, monkeypatch):
         calls = {"encoder_forward": 0, "cosine_matrix": 0}
 
         def counted(name):
@@ -587,16 +609,18 @@ class TestCrossModalEval:
 
         for name in calls:
             monkeypatch.setattr(evaluation, name, counted(name))
+        # 18 queries per direction, in panels of 4: 5 panels each
+        monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: 4)
         ds = generate_synthetic(
             SynthConfig(num_identities=6, samples_per_identity_per_modality=3, input_dim=4, seed=5)
         )
         rep = cross_modal_eval(init_encoder([4, 3], 2), ds, list(Direction))
         assert set(rep.ranked) == set(Direction)
-        assert calls == {"encoder_forward": 1, "cosine_matrix": 1}
+        assert calls == {"encoder_forward": 1, "cosine_matrix": 2 * 5}
 
     def test_reverse_direction_equals_its_own_product(self):
-        """NIR -> VIS ranks the transposed VIS x NIR matrix; the result is
-        the one a NIR x VIS product gives."""
+        """NIR -> VIS ranks its own NIR x VIS product; the result is the one
+        cmc_map gives on that whole product."""
         ds = generate_synthetic(
             SynthConfig(num_identities=8, samples_per_identity_per_modality=5, input_dim=6, seed=7)
         )
@@ -618,6 +642,168 @@ class TestCrossModalEval:
         mods = np.array([0, 1, 1])
         # single intra pair: (row0 VIS, row1 NIR) -> cos 0
         assert probe(emb, ids, mods) == pytest.approx(0.0, abs=1e-15)
+
+
+PANEL = 4
+
+
+def panel_case(n_vis, n_nir, seed=0):
+    """(params, dataset) of n_vis VIS and n_nir NIR rows, in random order,
+    over min(n_vis, n_nir, 3) identities that each modality holds. Each row
+    is a scaled sign vector or axis, so its unit row holds +-0.5 or 0 and 1
+    and every product is exact, and tied, whatever kernel computes it: a
+    one-row panel goes through a matrix-vector product, which can round
+    differently from the whole matrix's."""
+    rng = np.random.default_rng(seed)
+    n_ids = min(n_vis, n_nir, 3)
+    ids = np.concatenate([np.arange(n_vis) % n_ids, np.arange(n_nir) % n_ids])
+    mods = np.repeat([int(Modality.VIS), int(Modality.NIR)], [n_vis, n_nir])
+    order = rng.permutation(len(ids))
+    feats = rng.choice([-1.0, 1.0], size=(len(ids), 4))
+    feats[::3] = 2.0 * np.eye(4)[rng.integers(0, 4, size=len(feats[::3]))]
+    feats *= rng.choice([0.25, 1.0, 3.0], size=(len(ids), 1))
+    params = EncoderParams([np.eye(4)], [np.zeros(4)])
+    return params, Dataset(feats, ids[order], mods[order], n_ids, 4)
+
+
+class TestStreamedPanels:
+    """cross_modal_eval ranks each direction's product panel by panel; its
+    outputs are the bits the whole products give."""
+
+    @pytest.mark.parametrize(
+        "n_vis, n_nir",
+        [(1, 3), (4, 5), (14, 4), (5, 13)],
+        ids=["one-query|under-a-panel", "one-panel|panel-plus-one",
+             "three-panels-plus-two|one-panel", "panel-plus-one|three-panels-plus-one"],
+    )
+    @DIRECTION_LISTS
+    def test_panels_give_the_whole_products_bits(self, monkeypatch, n_vis, n_nir, directions):
+        params, ds = panel_case(n_vis, n_nir)
+        emb, _ = encoder_forward(params, ds.features)
+        vis = ds.modalities == int(Modality.VIS)
+        v, n, vis_ids, nir_ids = emb[vis], emb[~vis], ds.identities[vis], ds.identities[~vis]
+        sim = cosine_matrix(v, n)
+        # at this shape each panel is its rows of the whole product, and the
+        # NIR x VIS product is the VIS x NIR one transposed
+        for q, g, whole in ((v, n, sim), (n, v, sim.T)):
+            for lo in range(0, len(q), PANEL):
+                np.testing.assert_array_equal(
+                    cosine_matrix(q[lo : lo + PANEL], g), whole[lo : lo + PANEL]
+                )
+        monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: PANEL)
+        rep = cross_modal_eval(params, ds, directions)
+
+        assert list(rep.ranked) == directions
+        for direction, (cmc, mean_ap) in rep.ranked.items():
+            if direction == Direction.VIS_TO_NIR:
+                whole_cmc, whole_map = cmc_map(sim, vis_ids, nir_ids)
+            else:
+                whole_cmc, whole_map = cmc_map(cosine_matrix(n, v), nir_ids, vis_ids)
+            np.testing.assert_array_equal(cmc, whole_cmc)
+            assert mean_ap == whole_map
+        same = vis_ids[:, None] == nir_ids[None, :]
+        np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
+        np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
+        assert rep.intra_cosine_mean == float(sim[same].mean())
+
+    def test_panel_sizes(self):
+        """A SYSU-MM01-sized direction is cut into equal panels that each
+        still take the ranking pool; the desk and wide_train test sets are
+        one panel."""
+        rows = evaluation._panel_rows(5000, 5000)
+        assert rows == 834  # 6 panels
+        assert (5000 - 5 * rows) * 5000 >= evaluation._POOL_MIN_SIMS
+        for n_q, n_g in [(1200, 1200), (100, 100), (1, 1), (3999, 1000)]:
+            assert evaluation._panel_rows(n_q, n_g) == n_q
+
+    def test_no_direction_rejected_before_any_work(self, monkeypatch):
+        """With no direction the edges would never be counted, and the inter
+        histogram would come out negative."""
+        monkeypatch.setattr(evaluation, "encoder_forward", lambda *args: pytest.fail("forward ran"))
+        params, ds = panel_case(5, 5)
+        with pytest.raises(ContractViolation, match="no direction to evaluate"):
+            cross_modal_eval(params, ds, [])
+
+    @pytest.mark.parametrize(
+        "modality, message",
+        [(Modality.VIS, "query row 4 has near-zero norm"),
+         (Modality.NIR, "gallery row 9 has near-zero norm")],
+    )
+    @DIRECTION_LISTS
+    def test_zero_row_named_by_its_modality_before_any_panel(
+        self, monkeypatch, modality, message, directions
+    ):
+        """VIS rows are named "query" and NIR rows "gallery", with the row's
+        index within its modality, whichever direction ranks first."""
+        params, ds = panel_case(5, 13)
+        k = int(message.split()[2])
+        ds.features[np.flatnonzero(ds.modalities == int(modality))[k]] = 0.0
+        monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: PANEL)
+        monkeypatch.setattr(
+            evaluation, "cosine_matrix", lambda *a, **kw: pytest.fail("panel computed")
+        )
+        with pytest.raises(DegenerateNormError, match=f"^{message}$"):
+            cross_modal_eval(params, ds, directions)
+
+
+class TestOneBlasThread:
+    """A pooled direction holds OpenBLAS to one thread while it ranks, and
+    gives the count back on every exit."""
+
+    @staticmethod
+    def fake_blas(monkeypatch):
+        threads = [2]
+        monkeypatch.setattr(
+            evaluation, "_openblas",
+            lambda: ("fake", lambda: threads[0], lambda n: threads.__setitem__(0, n)),
+        )
+        return threads
+
+    def test_restored_after_a_normal_block(self, monkeypatch):
+        threads = self.fake_blas(monkeypatch)
+        with evaluation._one_blas_thread():
+            assert threads == [1]
+        assert threads == [2]
+
+    def test_restored_after_a_block_that_raises(self, monkeypatch):
+        threads = self.fake_blas(monkeypatch)
+        with pytest.raises(KeyError):
+            with evaluation._one_blas_thread():
+                assert threads == [1]
+                raise KeyError("boom")
+        assert threads == [2]
+
+    def test_pins_the_library_numpy_loaded(self):
+        blas = evaluation._openblas()
+        if blas is None:  # NumPy bundles no OpenBLAS here: nothing to pin
+            with evaluation._one_blas_thread():
+                pass
+            return
+        _, get, _ = blas
+        before = get()
+        with evaluation._one_blas_thread():
+            assert get() == 1
+        assert get() == before
+
+    def test_outputs_unchanged_where_no_openblas_is_found(self, monkeypatch):
+        force_pool(monkeypatch, 2)
+        params, ds = TestRankingPool.gallery()
+        blas = evaluation._openblas()
+        pinned = []
+        if blas is not None:
+            name, get, put = blas
+            recorded = (name, get, lambda n: pinned.append(n) or put(n))
+            monkeypatch.setattr(evaluation, "_openblas", lambda: recorded)
+        rep = cross_modal_eval(params, ds, list(Direction))
+        assert pinned == ([] if blas is None else [1, get()] * 2)  # per direction
+        monkeypatch.setattr(evaluation, "_openblas", lambda: None)
+        bare = cross_modal_eval(params, ds, list(Direction))
+        for direction in Direction:
+            np.testing.assert_array_equal(rep.ranked[direction][0], bare.ranked[direction][0])
+            assert rep.ranked[direction][1] == bare.ranked[direction][1]
+        np.testing.assert_array_equal(rep.intra_hist, bare.intra_hist)
+        np.testing.assert_array_equal(rep.inter_hist, bare.inter_hist)
+        assert rep.intra_cosine_mean == bare.intra_cosine_mean
 
 
 def full_matrix_probe(emb, ids, mods) -> float:
