@@ -30,7 +30,6 @@ class EncoderParams:
 @dataclass
 class ForwardCache:
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
 
 
@@ -57,14 +56,15 @@ def encoder_forward(params: EncoderParams, inputs: np.ndarray):
     if inputs.ndim != 2 or inputs.shape[1] != params.weights[0].shape[0]:
         raise ContractViolation("input dim does not match first layer")
     a = inputs
-    pre, acts = [], []
+    acts = []
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = z if l == last else np.maximum(z, 0.0)
+        a = a @ w
+        a += b
+        if l != last:
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
-    return a, ForwardCache(inputs, pre, acts)
+    return a, ForwardCache(inputs, acts)
 
 
 def encoder_backward(params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray):
@@ -76,7 +76,8 @@ def encoder_backward(params: EncoderParams, cache: ForwardCache, grad_embeddings
     delta = grad_embeddings
     for l in range(len(params.weights) - 1, -1, -1):
         if l != len(params.weights) - 1:
-            delta = delta * (cache.pre_activations[l] > 0.0)
+            # a rectified activation is > 0 exactly where its input was
+            delta = delta * (cache.activations[l] > 0.0)
         prev = cache.inputs if l == 0 else cache.activations[l - 1]
         grad_w[l] = prev.T @ delta
         grad_b[l] = delta.sum(axis=0)

@@ -1,8 +1,8 @@
 """Ablation and hyper-parameter sweep harness.
 
-Runs are deterministic per (config, seed). Sweeps fan out over seeds before
-grid points, so an interrupted run still yields complete seed sets for the
-points it finished.
+Runs are deterministic per (config, seed). The ablation and the sweep each
+build a list of jobs and run it through `_run_jobs`. Sweeps fan out over seeds
+before grid points; the order is kept so that `sweep_runs.csv` keeps its bytes.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .evaluation import (
     histogram_overlap,
     prototype_diagnostics,
 )
-from .trainer import train
+from .trainer import VARIANTS, train
 
-ABLATION_VARIANTS = ("SOFTMAX", "SAS", "SAS_FM", "SAS_FM_AST", "SAS_FM_WM")
+# the variants trained with the combined SAS-family loss, in table order
+ABLATION_VARIANTS = tuple(v for v, switches in VARIANTS.items() if switches is not None)
 
 # Reference configuration for the direction-reproduction experiments.
 #
@@ -66,11 +67,11 @@ def make_split(cfg: ExperimentConfig):
     return split_by_identity(dataset, cfg.train_fraction, cfg.split_seed)
 
 
-def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None) -> dict:
+def run_single(cfg: ExperimentConfig, variant: str, seed: int, split) -> dict:
     """Train one variant with one seed; evaluate both directions on the test
     identities. Runs on one `split` share each seed's batch schedule, which
     the train set memoizes. Returns a flat metrics row."""
-    train_set, test_set = split if split is not None else make_split(cfg)
+    train_set, test_set = split
     state, log = train(train_set, replace(cfg, variant=variant, seed=seed))
     result = cross_modal_eval(state.params, test_set, list(Direction))
     (cmc_vn, map_vn), (cmc_nv, map_nv) = (result.ranked[d] for d in Direction)
@@ -94,30 +95,28 @@ def run_single(cfg: ExperimentConfig, variant: str, seed: int, split=None) -> di
     return row
 
 
-def _checked_seeds(cfg: ExperimentConfig, configs, train_set) -> list[int]:
-    """The training seeds, once the bad input that would otherwise fail only
-    after earlier runs are trained is ruled out: an empty seed list, a
-    variant-dependent bad value (SAS_FM_AST with beta 0) in any config's loss
-    mapping, and more identities per batch (P) than `train_set` holds. Values
-    out of range already failed when each config was built."""
-    seeds = cfg.seed_list()
-    if not seeds:
+def _run_jobs(cfg: ExperimentConfig, jobs: list) -> list[dict]:
+    """Rows `{**run_single(point, ...), **extra}` for each job `(point, seed,
+    extra)`, in job order, all on one split of `cfg`'s data; `point` is the
+    config the job trains, its variant included. Before training anything it
+    rules out no jobs (an empty seed list), a variant-dependent bad value
+    (SAS_FM_AST with beta 0) in any job's loss mapping, and P above the train
+    identities; values out of range already failed when each config was built."""
+    split = make_split(cfg)
+    if not jobs:
         raise ContractViolation("seeds: needs at least one seed, got an empty list")
-    for c in configs:
-        c.loss_config()
-    if cfg.p > train_set.num_identities:
+    for point, _, _ in jobs:
+        point.loss_config()
+    if cfg.p > split[0].num_identities:
         raise ContractViolation("P exceeds the number of identities")
-    return seeds
+    return [
+        {**run_single(point, point.variant, seed, split), **extra} for point, seed, extra in jobs
+    ]
 
 
 def run_ablation(cfg: ExperimentConfig) -> list[dict]:
-    split = make_split(cfg)
-    seeds = _checked_seeds(cfg, (replace(cfg, variant=v) for v in ABLATION_VARIANTS), split[0])
-    rows = []
-    for variant in ABLATION_VARIANTS:
-        for seed in seeds:
-            rows.append(run_single(cfg, variant, seed, split=split))
-    return rows
+    points = [replace(cfg, variant=v) for v in ABLATION_VARIANTS]
+    return _run_jobs(cfg, [(point, seed, {}) for point in points for seed in cfg.seed_list()])
 
 
 def summarize(rows: list[dict], group_key: str = "variant", metrics=None) -> list[dict]:
@@ -163,16 +162,11 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, grid: list[float]) -> list[
                 variant="SAS_FM" if parameter == "beta" and value == 0.0 else variant)
         for value in grid
     ]
-    split = make_split(cfg)
-    seeds = _checked_seeds(cfg, points, split[0])
-    rows = []
-    for seed in seeds:
-        for value, point in zip(grid, points):
-            row = run_single(point, point.variant, seed, split=split)
-            row["parameter"] = parameter
-            row["value"] = value
-            rows.append(row)
-    return rows
+    return _run_jobs(cfg, [
+        (point, seed, {"parameter": parameter, "value": value})
+        for seed in cfg.seed_list()
+        for value, point in zip(grid, points)
+    ])
 
 
 def save_markdown_table(rows: list[dict], path, columns=None) -> None:

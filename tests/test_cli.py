@@ -18,7 +18,7 @@ from sasoftmax.core import (
     load_dataset_csv,
 )
 from sasoftmax.encoder import init_encoder, load_checkpoint, save_checkpoint
-from sasoftmax.experiments import desk_protocol, run_ablation, save_rows_csv
+from sasoftmax.experiments import desk_protocol, run_ablation, run_sweep, save_rows_csv
 
 from conftest import csv_writer_bytes
 
@@ -186,6 +186,16 @@ class TestProtocol:
         cfg = desk_protocol(seeds="1", epochs=2)
         save_rows_csv(run_ablation(cfg), tmp_path / "lib.csv")
         assert (out / "ablation_runs.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert load_config_file(out / "config.txt") == cfg
+
+    def test_desk_sweep_matches_library(self, tmp_path):
+        out = tmp_path / "sw"
+        argv = ["sweep", "--protocol", "desk", "--parameter", "beta", "--grid", "0,0.5",
+                "--seeds", "1,2", "--epochs", "2", "--out", str(out)]
+        assert main(argv) == 0
+        cfg = desk_protocol(seeds="1,2", epochs=2)
+        save_rows_csv(run_sweep(cfg, "beta", [0.0, 0.5]), tmp_path / "lib.csv")
+        assert (out / "sweep_runs.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
         assert load_config_file(out / "config.txt") == cfg
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from sasoftmax import experiments, trainer
 from sasoftmax.core import Dataset
-from sasoftmax.errors import ContractViolation
+from sasoftmax.errors import ContractViolation, NumericError
 from sasoftmax.experiments import (
     ABLATION_VARIANTS,
     desk_protocol,
@@ -97,3 +97,36 @@ class TestValidatesBeforeTraining:
         with pytest.raises(ContractViolation, match=message):
             run()
         assert len(calls) == 0
+
+
+class TestRunJobs:
+    def test_variant_dependent_bad_value_trains_nothing(self, monkeypatch):
+        """beta 0 is valid for the first three variants and bad only for
+        SAS_FM_AST, the fourth: the ablation fails before training any."""
+        calls = []
+        monkeypatch.setattr(experiments, "train", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ContractViolation, match="SAS_FM_AST requires beta > 0"):
+            run_ablation(small_protocol(beta=0.0))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "run", [run_ablation, lambda cfg: run_sweep(cfg, "beta", [0.0, 0.5, 1.0])]
+    )
+    def test_failing_job_reaches_the_caller_and_stops_the_list(self, monkeypatch, run):
+        """The second job raises: its error reaches the caller unchanged and
+        no later job runs."""
+        started = []
+
+        def fail_second(cfg, variant, seed, split):
+            started.append((variant, seed))
+            if len(started) == 2:
+                raise NumericError(f"loss_total is not finite in {variant} seed {seed}")
+            return {"variant": variant, "seed": seed}
+
+        monkeypatch.setattr(experiments, "run_single", fail_second)
+        cfg = small_protocol()
+        with pytest.raises(NumericError) as info:
+            run(cfg)
+        variant, seed = started[1]
+        assert str(info.value) == f"loss_total is not finite in {variant} seed {seed}"
+        assert len(started) == 2
