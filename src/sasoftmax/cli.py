@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, gradcheck, ablation, sweep, diagnose.
-Every ExperimentConfig key is exposed as a flag. --protocol picks the base
-config (the CLI defaults or the desk protocol), a key=value config file
-overrides it, and flags override both. Each output directory receives the
-exact effective config (config.txt) so any run can be reproduced from it;
-timestamps live only in metadata.json. Every command computes first and
-writes last: the output directory is created only once the work is done, so
-bad input or a failed computation leaves no output behind. Each file is
-written whole (core.atomic_write), and metadata.json comes last, so a
-directory without it is incomplete.
+The four that read an ExperimentConfig (gen-data, train, ablation, sweep)
+expose every key as a flag: --protocol picks the base config (the CLI
+defaults or the desk protocol), a key=value config file overrides it, and
+flags override both. Their output directories receive the exact effective
+config (config.txt) so any run can be reproduced from it. eval, gradcheck
+and diagnose take only their own flags; a config flag given to one of them
+is a usage error. Timestamps live only in metadata.json. Every command
+computes first and writes last: the output directory is created only once
+the work is done, so bad input or a failed computation leaves no output
+behind. Each file is written whole (core.atomic_write), and metadata.json
+comes last, so a directory without it is incomplete.
 
 Exit codes: 0 success, 1 contract violation (including usage errors),
 2 numeric failure (including an exhausted witness search), 3 I/O failure.
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, experiments, gradcheck
-from .config import ExperimentConfig, _coerce, load_config_file, save_config_file
+from .config import ExperimentConfig, coerce, load_config_file, save_config_file
 from .core import load_dataset_csv, save_dataset_csv, save_json, save_rows_csv
 from .data import generate_synthetic, split_by_identity
 from .encoder import load_checkpoint, save_checkpoint
@@ -43,6 +45,8 @@ from .evaluation import (
 from .trainer import train
 
 PROTOCOLS = {"default": ExperimentConfig, "desk": experiments.desk_protocol}
+# the commands that read an ExperimentConfig, take its flags and write config.txt
+CONFIGURED = ("gen-data", "train", "ablation", "sweep")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,20 +83,21 @@ def _effective_config(args) -> ExperimentConfig:
     for f in fields(ExperimentConfig):
         raw = getattr(args, f.name)
         if raw is not None:
-            overrides[f.name] = _coerce(raw, f.default, "--" + f.name.replace("_", "-"))
+            overrides[f.name] = coerce(raw, f.default, "--" + f.name.replace("_", "-"))
     return replace(cfg, **overrides)
 
 
 @contextmanager
-def _prepare_out(args, cfg: ExperimentConfig, name: str):
+def _prepare_out(args, name: str, cfg: ExperimentConfig | None = None):
     """The output directory, entered once the command's work is done: it
-    gets config.txt first, then the block's artifacts, then metadata.json.
-    An earlier run's metadata.json is removed on entry, so the directory
-    reads as incomplete until the block completes."""
+    gets config.txt first (for a configured command), then the block's
+    artifacts, then metadata.json. An earlier run's metadata.json is removed
+    on entry, so the directory reads as incomplete until the block completes."""
     out = args.out if args.out is not None else _default_out_root() / name
     out.mkdir(parents=True, exist_ok=True)
     (out / "metadata.json").unlink(missing_ok=True)
-    save_config_file(cfg, out / "config.txt")
+    if cfg is not None:
+        save_config_file(cfg, out / "config.txt")
     yield out
     save_json({"created_unix": time.time(), "command": name}, out / "metadata.json")
 
@@ -103,7 +108,7 @@ def cmd_gen_data(args, cfg: ExperimentConfig) -> int:
     if args.split:
         split = split_by_identity(dataset, cfg.train_fraction, cfg.split_seed)
         parts["train.csv"], parts["test.csv"] = split
-    with _prepare_out(args, cfg, "gen-data") as out:
+    with _prepare_out(args, "gen-data", cfg) as out:
         for name, part in parts.items():
             save_dataset_csv(part, out / name)
         save_json(asdict(cfg.synth_config()), out / "synth_config.json")
@@ -117,7 +122,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     else:
         train_set, _ = experiments.make_split(cfg)
     state, log = train(train_set, cfg)
-    with _prepare_out(args, cfg, "train") as out:
+    with _prepare_out(args, "train", cfg) as out:
         save_checkpoint(out / "checkpoint.txt", state.params,
                         state.modality_prototypes, state.identity_prototypes)
         log.save_csv(out / "trainlog.csv")
@@ -127,18 +132,19 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_eval(args, cfg: ExperimentConfig) -> int:
+def cmd_eval(args) -> int:
     params, w_mod, w_id = load_checkpoint(args.checkpoint)
     # a degenerate head fails before the gallery is ranked
     diag = prototype_diagnostics(w_mod, w_id)
     dataset = load_dataset_csv(args.data)
-    result = cross_modal_eval(params, dataset, cfg.direction_list())
+    directions = list(Direction) if args.direction == "both" else [Direction(args.direction)]
+    result = cross_modal_eval(params, dataset, directions)
     report = {
         direction.value: {"cmc": cmc.tolist(), "map": mean_ap, "rank1": float(cmc[0])}
         for direction, (cmc, mean_ap) in result.ranked.items()
     }
     report["prototype_diagnostics"] = {k: v for k, v in diag.items() if isinstance(v, float)}
-    with _prepare_out(args, cfg, "eval") as out:
+    with _prepare_out(args, "eval") as out:
         # one pair of histograms, under each evaluated direction's name
         for direction in result.ranked:
             save_histogram_csv(result.intra_hist, out / f"hist_intra_{direction.value}.csv")
@@ -151,7 +157,7 @@ def cmd_eval(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_gradcheck(args, cfg: ExperimentConfig) -> int:
+def cmd_gradcheck(args) -> int:
     if args.num_seeds < 1:
         raise ContractViolation(f"--num-seeds: expected >= 1, got {args.num_seeds}")
     for flag, tol in (("--tolerance", args.tolerance), ("--pipeline-tolerance", args.pipeline_tolerance)):
@@ -161,7 +167,7 @@ def cmd_gradcheck(args, cfg: ExperimentConfig) -> int:
     seeds = range(args.num_seeds)
     rows = gradcheck.check_all_losses(seeds, args.tolerance)
     rows += gradcheck.check_pipeline(seeds, args.pipeline_tolerance)
-    with _prepare_out(args, cfg, "gradcheck") as out:
+    with _prepare_out(args, "gradcheck") as out:
         gradcheck.save_rows_csv(rows, out / "gradcheck.csv")
     failed = [r for r in rows if not r.passed]
     by_loss: dict[str, list] = {}
@@ -180,7 +186,7 @@ def cmd_gradcheck(args, cfg: ExperimentConfig) -> int:
 def cmd_ablation(args, cfg: ExperimentConfig) -> int:
     rows = experiments.run_ablation(cfg)
     summary = experiments.summarize(rows)
-    with _prepare_out(args, cfg, "ablation") as out:
+    with _prepare_out(args, "ablation", cfg) as out:
         save_rows_csv(rows, out / "ablation_runs.csv")
         save_rows_csv(summary, out / "ablation.csv")
         experiments.save_markdown_table(
@@ -197,10 +203,10 @@ def cmd_ablation(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    grid = [_coerce(v, 0.0, "--grid") for v in args.grid.split(",") if v.strip()]
+    grid = [coerce(v, 0.0, "--grid") for v in args.grid.split(",") if v.strip()]
     rows = experiments.run_sweep(cfg, args.parameter, grid)
     summary = experiments.summarize(rows, group_key="value", metrics=["mean_rank1", "mean_map"])
-    with _prepare_out(args, cfg, f"sweep-{args.parameter}") as out:
+    with _prepare_out(args, f"sweep-{args.parameter}", cfg) as out:
         save_rows_csv(rows, out / "sweep_runs.csv")
         save_rows_csv(summary, out / "sweep.csv")
     for rec in summary:
@@ -211,19 +217,15 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
+def cmd_diagnose(args) -> int:
     if args.budget < 1:
         raise ContractViolation(f"--budget: expected >= 1, got {args.budget}")
     if args.seed_start < 0:
         raise ContractViolation(f"--seed-start: expected >= 0, got {args.seed_start}")
-    reports, hists = {}, {}
+    reports = {}
     if args.checkpoint is not None:
-        params, w_mod, w_id = load_checkpoint(args.checkpoint)
+        _, w_mod, w_id = load_checkpoint(args.checkpoint)
         diag = prototype_diagnostics(w_mod, w_id)
-        if args.data is not None:
-            dataset = load_dataset_csv(args.data)
-            result = cross_modal_eval(params, dataset, [Direction.VIS_TO_NIR])
-            hists = {"hist_intra.csv": result.intra_hist, "hist_inter.csv": result.inter_hist}
         reports["prototype_diagnostics.json"] = {
             k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in diag.items()
         }
@@ -232,11 +234,9 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
     grid, ok = analysis.check_eq3_grid()
     reports["softmax_failure_witness.json"] = witness
     reports["fm_ambiguity.json"] = ambiguity
-    with _prepare_out(args, cfg, "diagnose") as out:
+    with _prepare_out(args, "diagnose") as out:
         for name, report in reports.items():
             save_json(report, out / name)
-        for name, hist in hists.items():
-            save_histogram_csv(hist, out / name)
         save_rows_csv(grid, out / "theta_probe_grid.csv")
     if args.checkpoint is not None:
         print(f"mean cos(P_v, P_n) = {diag['mean_cos_vis_nir']:.4f}")
@@ -261,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "eval": (cmd_eval, "evaluate a checkpoint on a dataset CSV", [
             ("--checkpoint", dict(type=Path, required=True)),
             ("--data", dict(type=Path, required=True)),
+            ("--direction", dict(choices=[d.value for d in Direction] + ["both"], default="both")),
         ]),
         "gradcheck": (cmd_gradcheck, "finite-difference check of all gradients", [
             ("--num-seeds", dict(type=int, default=20)),
@@ -274,25 +275,29 @@ def build_parser() -> argparse.ArgumentParser:
         ]),
         "diagnose": (cmd_diagnose, "prototype diagnostics and analytic checks", [
             ("--checkpoint", dict(type=Path)),
-            ("--data", dict(type=Path)),
             ("--budget", dict(type=int, default=1_000_000)),
             ("--seed-start", dict(type=int, default=0)),
         ]),
     }
     for name, (func, help_text, flags) in commands.items():
-        p = sub.add_parser(name, help=help_text)
+        configured = name in CONFIGURED
+        # elsewhere a config flag is unrecognized, not an abbreviation (--p of --pipeline-tolerance)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=configured)
         p.add_argument("--out", type=Path)
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        _add_config_flags(p)
-        p.set_defaults(func=func)
+        if configured:
+            _add_config_flags(p)
+        p.set_defaults(func=func, configured=configured)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _effective_config(args))
+        if args.configured:
+            return args.func(args, _effective_config(args))
+        return args.func(args)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

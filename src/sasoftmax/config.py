@@ -1,5 +1,5 @@
 """Flat experiment configuration: one dataclass covering data generation,
-training, and evaluation, readable from a key=value text file with every key
+training, and experiment orchestration, readable from a key=value text file with every key
 overridable by a command-line flag. Unknown keys are rejected.
 
 ExperimentConfig extends TrainConfig, so a config (or `replace(cfg,
@@ -13,10 +13,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from .core import atomic_write
 from .data import SynthConfig
 from .errors import ContractViolation
-from .evaluation import Direction
 from .trainer import TrainConfig
-
-DIRECTIONS = tuple(d.value for d in Direction) + ("both",)
 
 
 @dataclass
@@ -34,7 +31,6 @@ class ExperimentConfig(TrainConfig):
     seed: int = 1  # the CLI's training seed; TrainConfig's default is 0
     # experiment orchestration
     seeds: str = "1,2,3"
-    direction: str = "both"  # vis2nir | nir2vis | both
 
     def __post_init__(self):
         super().__post_init__()
@@ -43,10 +39,6 @@ class ExperimentConfig(TrainConfig):
         for name, value in seeds + [("seeds", s) for s in self.seed_list()]:
             if value < 0:
                 raise ContractViolation(f"{name} must be non-negative, got {value}")
-        if self.direction not in DIRECTIONS:
-            raise ContractViolation(
-                f"direction: expected one of {', '.join(DIRECTIONS)}, got {self.direction!r}"
-            )
 
     def synth_config(self) -> SynthConfig:
         """Every SynthConfig field by name; its `seed` is our `data_seed`."""
@@ -54,10 +46,7 @@ class ExperimentConfig(TrainConfig):
         return SynthConfig(seed=self.data_seed, **values)
 
     def seed_list(self) -> list[int]:
-        return list(_coerce(self.seeds, (), "seeds"))
-
-    def direction_list(self) -> list[Direction]:
-        return list(Direction) if self.direction == "both" else [Direction(self.direction)]
+        return list(coerce(self.seeds, (), "seeds"))
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -65,7 +54,7 @@ _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
-def _coerce(raw: str, like, name: str):
+def coerce(raw: str, like, name: str):
     """Parse `raw` into the type of `like` (a field's default value). Tuples
     are comma-separated ints, "" being the empty tuple. `name` labels the
     error: a flag, a key, or `file:line: key`."""
@@ -101,7 +90,7 @@ def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentCo
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _DEFAULTS:
             raise ContractViolation(f"{path}:{lineno}: unknown key {key!r}")
-        overrides[key] = _coerce(raw, _DEFAULTS[key], f"{path}:{lineno}: {key}")
+        overrides[key] = coerce(raw, _DEFAULTS[key], f"{path}:{lineno}: {key}")
     return replace(cfg, **overrides)
 
 

@@ -87,27 +87,27 @@ def encoder_backward(params: EncoderParams, cache: ForwardCache, grad_embeddings
 
 
 class SGDState:
-    """Velocity buffers, one per array the optimizer updates."""
+    """The arrays the optimizer updates, in its order, and their velocities."""
 
     def __init__(self, arrays: list[np.ndarray]):
+        self.arrays = arrays
         self.velocities = [np.zeros_like(a) for a in arrays]
 
 
 def sgd_step(
-    arrays: list[np.ndarray],
-    grads: list[np.ndarray | None],
     state: SGDState,
+    grads: list[np.ndarray | None],
     lr: float,
-    momentum: float = 0.9,
-    weight_decay: float = 5e-4,
+    momentum: float,
+    weight_decay: float,
 ) -> None:
-    """In-place heavy-ball update: v <- mu v + g + wd p; p <- p - lr v.
-    An array whose gradient is None keeps its values and its velocity."""
+    """In-place heavy-ball update of `state.arrays`: v <- mu v + g + wd p;
+    p <- p - lr v. An array whose gradient is None keeps values and velocity."""
     if lr <= 0.0:
         raise ContractViolation("learning rate must be positive")
-    if len(arrays) != len(grads) or len(arrays) != len(state.velocities):
-        raise ContractViolation("parameter / gradient / state length mismatch")
-    for p, g, v in zip(arrays, grads, state.velocities):
+    if len(grads) != len(state.arrays):
+        raise ContractViolation("parameter / gradient length mismatch")
+    for p, g, v in zip(state.arrays, grads, state.velocities):
         if g is None:
             continue
         if p.shape != g.shape:

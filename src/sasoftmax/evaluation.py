@@ -4,7 +4,6 @@ histograms over cross-modality pairs, and prototype-geometry diagnostics.
 
 from __future__ import annotations
 
-import csv
 import functools
 import os
 from contextlib import contextmanager, nullcontext
@@ -14,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Dataset, IdentityPrototypeMatrix, Modality, ModalityPrototypeMatrix
-from .core import _save_samples_csv, atomic_write
+from .core import _save_samples_csv, save_rows_csv
 from .encoder import EncoderParams, encoder_forward
 from .errors import ContractViolation, DegenerateNormError
 from .losses import NORM_EPS, _safe_norms
@@ -410,8 +409,7 @@ def export_embeddings(emb: np.ndarray, dataset: Dataset, path) -> None:
 
 
 def save_histogram_csv(hist: np.ndarray, path) -> None:
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for i, c in enumerate(hist):
-            writer.writerow([repr(float(HIST_BINS[i])), repr(float(HIST_BINS[i + 1])), int(c)])
+    save_rows_csv([
+        {"bin_low": float(HIST_BINS[i]), "bin_high": float(HIST_BINS[i + 1]), "count": int(c)}
+        for i, c in enumerate(hist)
+    ], path)

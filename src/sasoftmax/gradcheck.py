@@ -20,8 +20,8 @@ from .losses import (
     circle_loss,
     combined_loss,
     masked_ce,
-    CombinedLossConfig,
 )
+from .trainer import TrainConfig
 
 FD_STEP = 1e-5
 
@@ -133,7 +133,7 @@ def check_all_losses(seeds, tolerance: float = 1e-6) -> list[CheckRow]:
 
         # the prototype-side term is routed away from the embeddings, so the
         # FD target is the feature-routed portion of the objective
-        cfg = CombinedLossConfig(alpha=0.7, beta=1.0, use_feature_mask=True)
+        cfg = TrainConfig(variant="SAS_FM_AST").loss_config()
         res = combined_loss(x, ModalityPrototypeMatrix(w_mod), IdentityPrototypeMatrix(w_id), ids, mods, cfg)
         _check_pair(
             "combined_loss", seed, rows, tolerance, x,
@@ -166,7 +166,7 @@ def check_pipeline(seeds, tolerance: float = 1e-5) -> list[CheckRow]:
         w_id = rng.normal(size=(d, n))
         ids = rng.integers(0, n, size=b)
         mods = rng.integers(0, 2, size=b)
-        cfg = CombinedLossConfig(alpha=0.7, beta=1.0, use_feature_mask=True)
+        cfg = TrainConfig(variant="SAS_FM_AST").loss_config()
 
         def loss_of_params() -> float:
             emb, _ = encoder_forward(params, x_in)

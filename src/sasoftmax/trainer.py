@@ -144,7 +144,6 @@ class TrainState:
     params: EncoderParams
     modality_prototypes: ModalityPrototypeMatrix
     identity_prototypes: IdentityPrototypeMatrix
-    # velocities of weights + biases + [modality W, identity W], in that order
     optimizer: SGDState
 
 
@@ -217,10 +216,8 @@ def train_step(
     # one update of every target, in the optimizer's order; a head the
     # objective does not reach (alpha 0 or 1, AM_SOFTMAX, CIRCLE) gets None
     grad_w, grad_b = encoder_backward(state.params, cache, res.grad_embeddings)
-    heads = [state.modality_prototypes.W, state.identity_prototypes.W]
     head_grads = [res.grad_modality_prototypes, res.grad_identity_prototypes]
-    sgd_step(state.params.weights + state.params.biases + heads, grad_w + grad_b + head_grads,
-             state.optimizer, lr, config.momentum, config.weight_decay)
+    sgd_step(state.optimizer, grad_w + grad_b + head_grads, lr, config.momentum, config.weight_decay)
     return {"loss_total": res.value, **res.components}
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import sasoftmax
 from sasoftmax import analysis, cli, evaluation
 from sasoftmax.cli import main
-from sasoftmax.config import load_config_file
+from sasoftmax.config import ExperimentConfig, load_config_file
 from sasoftmax.core import (
     IdentityPrototypeMatrix,
     ModalityPrototypeMatrix,
@@ -70,9 +71,9 @@ class TestTrainEvalDiagnose:
             "--out", str(ev),
             "--checkpoint", str(tr / "checkpoint.txt"),
             "--data", str(gen / "test.csv"),
-            *FAST_FLAGS,
         ])
         assert code == 0
+        assert not (ev / "config.txt").exists()
         report = json.loads((ev / "report.json").read_text())
         assert set(report) == {"vis2nir", "nir2vis", "prototype_diagnostics"}
         assert 0.0 <= report["vis2nir"]["map"] <= 1.0
@@ -84,14 +85,13 @@ class TestTrainEvalDiagnose:
             "diagnose",
             "--out", str(di),
             "--checkpoint", str(tr / "checkpoint.txt"),
-            "--data", str(gen / "test.csv"),
-            *FAST_FLAGS,
         ])
         assert code == 0
         assert (di / "softmax_failure_witness.json").exists()
         assert (di / "fm_ambiguity.json").exists()
         assert (di / "theta_probe_grid.csv").exists()
         assert (di / "prototype_diagnostics.json").exists()
+        assert not (di / "config.txt").exists()
 
     def test_missing_checkpoint_is_io_failure(self, tmp_path):
         code = main([
@@ -99,7 +99,6 @@ class TestTrainEvalDiagnose:
             "--out", str(tmp_path / "ev"),
             "--checkpoint", str(tmp_path / "nope.txt"),
             "--data", str(tmp_path / "nope.csv"),
-            *FAST_FLAGS,
         ])
         assert code == 3
 
@@ -207,6 +206,91 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path / "di")]) == 2
 
 
+class TestCommandInputs:
+    """gen-data, train, ablation and sweep read an ExperimentConfig and take
+    its flags; eval, gradcheck and diagnose take only their own."""
+
+    # each unconfigured command with the flags it needs to run
+    UNCONFIGURED = {
+        "eval": ["eval", "--checkpoint", "c.txt", "--data", "d.csv"],
+        "gradcheck": ["gradcheck"],
+        "diagnose": ["diagnose"],
+    }
+
+    def test_flag_sets(self):
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        flags = {
+            name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+            for name, p in subparsers.items()
+        }
+        config = {"--protocol", "--config"} | {
+            "--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)
+        }
+        assert len(fields(ExperimentConfig)) == 29
+        assert flags == {
+            "gen-data": {"--out", "--split"} | config,
+            "train": {"--out", "--data"} | config,
+            "eval": {"--out", "--checkpoint", "--data", "--direction"},
+            "gradcheck": {"--out", "--num-seeds", "--tolerance", "--pipeline-tolerance"},
+            "ablation": {"--out"} | config,
+            "sweep": {"--out", "--parameter", "--grid"} | config,
+            "diagnose": {"--out", "--checkpoint", "--budget", "--seed-start"},
+        }
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (argv + extra, extra[0])
+            for argv in UNCONFIGURED.values()
+            for extra in (["--epochs", "2"], ["--protocol", "desk"], ["--config", "f"])
+        ] + [(["diagnose", "--data", "x"], "--data")],
+    )
+    def test_config_flag_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and flag in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", UNCONFIGURED)
+    def test_no_config_flag_parses(self, capsys, command):
+        """Not even as an abbreviation of a command's own flag (--p of
+        --pipeline-tolerance, --seed of --seed-start)."""
+        parser = cli.build_parser()
+        for flag in ["--protocol", "--config"] + [
+            "--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*self.UNCONFIGURED[command], flag, "1"])
+            assert exc.value.code == 1, flag
+            assert "unrecognized arguments" in capsys.readouterr().err, flag
+
+    def test_eval_one_direction_histograms(self, tmp_path):
+        """`eval --direction vis2nir` writes the histograms of a VIS -> NIR
+        evaluation, the bytes `diagnose --data` used to write."""
+        gen, tr = tmp_path / "gen", tmp_path / "train"
+        assert main(["gen-data", "--out", str(gen), "--split", *FAST_FLAGS]) == 0
+        assert main(["train", "--out", str(tr), "--data", str(gen / "train.csv"), *FAST_FLAGS]) == 0
+        ev = tmp_path / "eval"
+        argv = ["eval", "--checkpoint", str(tr / "checkpoint.txt"), "--data", str(gen / "test.csv")]
+        assert main([*argv, "--direction", "vis2nir", "--out", str(ev)]) == 0
+        result = evaluation.cross_modal_eval(
+            load_checkpoint(tr / "checkpoint.txt")[0],
+            load_dataset_csv(gen / "test.csv"),
+            [evaluation.Direction.VIS_TO_NIR],
+        )
+        for name, hist in (("intra", result.intra_hist), ("inter", result.inter_hist)):
+            evaluation.save_histogram_csv(hist, tmp_path / f"{name}.csv")
+            got = (ev / f"hist_{name}_vis2nir.csv").read_bytes()
+            assert got == (tmp_path / f"{name}.csv").read_bytes()
+        assert sorted(p.name for p in ev.iterdir()) == [
+            "embeddings.csv", "hist_inter_vis2nir.csv", "hist_intra_vis2nir.csv",
+            "metadata.json", "report.json",
+        ]
+
+
 def run_cli(argv, cwd):
     env = {**os.environ, "PYTHONPATH": str(Path(sasoftmax.__file__).parents[1])}
     return subprocess.run(
@@ -263,7 +347,9 @@ class TestMalformedInputFiles:
             (["eval", "--checkpoint", "good.txt", "--data", "bad.csv"], "bad.csv:3"),
             (["train", "--data", "bad.csv"], "bad.csv:3"),
             (["diagnose", "--checkpoint", "trunc.txt"], "trunc.txt"),
-            (["diagnose", "--checkpoint", "good.txt", "--data", "bad.csv"], "bad.csv:3"),
+            # the one-direction evaluation, which took over `diagnose --data`'s histograms
+            (["eval", "--checkpoint", "good.txt", "--data", "bad.csv", "--direction", "vis2nir"],
+             "bad.csv:3"),
             (["eval", "--checkpoint", "badshape.txt", "--data", "good.csv"], "badshape.txt"),
             (["eval", "--checkpoint", "bin.txt", "--data", "good.csv"], "bin.txt"),
             (["eval", "--checkpoint", "good.txt", "--data", "bin.csv"], "bin.csv"),
@@ -272,7 +358,7 @@ class TestMalformedInputFiles:
                 "identity 0 has no nir gallery item (vis2nir)",
             ),
             (
-                ["diagnose", "--checkpoint", "good.txt", "--data", "onemod.csv"],
+                ["eval", "--checkpoint", "good.txt", "--data", "onemod.csv", "--direction", "vis2nir"],
                 "identity 0 has no nir gallery item (vis2nir)",
             ),
             (["eval", "--checkpoint", "good.txt", "--data", "nan.csv"], "nan.csv:3"),
@@ -343,6 +429,8 @@ class TestBadInput:
             *[(["gradcheck", flag, value], None, flag)
               for flag in ("--tolerance", "--pipeline-tolerance")
               for value in ("inf", "nan", "-1", "0")],
+            # direction is `sas eval --direction`, not a config key
+            (["train", "--epochs", "1"], "direction = both\n", "unknown key 'direction'"),
         ],
     )
     def test_exits_1_with_one_line_naming_the_value(
@@ -422,7 +510,8 @@ class TestBadInput:
 
 
 class TestOutputContract:
-    """config.txt first, every file whole, metadata.json last."""
+    """config.txt first (from the configured commands), every file whole,
+    metadata.json last."""
 
     @pytest.fixture
     def eval_argv(self, tmp_path):
@@ -467,6 +556,19 @@ class TestOutputContract:
 
         fresh = tmp_path / "fresh"
         assert main([*eval_argv, "--out", str(fresh)]) == 3
-        assert (fresh / "config.txt").exists()
+        assert fresh.is_dir()
         assert not (fresh / "metadata.json").exists()
+
+    def test_failed_write_after_config(self, tmp_path, monkeypatch):
+        """A configured command writes config.txt before its artifacts: a
+        failed write leaves it, and no metadata.json."""
+
+        def failing_checkpoint(path, *arrays):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_checkpoint", failing_checkpoint)
+        out = tmp_path / "train"
+        assert main(["train", "--out", str(out), *FAST_FLAGS]) == 3
+        assert "num_identities = 6" in (out / "config.txt").read_text()
+        assert not (out / "metadata.json").exists()
 

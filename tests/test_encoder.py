@@ -118,13 +118,13 @@ class TestSGD:
         p = np.array([1.0, 2.0])
         g = np.array([0.5, -0.5])
         state = SGDState([p])
-        sgd_step([p], [g], state, lr=1.0, momentum=0.0, weight_decay=0.0)
+        sgd_step(state, [g], lr=1.0, momentum=0.0, weight_decay=0.0)
         np.testing.assert_allclose(p, [0.5, 2.5], atol=1e-15)
 
     def test_zero_grad_no_motion(self):
         p = np.array([1.0, 2.0])
         state = SGDState([p])
-        sgd_step([p], [np.zeros(2)], state, lr=0.1, momentum=0.0, weight_decay=0.0)
+        sgd_step(state, [np.zeros(2)], lr=0.1, momentum=0.0, weight_decay=0.0)
         np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_momentum_hand_unrolled(self):
@@ -133,8 +133,8 @@ class TestSGD:
         g = np.array([1.0])
         lr = 0.1
         state = SGDState([p])
-        sgd_step([p], [g], state, lr, momentum=0.9, weight_decay=0.0)
-        sgd_step([p], [g], state, lr, momentum=0.9, weight_decay=0.0)
+        sgd_step(state, [g], lr, momentum=0.9, weight_decay=0.0)
+        sgd_step(state, [g], lr, momentum=0.9, weight_decay=0.0)
         assert p[0] == pytest.approx(-lr * (1.0 + 1.9), abs=1e-15)
 
     def test_weight_decay_oracle(self):
@@ -142,7 +142,7 @@ class TestSGD:
         p0, g, wd, lr = 2.0, 0.5, 0.01, 0.1
         p = np.array([p0])
         state = SGDState([p])
-        sgd_step([p], [np.array([g])], state, lr, momentum=0.0, weight_decay=wd)
+        sgd_step(state, [np.array([g])], lr, momentum=0.0, weight_decay=wd)
         assert p[0] == pytest.approx(p0 - lr * (g + wd * p0), abs=1e-15)
 
     def test_none_gradient_leaves_its_array_and_velocity(self):
@@ -159,8 +159,8 @@ class TestSGD:
         ref.velocities = [state.velocities[0].copy(), state.velocities[2].copy()]
         held = arrays[1].copy(), state.velocities[1].copy()
         for _ in range(2):
-            sgd_step(arrays, grads, state, 0.1, momentum=0.9, weight_decay=0.01)
-            sgd_step(ref_arrays, [grads[0], grads[2]], ref, 0.1, momentum=0.9, weight_decay=0.01)
+            sgd_step(state, grads, 0.1, momentum=0.9, weight_decay=0.01)
+            sgd_step(ref, [grads[0], grads[2]], 0.1, momentum=0.9, weight_decay=0.01)
         np.testing.assert_array_equal(arrays[1], held[0])
         np.testing.assert_array_equal(state.velocities[1], held[1])
         for got, want in zip(
@@ -173,9 +173,11 @@ class TestSGD:
         p = np.zeros(2)
         state = SGDState([p])
         with pytest.raises(ContractViolation):
-            sgd_step([p], [np.zeros(2)], state, lr=0.0)
+            sgd_step(state, [np.zeros(2)], lr=0.0, momentum=0.9, weight_decay=5e-4)
         with pytest.raises(ContractViolation):
-            sgd_step([p], [np.zeros(3)], state, lr=0.1)
+            sgd_step(state, [np.zeros(3)], lr=0.1, momentum=0.9, weight_decay=5e-4)
+        with pytest.raises(ContractViolation):
+            sgd_step(state, [np.zeros(2)] * 2, lr=0.1, momentum=0.9, weight_decay=5e-4)
 
 
 class TestLrSchedule:

@@ -1,5 +1,6 @@
 import csv
 import inspect
+import io
 import re
 import sys
 import threading
@@ -522,6 +523,15 @@ class TestHistograms:
         assert rows[0] == ["bin_low", "bin_high", "count"]
         assert float(rows[1][0]) == -1.0
         assert float(rows[-1][1]) == 1.0
+        # byte for byte the csv.writer rows of float reprs the format was defined by
+        counts = np.random.default_rng(0).integers(0, 10**6, size=60)
+        save_histogram_csv(counts, path)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["bin_low", "bin_high", "count"])
+        for lo, hi, c in zip(HIST_BINS[:-1], HIST_BINS[1:], counts):
+            writer.writerow([repr(float(lo)), repr(float(hi)), int(c)])
+        assert path.read_bytes() == buf.getvalue().encode()
 
 
 class TestCrossModalEval:

@@ -171,9 +171,8 @@ class TestStepSemantics:
             emb, ref.modality_prototypes, ref.identity_prototypes, ids, mods, loss_cfg
         )
         sgd_step(
-            [ref.modality_prototypes.W],
-            [res1.grad_modality_prototypes],
             SGDState([ref.modality_prototypes.W]),
+            [res1.grad_modality_prototypes],
             lr,
             cfg.momentum,
             cfg.weight_decay,
@@ -188,17 +187,15 @@ class TestStepSemantics:
         )
         gw, gb = encoder_backward(ref.params, cache, res2.grad_embeddings)
         sgd_step(
-            ref.params.weights + ref.params.biases,
-            gw + gb,
             SGDState(ref.params.weights + ref.params.biases),
+            gw + gb,
             lr,
             cfg.momentum,
             cfg.weight_decay,
         )
         sgd_step(
-            [ref.identity_prototypes.W],
-            [res2.grad_identity_prototypes],
             SGDState([ref.identity_prototypes.W]),
+            [res2.grad_identity_prototypes],
             lr,
             cfg.momentum,
             cfg.weight_decay,
@@ -236,9 +233,8 @@ class TestStepSemantics:
             emb, sync.modality_prototypes, sync.identity_prototypes, ids, mods, loss_cfg
         )
         sgd_step(
-            [sync.modality_prototypes.W],
-            [res1.grad_modality_prototypes],
             SGDState([sync.modality_prototypes.W]),
+            [res1.grad_modality_prototypes],
             lr,
             cfg.momentum,
             cfg.weight_decay,
@@ -249,9 +245,8 @@ class TestStepSemantics:
         )
         gw, gb = encoder_backward(sync.params, cache, res2.grad_embeddings)
         sgd_step(
-            sync.params.weights + sync.params.biases,
-            gw + gb,
             SGDState(sync.params.weights + sync.params.biases),
+            gw + gb,
             lr,
             cfg.momentum,
             cfg.weight_decay,
