@@ -145,10 +145,9 @@ def cmd_eval(args) -> int:
     }
     report["prototype_diagnostics"] = {k: v for k, v in diag.items() if isinstance(v, float)}
     with _prepare_out(args, "eval") as out:
-        # one pair of histograms, under each evaluated direction's name
-        for direction in result.ranked:
-            save_histogram_csv(result.intra_hist, out / f"hist_intra_{direction.value}.csv")
-            save_histogram_csv(result.inter_hist, out / f"hist_inter_{direction.value}.csv")
+        # over all (VIS, NIR) pairs, whichever directions were ranked
+        save_histogram_csv(result.intra_hist, out / "hist_intra.csv")
+        save_histogram_csv(result.inter_hist, out / "hist_inter.csv")
         save_json(report, out / "report.json")
         export_embeddings(result.embeddings, dataset, out / "embeddings.csv")
     for key, rep in report.items():

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,8 +24,7 @@ HIST_BINS = np.linspace(-1.0, 1.0, 61)  # 60 fixed bins, comparable across runs
 _RANK_BLOCK = 128
 # Similarities from which cmc_map ranks its blocks on a thread pool, one
 # worker per CPU; the blocks in flight then hold up to workers x _RANK_BLOCK
-# x gallery floats. Smaller matrices rank inline. cross_modal_eval cuts a
-# direction into panels of about this many similarities each.
+# x gallery floats. Smaller matrices rank inline.
 _POOL_MIN_SIMS = 4_000_000
 # HIST_BINS as searchsorted keys counting the values below each edge: the
 # last edge one ulp up, so that its bin is closed as in np.histogram
@@ -51,25 +50,32 @@ class EvalReport:
     embeddings: np.ndarray  # the forward pass that was ranked, every sample in order
 
 
-def _row_norms(rows: np.ndarray, name: str) -> np.ndarray:
-    """Each row's norm. A row of near-zero norm raises DegenerateNormError
-    naming `name` and the row, whether or not any pair would use it."""
+def _unit_rows(rows: np.ndarray, name: str) -> np.ndarray:
+    """`rows` scaled to unit norm. A row of near-zero norm raises
+    DegenerateNormError naming `name` and the row, whether or not any pair
+    would use it."""
     norms = np.linalg.norm(rows, axis=1)
     bad = np.nonzero(norms < NORM_EPS)[0]
     if bad.size:
         raise DegenerateNormError(f"{name} row {bad[0]} has near-zero norm")
-    return norms
+    return rows / norms[:, None]
 
 
-def _unit_rows(rows: np.ndarray, name: str) -> np.ndarray:
-    """`rows` scaled to unit norm, checked as _row_norms checks them."""
-    return rows / _row_norms(rows, name)[:, None]
+def cosine_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """Cosines of every (query, gallery) row pair."""
+    return _unit_rows(queries, "query") @ _unit_rows(gallery, "gallery").T
 
 
-def cosine_matrix(queries: np.ndarray, gallery: np.ndarray, out=None) -> np.ndarray:
-    """Cosines of every (query, gallery) row pair, written into `out` when
-    given (a C-ordered float array of that shape)."""
-    return np.matmul(_unit_rows(queries, "query"), _unit_rows(gallery, "gallery").T, out=out)
+class _Product:
+    """The cosines of unit query rows `q` and unit gallery rows `g`, computed
+    only as rows are asked for: [lo:hi] is q[lo:hi] @ g.T."""
+
+    def __init__(self, q: np.ndarray, g: np.ndarray):
+        self.q, self.g = q, g
+        self.shape = (len(q), len(g))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.q[rows] @ self.g.T
 
 
 @functools.cache
@@ -155,13 +161,7 @@ def _pool_workers(n_q: int, n_g: int) -> int:
     return min(_cpu_count(), -(-n_q // _RANK_BLOCK))
 
 
-def _cmc_and_map(first_hits: np.ndarray, aps: np.ndarray, n_g: int):
-    """(cmc, map) of queries with these 0-based first-hit ranks and APs."""
-    cmc = np.cumsum(np.bincount(first_hits, minlength=n_g)) / len(first_hits)
-    return cmc, float(aps.mean())
-
-
-def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, out=None):
+def cmc_map(sim, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, pairs=None):
     """Rank-based CMC and interpolation-free mAP.
 
     Only each query's relevant gallery items are ranked. Ties are broken
@@ -169,20 +169,23 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, 
     1 + #(items strictly more similar) + #(equally similar items at a lower
     index). AP = mean over relevant items of precision at their ranks.
 
-    Each block of _RANK_BLOCK query rows is sorted once; one searchsorted
-    per row then locates the row's relevant values, and, when `counts` is
-    given (an int64 array of len(HIST_BINS)), the histogram edges too:
-    `counts` receives, per edge, how many similarities of the whole matrix
-    lie below it (the last edge closed), so np.diff(counts) equals
-    np.histogram(sim, HIST_BINS)[0]. When `out` is given, a pair of arrays
-    of len(sim) (intp, float), it receives each query's 0-based first-hit
-    rank and its AP.
+    `sim` is the query x gallery matrix, or a _Product, whose rows each
+    block computes as it ranks them. Each block of _RANK_BLOCK query rows is
+    sorted once; one searchsorted per row then locates the row's relevant
+    values, and, when `counts` is given (an int64 array of len(HIST_BINS)),
+    the histogram edges too: `counts` receives, per edge, how many
+    similarities of the whole matrix lie below it (the last edge closed), so
+    np.diff(counts) equals np.histogram(sim, HIST_BINS)[0]. When `pairs` is
+    given (a float array with one entry per same-identity pair), it receives
+    their similarities row-major, columns ascending: the order in which a
+    boolean same-identity mask lists them.
 
     From _POOL_MIN_SIMS similarities on, the blocks are ranked on a thread
-    pool of one worker per CPU (NumPy's sort and search release the GIL),
-    so up to that many blocks' copies are held at once. Each block writes
-    its own queries' results and returns its edge counts, which are added
-    in block order: every output is the bits the inline loop gives.
+    pool of one worker per CPU (NumPy's sort, search and product release the
+    GIL), with OpenBLAS held to one thread, so up to that many blocks are
+    held at once. Each block writes its own queries' results and pairs and
+    returns its edge counts, which are added in block order: every output
+    is the bits the inline loop gives.
     """
     n_q, n_g = sim.shape
     order, start, size = _identity_groups(q_ids, g_ids)
@@ -190,7 +193,8 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, 
     if missing.size:
         raise ContractViolation(f"query {missing[0]} has no relevant gallery item")
     n_edges = len(_EDGE_KEYS) if counts is not None else 0
-    first_hits, aps = out if out is not None else (np.empty(n_q, dtype=np.intp), np.empty(n_q))
+    first_hits, aps = np.empty(n_q, dtype=np.intp), np.empty(n_q)
+    pair_at = np.cumsum(size) - size  # each query's first pair
 
     # Runs on the pool's threads, so it calls only NumPy and private helpers:
     # a tracer that wraps the public functions keeps one call stack
@@ -204,6 +208,8 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, 
         first = np.cumsum(m) - m  # each row's first pair
         rows, cols = _pair_columns(order, start[lo : lo + n_b], m)
         vals = block[rows, cols]
+        if pairs is not None:
+            pairs[pair_at[lo] : pair_at[lo] + len(vals)] = vals
         # row r's search keys: its relevant values, then the edges
         val_at = np.arange(len(rows)) + rows * n_edges
         seg_end = np.cumsum(m + n_edges)
@@ -240,7 +246,7 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, 
         # imported here, as it imports logging: no cost to a start-up that never pools
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
             per_block = list(pool.map(rank_block, blocks))
     else:
         per_block = [rank_block(lo) for lo in blocks]
@@ -248,7 +254,8 @@ def cmc_map(sim: np.ndarray, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, 
         counts[:] = 0
         for edge_counts in per_block:
             counts += edge_counts
-    return _cmc_and_map(first_hits, aps, n_g)
+    cmc = np.cumsum(np.bincount(first_hits, minlength=n_g)) / n_q
+    return cmc, float(aps.mean())
 
 
 def histogram_overlap(intra: np.ndarray, inter: np.ndarray) -> float:
@@ -301,24 +308,18 @@ def mean_intra_cross_cosine(emb: np.ndarray, plan: tuple) -> float:
     return float(pairs.mean())
 
 
-def _panel_rows(n_q: int, n_g: int) -> int:
-    """Query rows per panel of an n_q x n_g direction, cut into
-    max(1, n_q * n_g // _POOL_MIN_SIMS) equal slices: each panel of a
-    direction large enough to pool still holds about _POOL_MIN_SIMS
-    similarities, and a smaller direction is one panel."""
-    return -(-n_q // max(1, n_q * n_g // _POOL_MIN_SIMS))
-
-
 def cross_modal_eval(params: EncoderParams, dataset: Dataset, directions) -> EvalReport:
     """Retrieval evaluation: in each direction, source-modality samples query
     the full target-modality gallery. One forward pass serves every
     direction and the histograms, and the report carries its embeddings.
-    Each direction computes its own query x gallery product one panel of
-    rows at a time, and ranks each panel as soon as it is computed, in one
-    buffer that every panel reuses; the first direction also counts the
-    histogram edges and gathers the same-identity pairs. No direction, or an
-    identity with no item in a direction's gallery (named, with the
-    direction), raises ContractViolation before any work."""
+    A direction of _POOL_MIN_SIMS similarities or more hands cmc_map its
+    product as a _Product of unit rows normalized once, so that each block
+    computes its own rows as it ranks them and the whole matrix is never
+    held; a smaller direction is one cosine_matrix product. The first
+    direction also counts the histogram edges and gathers the same-identity
+    pairs. No direction, or an identity with no item in a direction's
+    gallery (named, with the direction), raises ContractViolation before any
+    work."""
     if not directions:
         raise ContractViolation("no direction to evaluate")
     ids, mods = dataset.identities, dataset.modalities
@@ -335,40 +336,32 @@ def cross_modal_eval(params: EncoderParams, dataset: Dataset, directions) -> Eva
                 f"identity {min(missing)} has no {target} gallery item ({direction.value})"
             )
     emb, _ = encoder_forward(params, dataset.features)
-    vis_side, nir_side = (emb[vis], ids[vis]), (emb[nir], ids[nir])
-    # every row checked once, named as in a VIS x NIR product, before any panel
-    _row_norms(vis_side[0], "query")
-    _row_norms(nir_side[0], "gallery")
-    n_vis, n_nir = len(vis_side[1]), len(nir_side[1])
-    buf = np.empty(max(_panel_rows(n_vis, n_nir) * n_nir, _panel_rows(n_nir, n_vis) * n_vis))
+    v, n = emb[vis], emb[nir]
+    # every row checked once, named as in a VIS x NIR product, before any product
+    vis_side = (v, _unit_rows(v, "query"), ids[vis])
+    nir_side = (n, _unit_rows(n, "gallery"), ids[nir])
     # Over all (VIS, NIR) pairs, counted while the first direction ranks
     # them; same-modality pairs are ignored
     counts = np.zeros(len(HIST_BINS), dtype=np.int64)
-    edges = np.empty_like(counts)
     ranked = {}
     for direction in directions:
         to_nir = direction == Direction.VIS_TO_NIR
-        (q, q_ids), (g, g_ids) = (vis_side, nir_side) if to_nir else (nir_side, vis_side)
-        n_q, n_g = len(q_ids), len(g_ids)
+        (q, q_unit, q_ids), (g, g_unit, g_ids) = (
+            (vis_side, nir_side) if to_nir else (nir_side, vis_side)
+        )
+        if len(q_ids) * len(g_ids) >= _POOL_MIN_SIMS:
+            sim = _Product(q_unit, g_unit)
+        else:
+            sim = cosine_matrix(q, g)
         first = not ranked
         if first:  # the same-identity pairs, row-major in this direction
-            rows, cols = _pair_columns(*_identity_groups(q_ids, g_ids))
-            intra_sims = np.empty(len(rows))
-        first_hits, aps = np.empty(n_q, dtype=np.intp), np.empty(n_q)
-        step = _panel_rows(n_q, n_g)
-        with _one_blas_thread() if _pool_workers(step, n_g) > 1 else nullcontext():
-            for lo in range(0, n_q, step):
-                hi = min(lo + step, n_q)
-                panel = buf[: (hi - lo) * n_g].reshape(hi - lo, n_g)
-                cosine_matrix(q[lo:hi], g, out=panel)
-                cmc_map(panel, q_ids[lo:hi], g_ids, counts=edges if first else None,
-                        out=(first_hits[lo:hi], aps[lo:hi]))
-                if first:
-                    counts += edges
-                    a, b = np.searchsorted(rows, [lo, hi])
-                    intra_sims[a:b] = panel[rows[a:b] - lo, cols[a:b]]
-        ranked[direction] = _cmc_and_map(first_hits, aps, n_g)
+            groups = _identity_groups(q_ids, g_ids)
+            intra_sims = np.empty(int(groups[2].sum()))
+        ranked[direction] = cmc_map(sim, q_ids, g_ids, counts=counts if first else None,
+                                    pairs=intra_sims if first else None)
+        del sim  # so that no two directions' products are held at once
         if first and not to_nir:  # to the order a VIS x NIR mask lists them
+            rows, cols = _pair_columns(*groups)
             intra_sims = intra_sims[np.lexsort((rows, cols))]
     # Counts are integers, so the subtraction is exact.
     intra, _ = np.histogram(intra_sims, bins=HIST_BINS)

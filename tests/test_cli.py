@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sasoftmax
 from sasoftmax import analysis, cli, evaluation
@@ -77,7 +80,8 @@ class TestTrainEvalDiagnose:
         report = json.loads((ev / "report.json").read_text())
         assert set(report) == {"vis2nir", "nir2vis", "prototype_diagnostics"}
         assert 0.0 <= report["vis2nir"]["map"] <= 1.0
-        assert (ev / "hist_intra_vis2nir.csv").exists()
+        # one histogram pair for both directions, over all (VIS, NIR) pairs
+        assert sorted(p.name for p in ev.glob("hist_*")) == ["hist_inter.csv", "hist_intra.csv"]
         assert (ev / "embeddings.csv").exists()
 
         di = tmp_path / "diag"
@@ -283,11 +287,10 @@ class TestCommandInputs:
         )
         for name, hist in (("intra", result.intra_hist), ("inter", result.inter_hist)):
             evaluation.save_histogram_csv(hist, tmp_path / f"{name}.csv")
-            got = (ev / f"hist_{name}_vis2nir.csv").read_bytes()
+            got = (ev / f"hist_{name}.csv").read_bytes()
             assert got == (tmp_path / f"{name}.csv").read_bytes()
         assert sorted(p.name for p in ev.iterdir()) == [
-            "embeddings.csv", "hist_inter_vis2nir.csv", "hist_intra_vis2nir.csv",
-            "metadata.json", "report.json",
+            "embeddings.csv", "hist_inter.csv", "hist_intra.csv", "metadata.json", "report.json",
         ]
 
 
@@ -299,6 +302,43 @@ def run_cli(argv, cwd):
     )
 
 
+def write_inputs(tmp_path) -> dict:
+    """Input files by the names the argv rows use: a good checkpoint and
+    dataset CSV, and malformed ones of each."""
+    good_ckpt = tmp_path / "model.txt"
+    save_checkpoint(
+        good_ckpt,
+        init_encoder([4, 3], 0),
+        ModalityPrototypeMatrix(np.ones((3, 4))),
+        IdentityPrototypeMatrix(np.ones((3, 2))),
+    )
+    trunc = tmp_path / "trunc.txt"
+    trunc.write_bytes(good_ckpt.read_bytes()[:60])
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,1,0,0\n")
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,abc,0,0\n")
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,nan,0,0\n")
+    # b0 says 2 entries under a 4 x 3 W0
+    lines = good_ckpt.read_text().split("\n")
+    lines[4:6] = ["b0 2", "0.0 0.0"]
+    badshape = tmp_path / "badshape.txt"
+    badshape.write_text("\n".join(lines))
+    bin_ckpt = tmp_path / "bin.txt"
+    bin_ckpt.write_bytes(b"SASMODEL1\n\xff\xfe")
+    bin_csv = tmp_path / "bin.csv"
+    bin_csv.write_bytes(b"\xff\xfe")
+    # identity 0 has visible samples only
+    onemod_csv = tmp_path / "onemod.csv"
+    onemod_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n1,V,0,1,0,0\n1,N,0,0,1,0\n")
+    return {
+        "good.txt": good_ckpt, "trunc.txt": trunc, "good.csv": good_csv, "bad.csv": bad_csv,
+        "badshape.txt": badshape, "bin.txt": bin_ckpt, "bin.csv": bin_csv,
+        "onemod.csv": onemod_csv, "nan.csv": nan_csv,
+    }
+
+
 class TestMalformedInputFiles:
     """A truncated, inconsistent or non-UTF-8 checkpoint, a malformed or
     non-UTF-8 dataset CSV, or a test CSV with a one-modality identity, exits 1
@@ -307,38 +347,7 @@ class TestMalformedInputFiles:
 
     @pytest.fixture
     def inputs(self, tmp_path):
-        good_ckpt = tmp_path / "model.txt"
-        save_checkpoint(
-            good_ckpt,
-            init_encoder([4, 3], 0),
-            ModalityPrototypeMatrix(np.ones((3, 4))),
-            IdentityPrototypeMatrix(np.ones((3, 2))),
-        )
-        trunc = tmp_path / "trunc.txt"
-        trunc.write_bytes(good_ckpt.read_bytes()[:60])
-        good_csv = tmp_path / "good.csv"
-        good_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,1,0,0\n")
-        bad_csv = tmp_path / "bad.csv"
-        bad_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,abc,0,0\n")
-        nan_csv = tmp_path / "nan.csv"
-        nan_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n0,N,0,nan,0,0\n")
-        # b0 says 2 entries under a 4 x 3 W0
-        lines = good_ckpt.read_text().split("\n")
-        lines[4:6] = ["b0 2", "0.0 0.0"]
-        badshape = tmp_path / "badshape.txt"
-        badshape.write_text("\n".join(lines))
-        bin_ckpt = tmp_path / "bin.txt"
-        bin_ckpt.write_bytes(b"SASMODEL1\n\xff\xfe")
-        bin_csv = tmp_path / "bin.csv"
-        bin_csv.write_bytes(b"\xff\xfe")
-        # identity 0 has visible samples only
-        onemod_csv = tmp_path / "onemod.csv"
-        onemod_csv.write_text("id,modality,f0,f1,f2,f3\n0,V,1,0,0,0\n1,V,0,1,0,0\n1,N,0,0,1,0\n")
-        return {
-            "good.txt": good_ckpt, "trunc.txt": trunc, "good.csv": good_csv, "bad.csv": bad_csv,
-            "badshape.txt": badshape, "bin.txt": bin_ckpt, "bin.csv": bin_csv,
-            "onemod.csv": onemod_csv, "nan.csv": nan_csv,
-        }
+        return write_inputs(tmp_path)
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -375,6 +384,76 @@ class TestMalformedInputFiles:
         assert "Traceback" not in stderr
         lines = stderr.strip().splitlines()
         assert len(lines) == 1 and name in lines[0]
+        assert not out.exists()
+
+
+def _flag_sets() -> dict:
+    """Each subcommand's flags, without --out and help."""
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    return {
+        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help", "--out")}
+        for name, p in subparsers.items()
+    }
+
+
+# eval's flags with the values a case may give them: write_inputs' files,
+# a missing file, a directory, and directions good and bad
+EVAL_VALUES = {
+    "--checkpoint": ["good.txt", "trunc.txt", "badshape.txt", "bin.txt", "good.csv", "nope.txt", "."],
+    "--data": ["good.csv", "bad.csv", "nan.csv", "bin.csv", "onemod.csv", "good.txt", "nope.csv", "."],
+    "--direction": ["both", "vis2nir", "nir2vis", "sideways"],
+}
+# the (--data, --direction) pairs that run with the good checkpoint: the
+# one-modality identity of onemod.csv is never a NIR query
+RUNS = {("good.csv", d) for d in ("both", "vis2nir", "nir2vis")} | {("onemod.csv", "nir2vis")}
+assert set(EVAL_VALUES) == _flag_sets()["eval"]
+OTHER_FLAGS = sorted(set().union(*_flag_sets().values()) - set(EVAL_VALUES))
+
+
+@st.composite
+def eval_argv(draw):
+    """`eval` with each of its own flags given a value or left out, and in
+    half the cases a flag or two of the other commands, with or without a
+    value, in any order: (argv, own flag values, other flags)."""
+    own = {flag: draw(st.sampled_from([*values, None])) for flag, values in EVAL_VALUES.items()}
+    own = {flag: value for flag, value in own.items() if value is not None}
+    other = draw(st.just([]) | st.lists(st.tuples(
+        st.sampled_from(OTHER_FLAGS), st.sampled_from(["1", "desk", "alpha"]) | st.none()
+    ), min_size=1, max_size=2))
+    argv = ["eval"]
+    for flag, value in draw(st.permutations([*own.items(), *other])):
+        argv += [flag] if value is None else [flag, value]
+    return argv, own, other
+
+
+class TestEvalArgvFuzz:
+    """Every `sas eval` argv that cannot run exits 1 or 3, in this process,
+    with one stderr line, no traceback and no output directory."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("eval-fuzz")
+        return base, write_inputs(base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(eval_argv())
+    def test_exits_1_or_3_with_one_line(self, inputs, case):
+        base, files = inputs
+        argv, own, other = case
+        data_direction = (own.get("--data"), own.get("--direction", "both"))
+        assume(other or own.get("--checkpoint") != "good.txt" or data_direction not in RUNS)
+        out = base / "out"
+        paths = {**files, "nope.txt": base / "nope.txt", "nope.csv": base / "nope.csv", ".": base}
+        argv = [str(paths.get(a, a)) for a in argv]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (1, 3), (argv, code, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        assert len(stderr.getvalue().strip().splitlines()) == 1, stderr.getvalue()
         assert not out.exists()
 
 

@@ -228,22 +228,40 @@ DIRECTION_LISTS = pytest.mark.parametrize(
 )
 
 
+def assert_whole_products_bits(rep, directions, sim, same, whole):
+    """`rep` ranked `directions` as cmc_map ranks the whole products
+    (`whole`, by direction), and its histograms and intra mean are those of
+    the VIS x NIR similarities `sim` over the explicit same-identity mask
+    `same`, bit for bit."""
+    assert list(rep.ranked) == directions
+    for direction, (cmc, mean_ap) in rep.ranked.items():
+        np.testing.assert_array_equal(cmc, whole[direction][0])
+        assert mean_ap == whole[direction][1]
+    np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
+    np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
+    assert rep.intra_cosine_mean == float(sim[same].mean())
+
+
 def force_pool(monkeypatch, workers):
-    """Rank every matrix on a pool of `workers` threads, and each direction
-    of cross_modal_eval as one panel."""
+    """Rank every matrix on a pool of `workers` threads, and hand cmc_map
+    each direction of cross_modal_eval as a _Product."""
     monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", 0)
     monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
-    monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: n_q)
 
 
 def ranked_twice(sim, q_ids, g_ids):
-    """cmc_map's (cmc, map, counts), inline and then on a 3-thread pool."""
+    """cmc_map's (cmc, map, counts), inline and then on a 3-thread pool.
+    Both times `pairs` receives the bits of sim[same-identity mask], in the
+    mask's row-major order."""
+    same = q_ids[:, None] == g_ids[None, :]
     results = []
     for workers in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
             force_pool(mp, workers)
             counts = np.full(len(HIST_BINS), -7, dtype=np.int64)
-            results.append((*cmc_map(sim, q_ids, g_ids, counts=counts), counts))
+            pairs = np.full(np.count_nonzero(same), -7.0)
+            results.append((*cmc_map(sim, q_ids, g_ids, counts=counts, pairs=pairs), counts))
+        assert pairs.tobytes() == sim[same].tobytes()
     return results
 
 
@@ -407,18 +425,18 @@ class TestRankingPool:
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_memory_is_one_panel_and_a_few_blocks(self, monkeypatch, workers):
-        """Beyond its inputs, cross_modal_eval holds one panel and at most
-        two gallery-wide copies per worker: under a quarter of the dense
-        VIS x NIR matrix, which it never builds."""
-        # panels of a little over `workers` blocks, each ranked on the pool
+    def test_memory_is_two_blocks_per_worker(self, monkeypatch, workers):
+        """Beyond its inputs, cross_modal_eval holds the forward pass's
+        embeddings three times over (as computed, split by modality, and as
+        unit rows) and, per worker, one block of the product, its sorted
+        copy and a few arrays of the block's histogram-edge search: under a
+        quarter of the dense VIS x NIR matrix, which it never builds."""
         monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
         params, ds = self.gallery(3600)
         n = int(np.count_nonzero(ds.modalities == int(Modality.VIS)))
         assert n == int(np.count_nonzero(ds.modalities == int(Modality.NIR)))
-        monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", workers * _RANK_BLOCK * n)
-        rows = evaluation._panel_rows(n, n)
-        assert workers * _RANK_BLOCK < rows < (workers + 1) * _RANK_BLOCK
+        assert n * n >= evaluation._POOL_MIN_SIMS  # each direction a _Product
+        forward = 3 * len(ds.features) * params.weights[-1].shape[1] * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -426,8 +444,25 @@ class TestRankingPool:
             extra = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert extra <= (rows + 2 * workers * _RANK_BLOCK) * n * 8 + 1_000_000
+        blocks = workers * _RANK_BLOCK * (2 * n + 4 * len(HIST_BINS)) * 8
+        assert extra <= blocks + forward + 1_000_000
         assert extra < n * n * 8 / 4
+
+    def test_memory_is_one_product_below_the_pool_size(self):
+        """A direction below _POOL_MIN_SIMS is one cosine_matrix product,
+        let go before the next direction computes its own."""
+        params, ds = self.gallery(1200)
+        n = int(np.count_nonzero(ds.modalities == int(Modality.VIS)))
+        assert n * n < evaluation._POOL_MIN_SIMS
+        forward = 3 * len(ds.features) * params.weights[-1].shape[1] * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cross_modal_eval(params, ds, list(Direction))
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert n * n * 8 < extra <= (n + 2 * _RANK_BLOCK) * n * 8 + forward + 1_000_000
 
 
 class TestHistograms:
@@ -466,8 +501,8 @@ class TestHistograms:
         """Similarities drawn from the bin edges, exactly +-1, one ulp
         beyond +-1, +-0 and random values, with ties in every row and across
         the rows either side of a _RANK_BLOCK boundary, over ragged identity
-        counts; both galleries span more than one block, and each direction
-        more than one panel."""
+        counts; both galleries span more than one block, ranked inline and
+        on the pool."""
         ids, mods, sim = edge_case_similarities(_RANK_BLOCK + 5, _RANK_BLOCK + 9)
         # each row's features name its modality and its index there, so a
         # product returns the rows and columns of `sim` that it is asked for
@@ -477,33 +512,35 @@ class TestHistograms:
         feats[~vis, 0] = np.arange(np.count_nonzero(~vis))
         feats[:, 1] = np.where(vis, 1.0, 2.0)
 
-        def fake_cosine(q, g, out):
-            rows, cols = q[:, 0].astype(int), g[:, 0].astype(int)
-            out[:] = (sim if q[0, 1] == 1.0 else sim.T)[rows[:, None], cols]
-            return out
+        class Lookup:
+            """In place of a _Product: the rows and columns of `sim` (or
+            its transpose) that the unit rows name."""
 
-        monkeypatch.setattr(evaluation, "cosine_matrix", fake_cosine)
-        monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: 50)
+            def __init__(self, q, g):
+                self.q, self.g = (np.rint(u[:, :2] / u[:, 2:]).astype(int) for u in (q, g))
+                self.shape = (len(q), len(g))
+
+            def __getitem__(self, rows):
+                q = self.q[rows]
+                return (sim if q[0, 1] == 1 else sim.T)[q[:, :1], self.g[:, 0]]
+
+        monkeypatch.setattr(evaluation, "_Product", Lookup)
+        monkeypatch.setattr(evaluation, "cosine_matrix", lambda *a: pytest.fail("whole product"))
         ds = Dataset(feats, ids, mods, 23, 3)
-        rep = cross_modal_eval(EncoderParams([np.eye(3)], [np.zeros(3)]), ds, directions)
-
         vis_ids, nir_ids = ids[vis], ids[~vis]
         same = vis_ids[:, None] == nir_ids[None, :]
-        assert set(rep.ranked) == set(directions)
-        np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
-        np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
-        assert rep.intra_cosine_mean == float(sim[same].mean())
+        whole = {
+            Direction.VIS_TO_NIR: cmc_map(sim, vis_ids, nir_ids),
+            Direction.NIR_TO_VIS: cmc_map(sim.T, nir_ids, vis_ids),
+        }
         # the beyond-range values fall in no bin, and +-1 in the closed end bins
         outside = np.count_nonzero(np.abs(sim) > 1.0)
         assert outside > 0
-        assert rep.intra_hist.sum() + rep.inter_hist.sum() == sim.size - outside
-        for direction, (cmc, mean_ap) in rep.ranked.items():
-            to_nir = direction == Direction.VIS_TO_NIR
-            whole_cmc, whole_map = cmc_map(
-                *((sim, vis_ids, nir_ids) if to_nir else (sim.T, nir_ids, vis_ids))
-            )
-            np.testing.assert_array_equal(cmc, whole_cmc)
-            assert mean_ap == whole_map
+        for workers in (1, 3):
+            force_pool(monkeypatch, workers)
+            rep = cross_modal_eval(EncoderParams([np.eye(3)], [np.zeros(3)]), ds, directions)
+            assert_whole_products_bits(rep, directions, sim, same, whole)
+            assert rep.intra_hist.sum() + rep.inter_hist.sum() == sim.size - outside
 
     def test_overlap_bounds(self):
         a = np.zeros(60)
@@ -605,8 +642,13 @@ class TestCrossModalEval:
         (_, vn_map), (_, nv_map) = ranked[Direction.VIS_TO_NIR], ranked[Direction.NIR_TO_VIS]
         assert abs(vn_map - nv_map) < 0.2
 
-    def test_one_forward_and_one_product_per_panel(self, monkeypatch):
-        calls = {"encoder_forward": 0, "cosine_matrix": 0}
+    def test_one_forward_and_a_product_only_below_the_pool_size(self, monkeypatch):
+        """Each direction is one cmc_map call. Below _POOL_MIN_SIMS it ranks
+        one cosine_matrix product; from there on, its blocks compute theirs."""
+        ds = generate_synthetic(
+            SynthConfig(num_identities=6, samples_per_identity_per_modality=3, input_dim=4, seed=5)
+        )
+        calls = {}
 
         def counted(name):
             original = getattr(evaluation, name)
@@ -617,16 +659,15 @@ class TestCrossModalEval:
 
             return wrapper
 
-        for name in calls:
+        for name in ("encoder_forward", "cosine_matrix", "cmc_map"):
             monkeypatch.setattr(evaluation, name, counted(name))
-        # 18 queries per direction, in panels of 4: 5 panels each
-        monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: 4)
-        ds = generate_synthetic(
-            SynthConfig(num_identities=6, samples_per_identity_per_modality=3, input_dim=4, seed=5)
-        )
-        rep = cross_modal_eval(init_encoder([4, 3], 2), ds, list(Direction))
-        assert set(rep.ranked) == set(Direction)
-        assert calls == {"encoder_forward": 1, "cosine_matrix": 2 * 5}
+        # 18 x 18 similarities per direction
+        for min_sims, products in ((18 * 18 + 1, 2), (18 * 18, 0)):
+            monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", min_sims)
+            calls.update(dict.fromkeys(("encoder_forward", "cosine_matrix", "cmc_map"), 0))
+            rep = cross_modal_eval(init_encoder([4, 3], 2), ds, list(Direction))
+            assert set(rep.ranked) == set(Direction)
+            assert calls == {"encoder_forward": 1, "cosine_matrix": products, "cmc_map": 2}
 
     def test_reverse_direction_equals_its_own_product(self):
         """NIR -> VIS ranks its own NIR x VIS product; the result is the one
@@ -654,6 +695,8 @@ class TestCrossModalEval:
         assert probe(emb, ids, mods) == pytest.approx(0.0, abs=1e-15)
 
 
+# Query rows per block in these tests, in place of _RANK_BLOCK: the panel
+# of a direction's product that one block computes and ranks
 PANEL = 4
 
 
@@ -662,7 +705,7 @@ def panel_case(n_vis, n_nir, seed=0):
     over min(n_vis, n_nir, 3) identities that each modality holds. Each row
     is a scaled sign vector or axis, so its unit row holds +-0.5 or 0 and 1
     and every product is exact, and tied, whatever kernel computes it: a
-    one-row panel goes through a matrix-vector product, which can round
+    one-row block goes through a matrix-vector product, which can round
     differently from the whole matrix's."""
     rng = np.random.default_rng(seed)
     n_ids = min(n_vis, n_nir, 3)
@@ -676,9 +719,18 @@ def panel_case(n_vis, n_nir, seed=0):
     return params, Dataset(feats, ids[order], mods[order], n_ids, 4)
 
 
+def stream_panels(monkeypatch, workers):
+    """Hand cmc_map every direction as a _Product, ranked in blocks of PANEL
+    rows on `workers` threads, and fail on a whole cosine_matrix product."""
+    force_pool(monkeypatch, workers)
+    monkeypatch.setattr(evaluation, "_RANK_BLOCK", PANEL)
+    monkeypatch.setattr(evaluation, "cosine_matrix", lambda *a: pytest.fail("whole product"))
+
+
 class TestStreamedPanels:
-    """cross_modal_eval ranks each direction's product panel by panel; its
-    outputs are the bits the whole products give."""
+    """From _POOL_MIN_SIMS similarities on, each block of a direction
+    computes its own panel of the product as it ranks it; the outputs are
+    the bits the whole products give."""
 
     @pytest.mark.parametrize(
         "n_vis, n_nir",
@@ -695,36 +747,21 @@ class TestStreamedPanels:
         sim = cosine_matrix(v, n)
         # at this shape each panel is its rows of the whole product, and the
         # NIR x VIS product is the VIS x NIR one transposed
-        for q, g, whole in ((v, n, sim), (n, v, sim.T)):
-            for lo in range(0, len(q), PANEL):
-                np.testing.assert_array_equal(
-                    cosine_matrix(q[lo : lo + PANEL], g), whole[lo : lo + PANEL]
-                )
-        monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: PANEL)
-        rep = cross_modal_eval(params, ds, directions)
-
-        assert list(rep.ranked) == directions
-        for direction, (cmc, mean_ap) in rep.ranked.items():
-            if direction == Direction.VIS_TO_NIR:
-                whole_cmc, whole_map = cmc_map(sim, vis_ids, nir_ids)
-            else:
-                whole_cmc, whole_map = cmc_map(cosine_matrix(n, v), nir_ids, vis_ids)
-            np.testing.assert_array_equal(cmc, whole_cmc)
-            assert mean_ap == whole_map
+        unit_v, unit_n = evaluation._unit_rows(v, "query"), evaluation._unit_rows(n, "gallery")
+        for product, whole in ((evaluation._Product(unit_v, unit_n), sim),
+                               (evaluation._Product(unit_n, unit_v), sim.T)):
+            assert product.shape == whole.shape
+            for lo in range(0, len(whole), PANEL):
+                np.testing.assert_array_equal(product[lo : lo + PANEL], whole[lo : lo + PANEL])
+        whole = {
+            Direction.VIS_TO_NIR: cmc_map(sim, vis_ids, nir_ids),
+            Direction.NIR_TO_VIS: cmc_map(cosine_matrix(n, v), nir_ids, vis_ids),
+        }
         same = vis_ids[:, None] == nir_ids[None, :]
-        np.testing.assert_array_equal(rep.intra_hist, np.histogram(sim[same], bins=HIST_BINS)[0])
-        np.testing.assert_array_equal(rep.inter_hist, np.histogram(sim[~same], bins=HIST_BINS)[0])
-        assert rep.intra_cosine_mean == float(sim[same].mean())
-
-    def test_panel_sizes(self):
-        """A SYSU-MM01-sized direction is cut into equal panels that each
-        still take the ranking pool; the desk and wide_train test sets are
-        one panel."""
-        rows = evaluation._panel_rows(5000, 5000)
-        assert rows == 834  # 6 panels
-        assert (5000 - 5 * rows) * 5000 >= evaluation._POOL_MIN_SIMS
-        for n_q, n_g in [(1200, 1200), (100, 100), (1, 1), (3999, 1000)]:
-            assert evaluation._panel_rows(n_q, n_g) == n_q
+        for workers in (1, 3):
+            stream_panels(monkeypatch, workers)
+            rep = cross_modal_eval(params, ds, directions)
+            assert_whole_products_bits(rep, directions, sim, same, whole)
 
     def test_no_direction_rejected_before_any_work(self, monkeypatch):
         """With no direction the edges would never be counted, and the inter
@@ -748,10 +785,8 @@ class TestStreamedPanels:
         params, ds = panel_case(5, 13)
         k = int(message.split()[2])
         ds.features[np.flatnonzero(ds.modalities == int(modality))[k]] = 0.0
-        monkeypatch.setattr(evaluation, "_panel_rows", lambda n_q, n_g: PANEL)
-        monkeypatch.setattr(
-            evaluation, "cosine_matrix", lambda *a, **kw: pytest.fail("panel computed")
-        )
+        stream_panels(monkeypatch, 3)
+        monkeypatch.setattr(evaluation, "_Product", lambda *a: pytest.fail("panel computed"))
         with pytest.raises(DegenerateNormError, match=f"^{message}$"):
             cross_modal_eval(params, ds, directions)
 
