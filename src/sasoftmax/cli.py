@@ -2,16 +2,16 @@
 
 Subcommands: gen-data, train, eval, gradcheck, ablation, sweep, diagnose.
 The four that read an ExperimentConfig (gen-data, train, ablation, sweep)
-expose every key as a flag: --protocol picks the base config (the CLI
-defaults or the desk protocol), a key=value config file overrides it, and
-flags override both. Their output directories receive the exact effective
-config (config.txt) so any run can be reproduced from it. eval, gradcheck
-and diagnose take only their own flags; a config flag given to one of them
-is a usage error. Timestamps live only in metadata.json. Every command
-computes first and writes last: the output directory is created only once
-the work is done, so bad input or a failed computation leaves no output
-behind. Each file is written whole (core.atomic_write), and metadata.json
-comes last, so a directory without it is incomplete.
+take the keys each reads (CONFIG_KEYS) as flags: --protocol picks the base
+config (the CLI defaults or the desk protocol), a key=value config file
+overrides it, and flags override both. Their output directories receive
+those keys' effective values (config.txt) to reproduce the run. Any other
+key, or a config flag to eval, gradcheck or diagnose, is a usage error.
+Timestamps live only in metadata.json. Every command computes first
+and writes last: the output directory is created only once the work is
+done, so bad input or a failed computation leaves no output behind. Each
+file is written whole (core.atomic_write), and metadata.json comes last, so
+a directory without it is incomplete.
 
 Exit codes: 0 success, 1 contract violation (including usage errors),
 2 numeric failure (including an exhausted witness search), 3 I/O failure.
@@ -42,11 +42,19 @@ from .evaluation import (
     prototype_diagnostics,
     save_histogram_csv,
 )
-from .trainer import train
+from .trainer import TrainConfig, train
 
 PROTOCOLS = {"default": ExperimentConfig, "desk": experiments.desk_protocol}
-# the commands that read an ExperimentConfig, take its flags and write config.txt
-CONFIGURED = ("gen-data", "train", "ablation", "sweep")
+# each configured command's keys, with defaults: its flags, config-file keys and config.txt lines
+CONFIG_KEYS = {
+    command: {f.name: f.default for f in fields(ExperimentConfig) if f.name not in unread}
+    for command, unread in {
+        "gen-data": {"seeds", *(f.name for f in fields(TrainConfig))},  # it trains nothing
+        "train": {"seeds"},
+        "ablation": {"variant", "seed", "am_margin", "am_scale", "circle_gamma", "circle_margin"},
+        "sweep": {"variant", "seed"},  # set by each ablation or sweep job
+    }.items()
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +69,7 @@ def _default_out_root() -> Path:
     return Path(os.environ.get("SAS_OUT_DIR", "out"))
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, keys: dict) -> None:
     parser.add_argument(
         "--protocol",
         choices=PROTOCOLS,
@@ -69,21 +77,21 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="base config: the CLI defaults or the desk reference protocol",
     )
     parser.add_argument("--config", type=Path, help="key=value config file")
-    for f in fields(ExperimentConfig):
-        metavar = "BOOL" if isinstance(f.default, bool) else None
-        parser.add_argument("--" + f.name.replace("_", "-"), metavar=metavar)
+    for key, default in keys.items():
+        metavar = "BOOL" if isinstance(default, bool) else None
+        parser.add_argument("--" + key.replace("_", "-"), metavar=metavar)
 
 
-def _effective_config(args) -> ExperimentConfig:
+def _effective_config(args, keys: dict) -> ExperimentConfig:
     """Protocol base, then the config file, then flags; later ones win."""
     cfg = PROTOCOLS[args.protocol]()
     if args.config is not None:
-        cfg = load_config_file(args.config, cfg)
+        cfg = load_config_file(args.config, cfg, keys)
     overrides = {}
-    for f in fields(ExperimentConfig):
-        raw = getattr(args, f.name)
+    for key, default in keys.items():
+        raw = getattr(args, key)
         if raw is not None:
-            overrides[f.name] = coerce(raw, f.default, "--" + f.name.replace("_", "-"))
+            overrides[key] = coerce(raw, default, "--" + key.replace("_", "-"))
     return replace(cfg, **overrides)
 
 
@@ -97,7 +105,7 @@ def _prepare_out(args, name: str, cfg: ExperimentConfig | None = None):
     out.mkdir(parents=True, exist_ok=True)
     (out / "metadata.json").unlink(missing_ok=True)
     if cfg is not None:
-        save_config_file(cfg, out / "config.txt")
+        save_config_file(cfg, out / "config.txt", CONFIG_KEYS[args.command])
     yield out
     save_json({"created_unix": time.time(), "command": name}, out / "metadata.json")
 
@@ -279,23 +287,22 @@ def build_parser() -> argparse.ArgumentParser:
         ]),
     }
     for name, (func, help_text, flags) in commands.items():
-        configured = name in CONFIGURED
-        # elsewhere a config flag is unrecognized, not an abbreviation (--p of --pipeline-tolerance)
-        p = sub.add_parser(name, help=help_text, allow_abbrev=configured)
+        # no abbreviations: --seed is unrecognized, not --seeds or --seed-start
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--out", type=Path)
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        if configured:
-            _add_config_flags(p)
-        p.set_defaults(func=func, configured=configured)
+        if name in CONFIG_KEYS:
+            _add_config_flags(p, CONFIG_KEYS[name])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.configured:
-            return args.func(args, _effective_config(args))
+        if args.command in CONFIG_KEYS:
+            return args.func(args, _effective_config(args, CONFIG_KEYS[args.command]))
         return args.func(args)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

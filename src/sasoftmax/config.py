@@ -1,6 +1,6 @@
 """Flat experiment configuration: one dataclass covering data generation,
-training, and experiment orchestration, readable from a key=value text file with every key
-overridable by a command-line flag. Unknown keys are rejected.
+training, and experiment orchestration. A command sets the keys it reads
+from a key=value text file; any other key there is rejected.
 
 ExperimentConfig extends TrainConfig, so a config (or `replace(cfg,
 variant=..., seed=...)`) is passed to `train` directly.
@@ -8,7 +8,7 @@ variant=..., seed=...)`) is passed to `train` directly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .core import atomic_write
 from .data import SynthConfig
@@ -49,7 +49,6 @@ class ExperimentConfig(TrainConfig):
         return list(coerce(self.seeds, (), "seeds"))
 
 
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -72,9 +71,9 @@ def coerce(raw: str, like, name: str):
         raise ContractViolation(f"{name}: expected {kind}, got {raw!r}") from None
 
 
-def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read key=value lines ('#' starts a comment); unknown keys are rejected."""
-    cfg = base if base is not None else ExperimentConfig()
+def load_config_file(path, base: ExperimentConfig, keys: dict) -> ExperimentConfig:
+    """`base` updated by key=value lines ('#' starts a comment); `keys` maps
+    each key the caller reads to its default, and any other key is rejected."""
     overrides = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -88,15 +87,16 @@ def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentCo
         if "=" not in line:
             raise ContractViolation(f"{path}:{lineno}: expected key=value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
-            raise ContractViolation(f"{path}:{lineno}: unknown key {key!r}")
-        overrides[key] = coerce(raw, _DEFAULTS[key], f"{path}:{lineno}: {key}")
-    return replace(cfg, **overrides)
+        if key not in keys:
+            raise ContractViolation(f"{path}:{lineno}: unknown key {key!r} for this command")
+        overrides[key] = coerce(raw, keys[key], f"{path}:{lineno}: {key}")
+    return replace(base, **overrides)
 
 
-def save_config_file(cfg: ExperimentConfig, path) -> None:
+def save_config_file(cfg: ExperimentConfig, path, keys) -> None:
     with atomic_write(path) as fh:
-        for key, value in sorted(asdict(cfg).items()):
+        for key in sorted(keys):
+            value = getattr(cfg, key)
             if isinstance(value, tuple):
                 value = ",".join(map(str, value))
             fh.write(f"{key} = {value}\n")

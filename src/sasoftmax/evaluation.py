@@ -50,20 +50,21 @@ class EvalReport:
     embeddings: np.ndarray  # the forward pass that was ranked, every sample in order
 
 
-def _unit_rows(rows: np.ndarray, name: str) -> np.ndarray:
-    """`rows` scaled to unit norm. A row of near-zero norm raises
+def _row_norms(rows: np.ndarray, name: str) -> np.ndarray:
+    """The norm of each of `rows`. A row of near-zero norm raises
     DegenerateNormError naming `name` and the row, whether or not any pair
     would use it."""
     norms = np.linalg.norm(rows, axis=1)
     bad = np.nonzero(norms < NORM_EPS)[0]
     if bad.size:
         raise DegenerateNormError(f"{name} row {bad[0]} has near-zero norm")
-    return rows / norms[:, None]
+    return norms
 
 
 def cosine_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Cosines of every (query, gallery) row pair."""
-    return _unit_rows(queries, "query") @ _unit_rows(gallery, "gallery").T
+    q, g = _row_norms(queries, "query"), _row_norms(gallery, "gallery")
+    return (queries / q[:, None]) @ (gallery / g[:, None]).T
 
 
 class _Product:
@@ -300,8 +301,8 @@ def mean_intra_cross_cosine(emb: np.ndarray, plan: tuple) -> float:
     mean sums what `cosine_matrix(vis, nir)[same].mean()` sums, in the same
     order. Every row's norm is checked, paired or not."""
     vis, nir, count, groups = plan
-    v = _unit_rows(emb[vis], "query")
-    n = _unit_rows(emb[nir], "gallery")
+    v, n = emb[vis], emb[nir]
+    v, n = v / _row_norms(v, "query")[:, None], n / _row_norms(n, "gallery")[:, None]
     pairs = np.empty(count, dtype=np.result_type(v, n))
     for rows_v, rows_n, at in groups:
         pairs[at] = np.matmul(v[rows_v], n[rows_n].transpose(0, 2, 1))
@@ -337,22 +338,21 @@ def cross_modal_eval(params: EncoderParams, dataset: Dataset, directions) -> Eva
             )
     emb, _ = encoder_forward(params, dataset.features)
     v, n = emb[vis], emb[nir]
-    # every row checked once, named as in a VIS x NIR product, before any product
-    vis_side = (v, _unit_rows(v, "query"), ids[vis])
-    nir_side = (n, _unit_rows(n, "gallery"), ids[nir])
+    # every row checked once, named as in a VIS x NIR product, before any product;
+    # both directions hold n_vis x n_nir similarities, so both pool or neither
+    vis_norms, nir_norms = _row_norms(v, "query"), _row_norms(n, "gallery")
+    pooled = len(v) * len(n) >= _POOL_MIN_SIMS
+    if pooled:
+        v, n = v / vis_norms[:, None], n / nir_norms[:, None]
+    vis_side, nir_side = (v, ids[vis]), (n, ids[nir])
     # Over all (VIS, NIR) pairs, counted while the first direction ranks
     # them; same-modality pairs are ignored
     counts = np.zeros(len(HIST_BINS), dtype=np.int64)
     ranked = {}
     for direction in directions:
         to_nir = direction == Direction.VIS_TO_NIR
-        (q, q_unit, q_ids), (g, g_unit, g_ids) = (
-            (vis_side, nir_side) if to_nir else (nir_side, vis_side)
-        )
-        if len(q_ids) * len(g_ids) >= _POOL_MIN_SIMS:
-            sim = _Product(q_unit, g_unit)
-        else:
-            sim = cosine_matrix(q, g)
+        (q, q_ids), (g, g_ids) = (vis_side, nir_side) if to_nir else (nir_side, vis_side)
+        sim = _Product(q, g) if pooled else cosine_matrix(q, g)
         first = not ranked
         if first:  # the same-identity pairs, row-major in this direction
             groups = _identity_groups(q_ids, g_ids)

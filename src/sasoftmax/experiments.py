@@ -169,15 +169,14 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, grid: list[float]) -> list[
     ])
 
 
-def save_markdown_table(rows: list[dict], path, columns=None) -> None:
+def save_markdown_table(rows: list[dict], path, columns: list[str]) -> None:
     if not rows:
         raise ContractViolation("no rows to write")
-    cols = columns or list(rows[0].keys())
     with atomic_write(path) as fh:
-        fh.write("| " + " | ".join(cols) + " |\n")
-        fh.write("|" + "|".join(["---"] * len(cols)) + "|\n")
+        fh.write("| " + " | ".join(columns) + " |\n")
+        fh.write("|" + "|".join(["---"] * len(columns)) + "|\n")
         for row in rows:
             cells = [
-                f"{row[c]:.4f}" if isinstance(row[c], float) else str(row[c]) for c in cols
+                f"{row[c]:.4f}" if isinstance(row[c], float) else str(row[c]) for c in columns
             ]
             fh.write("| " + " | ".join(cells) + " |\n")

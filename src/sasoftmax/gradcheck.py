@@ -89,9 +89,10 @@ def _check_pair(name, seed, rows, tol, x, analytic_x, analytic_w, value_fn_x, va
         rows.append(CheckRow(name, seed, "prototypes", err, err <= tol))
 
 
-def check_all_losses(seeds, tolerance: float = 1e-6) -> list[CheckRow]:
+def check_all_losses(seeds, tolerance: float) -> list[CheckRow]:
     """FD-check every loss on one random instance per seed."""
     rows: list[CheckRow] = []
+    d = TrainConfig()  # the head-only losses at training's default hyper-parameters
     for seed in seeds:
         x, w_mod, w_id, ids, mods, y_w, y_f = _random_instance(seed)
 
@@ -121,13 +122,14 @@ def check_all_losses(seeds, tolerance: float = 1e-6) -> list[CheckRow]:
             None, None,
         )
 
-        for name, loss in (("am_softmax_loss", am_softmax_loss), ("circle_loss", circle_loss)):
-            res = loss(x, IdentityPrototypeMatrix(w_id), ids)
+        for name, loss, hyper in (("am_softmax_loss", am_softmax_loss, (d.am_margin, d.am_scale)),
+                                  ("circle_loss", circle_loss, (d.circle_gamma, d.circle_margin))):
+            res = loss(x, IdentityPrototypeMatrix(w_id), ids, *hyper)
             _check_pair(
                 name, seed, rows, tolerance, x,
                 res.grad_embeddings, res.grad_identity_prototypes,
-                lambda a: loss(a, IdentityPrototypeMatrix(w_id), ids).value,
-                lambda a: loss(x, IdentityPrototypeMatrix(a), ids).value,
+                lambda a: loss(a, IdentityPrototypeMatrix(w_id), ids, *hyper).value,
+                lambda a: loss(x, IdentityPrototypeMatrix(a), ids, *hyper).value,
                 w_id,
             )
 
@@ -147,7 +149,7 @@ def check_all_losses(seeds, tolerance: float = 1e-6) -> list[CheckRow]:
     return rows
 
 
-def check_pipeline(seeds, tolerance: float = 1e-5) -> list[CheckRow]:
+def check_pipeline(seeds, tolerance: float) -> list[CheckRow]:
     """FD-check encoder parameter gradients through the composed map
     combined_loss(encoder(inputs))."""
     rows: list[CheckRow] = []

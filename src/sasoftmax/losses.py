@@ -219,8 +219,8 @@ def am_softmax_loss(
     embeddings: np.ndarray,
     prototypes: IdentityPrototypeMatrix,
     labels: np.ndarray,
-    margin: float = 0.3,
-    scale: float = 15.0,
+    margin: float,
+    scale: float,
 ) -> LossResult:
     """Additive-margin softmax on L2-normalized logits: s * (cos - m) at the
     target class, s * cos elsewhere. Gradients flow to the embeddings and the
@@ -248,8 +248,8 @@ def circle_loss(
     embeddings: np.ndarray,
     prototypes: IdentityPrototypeMatrix,
     labels: np.ndarray,
-    gamma: float = 32.0,
-    margin: float = 0.25,
+    gamma: float,
+    margin: float,
 ) -> LossResult:
     """Classification-form circle loss on cosine similarities.
 

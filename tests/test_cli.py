@@ -14,36 +14,62 @@ from hypothesis import assume, given, settings, strategies as st
 import sasoftmax
 from sasoftmax import analysis, cli, evaluation
 from sasoftmax.cli import main
-from sasoftmax.config import ExperimentConfig, load_config_file
+from sasoftmax.config import ExperimentConfig, save_config_file
 from sasoftmax.core import (
     IdentityPrototypeMatrix,
     ModalityPrototypeMatrix,
     atomic_write,
     load_dataset_csv,
 )
+from sasoftmax.data import SynthConfig
 from sasoftmax.encoder import init_encoder, load_checkpoint, save_checkpoint
 from sasoftmax.experiments import desk_protocol, run_ablation, run_sweep, save_rows_csv
 
 from conftest import csv_writer_bytes
 
-FAST_FLAGS = [
+# a tiny dataset, and a short training on it
+DATA_FLAGS = [
     "--num-identities", "6",
     "--samples-per-identity-per-modality", "3",
     "--input-dim", "4",
+]
+TRAIN_FLAGS = [
     "--embed-dim", "3",
     "--hidden-dims", "",
     "--epochs", "2",
     "--batches-per-epoch", "2",
     "--p", "2",
     "--k", "2",
-    "--seeds", "1",
 ]
+# each configured command with its own flags and its config flags for a fast run
+FAST_RUNS = {
+    "gen-data": ["gen-data", "--split", *DATA_FLAGS],
+    "train": ["train", *DATA_FLAGS, *TRAIN_FLAGS],
+    "ablation": ["ablation", *DATA_FLAGS, *TRAIN_FLAGS, "--seeds", "1"],
+    "sweep": ["sweep", "--parameter", "alpha", "--grid", "0.5", *DATA_FLAGS, *TRAIN_FLAGS, "--seeds", "1"],
+}
+ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
+# the config keys each configured command reads
+KEYS = {
+    "gen-data": {
+        "num_identities", "samples_per_identity_per_modality", "input_dim", "modality_gap",
+        "noise_sigma", "data_seed", "shared_offset", "train_fraction", "split_seed",
+    },
+    "train": ALL_KEYS - {"seeds"},
+    "ablation": ALL_KEYS - {"variant", "seed", "am_margin", "am_scale", "circle_gamma", "circle_margin"},
+    "sweep": ALL_KEYS - {"variant", "seed"},
+}
+UNREAD = [(command, key) for command, keys in KEYS.items() for key in sorted(ALL_KEYS - keys)]
+
+
+def flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 class TestGenData:
     def test_writes_dataset_and_config(self, tmp_path):
         out = tmp_path / "gen"
-        code = main(["gen-data", "--out", str(out), "--split", *FAST_FLAGS])
+        code = main(["gen-data", "--out", str(out), "--split", *DATA_FLAGS])
         assert code == 0
         assert (out / "data.csv").exists()
         assert (out / "train.csv").exists()
@@ -55,16 +81,16 @@ class TestGenData:
 
     def test_sas_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SAS_OUT_DIR", str(tmp_path / "root"))
-        assert main(["gen-data", *FAST_FLAGS]) == 0
+        assert main(["gen-data", *DATA_FLAGS]) == 0
         assert (tmp_path / "root" / "gen-data" / "data.csv").exists()
 
 
 class TestTrainEvalDiagnose:
     def test_train_then_eval_then_diagnose(self, tmp_path):
         gen = tmp_path / "gen"
-        assert main(["gen-data", "--out", str(gen), "--split", *FAST_FLAGS]) == 0
+        assert main(["gen-data", "--out", str(gen), "--split", *DATA_FLAGS]) == 0
         tr = tmp_path / "train"
-        assert main(["train", "--out", str(tr), "--data", str(gen / "train.csv"), *FAST_FLAGS]) == 0
+        assert main(["train", "--out", str(tr), "--data", str(gen / "train.csv"), *TRAIN_FLAGS]) == 0
         assert (tr / "checkpoint.txt").exists()
         assert (tr / "trainlog.csv").exists()
 
@@ -130,7 +156,7 @@ class TestAblationAndSweep:
     def test_ablation_outputs_and_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["ablation", "--out", str(out), *FAST_FLAGS]) == 0
+            assert main([*FAST_RUNS["ablation"], "--out", str(out)]) == 0
         for name in ("ablation.csv", "ablation_runs.csv", "ablation.md"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         table = (a / "ablation.csv").read_text()
@@ -140,7 +166,8 @@ class TestAblationAndSweep:
     def test_sweep_single_point(self, tmp_path):
         out = tmp_path / "sw"
         code = main([
-            "sweep", "--out", str(out), "--parameter", "alpha", "--grid", "0.7", *FAST_FLAGS,
+            "sweep", "--out", str(out), "--parameter", "alpha", "--grid", "0.7",
+            *DATA_FLAGS, *TRAIN_FLAGS, "--seeds", "1",
         ])
         assert code == 0
         lines = (out / "sweep.csv").read_text().strip().split("\n")
@@ -150,7 +177,7 @@ class TestAblationAndSweep:
         out = tmp_path / "sw"
         code = main([
             "sweep", "--out", str(out), "--parameter", "am_margin",
-            "--grid", "0.1,0.3", *FAST_FLAGS,
+            "--grid", "0.1,0.3", *DATA_FLAGS, *TRAIN_FLAGS, "--seeds", "1",
         ])
         assert code == 0
         lines = (out / "sweep.csv").read_text().strip().split("\n")
@@ -174,11 +201,20 @@ class TestConfigHandling:
         assert main(["gen-data", "--out", str(tmp_path / "g"), "--config", str(cfg_file)]) == 1
 
     def test_effective_config_reproduces_run(self, tmp_path):
-        first = tmp_path / "one"
-        assert main(["ablation", "--out", str(first), *FAST_FLAGS]) == 0
-        second = tmp_path / "two"
-        assert main(["ablation", "--out", str(second), "--config", str(first / "config.txt")]) == 0
-        assert (first / "ablation_runs.csv").read_bytes() == (second / "ablation_runs.csv").read_bytes()
+        """For each configured command, config.txt lists exactly its keys,
+        and fed back with the command's own flags it reproduces every
+        artifact's bytes."""
+        for command, argv in FAST_RUNS.items():
+            first, second = tmp_path / command / "one", tmp_path / command / "two"
+            assert main([*argv, "--out", str(first)]) == 0
+            lines = (first / "config.txt").read_text().splitlines()
+            assert [line.split(" = ")[0] for line in lines] == sorted(KEYS[command])
+            own = argv[:argv.index(DATA_FLAGS[0])]
+            assert main([*own, "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+            names = sorted(p.name for p in first.iterdir() if p.name != "metadata.json")
+            assert names == sorted(p.name for p in second.iterdir() if p.name != "metadata.json")
+            for name in names:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), (command, name)
 
 
 class TestProtocol:
@@ -189,7 +225,8 @@ class TestProtocol:
         cfg = desk_protocol(seeds="1", epochs=2)
         save_rows_csv(run_ablation(cfg), tmp_path / "lib.csv")
         assert (out / "ablation_runs.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
-        assert load_config_file(out / "config.txt") == cfg
+        save_config_file(cfg, tmp_path / "lib.txt", cli.CONFIG_KEYS["ablation"])
+        assert (out / "config.txt").read_bytes() == (tmp_path / "lib.txt").read_bytes()
 
     def test_desk_sweep_matches_library(self, tmp_path):
         out = tmp_path / "sw"
@@ -199,7 +236,8 @@ class TestProtocol:
         cfg = desk_protocol(seeds="1,2", epochs=2)
         save_rows_csv(run_sweep(cfg, "beta", [0.0, 0.5]), tmp_path / "lib.csv")
         assert (out / "sweep_runs.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
-        assert load_config_file(out / "config.txt") == cfg
+        save_config_file(cfg, tmp_path / "lib.txt", cli.CONFIG_KEYS["sweep"])
+        assert (out / "config.txt").read_bytes() == (tmp_path / "lib.txt").read_bytes()
 
 
 class TestDiagnoseCommand:
@@ -212,7 +250,8 @@ class TestDiagnoseCommand:
 
 class TestCommandInputs:
     """gen-data, train, ablation and sweep read an ExperimentConfig and take
-    its flags; eval, gradcheck and diagnose take only their own."""
+    the flags of the keys each reads; eval, gradcheck and diagnose take only
+    their own."""
 
     # each unconfigured command with the flags it needs to run
     UNCONFIGURED = {
@@ -227,19 +266,58 @@ class TestCommandInputs:
             name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
             for name, p in subparsers.items()
         }
-        config = {"--protocol", "--config"} | {
-            "--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)
+        config = {
+            command: {"--protocol", "--config"} | {flag(key) for key in keys}
+            for command, keys in KEYS.items()
         }
         assert len(fields(ExperimentConfig)) == 29
+        assert {command: set(keys) for command, keys in cli.CONFIG_KEYS.items()} == KEYS
         assert flags == {
-            "gen-data": {"--out", "--split"} | config,
-            "train": {"--out", "--data"} | config,
+            "gen-data": {"--out", "--split"} | config["gen-data"],
+            "train": {"--out", "--data"} | config["train"],
             "eval": {"--out", "--checkpoint", "--data", "--direction"},
             "gradcheck": {"--out", "--num-seeds", "--tolerance", "--pipeline-tolerance"},
-            "ablation": {"--out"} | config,
-            "sweep": {"--out", "--parameter", "--grid"} | config,
+            "ablation": {"--out"} | config["ablation"],
+            "sweep": {"--out", "--parameter", "--grid"} | config["sweep"],
             "diagnose": {"--out", "--checkpoint", "--budget", "--seed-start"},
         }
+        assert sum(map(len, flags.values())) == 115
+        assert len(UNREAD) == 29
+
+    def test_every_key_is_read_and_gen_data_reads_the_data_keys(self):
+        """A new config field lands in some command, and a new data field in
+        gen-data only if the generator or the split reads it."""
+        assert set().union(*cli.CONFIG_KEYS.values()) == ALL_KEYS
+        # synth_config() reads every SynthConfig field, its seed as data_seed;
+        # make_split hands split_by_identity train_fraction and split_seed
+        synth = {f.name for f in fields(SynthConfig)} - {"seed"} | {"data_seed"}
+        assert set(cli.CONFIG_KEYS["gen-data"]) == synth | {"train_fraction", "split_seed"}
+
+    @pytest.mark.parametrize("where", ["flag", "config file"])
+    @pytest.mark.parametrize("command, key", UNREAD)
+    def test_unread_key_is_a_usage_error(self, tmp_path, capsys, command, key, where):
+        """As a flag (--seed is no abbreviation of --seeds) or on a config
+        file line, with its default value: exit 1, one line naming it, no
+        output directory."""
+        default = getattr(ExperimentConfig(), key)
+        value = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        out = tmp_path / "out"
+        argv = [*FAST_RUNS[command], "--out", str(out)]
+        if where == "flag":
+            argv += [flag(key), value]
+            named = f"unrecognized arguments: {flag(key)} "
+        else:
+            (tmp_path / "c.txt").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "c.txt")]
+            named = f"c.txt:1: unknown key '{key}' for this command"
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and named in lines[0], lines
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -275,8 +353,8 @@ class TestCommandInputs:
         """`eval --direction vis2nir` writes the histograms of a VIS -> NIR
         evaluation, the bytes `diagnose --data` used to write."""
         gen, tr = tmp_path / "gen", tmp_path / "train"
-        assert main(["gen-data", "--out", str(gen), "--split", *FAST_FLAGS]) == 0
-        assert main(["train", "--out", str(tr), "--data", str(gen / "train.csv"), *FAST_FLAGS]) == 0
+        assert main(["gen-data", "--out", str(gen), "--split", *DATA_FLAGS]) == 0
+        assert main(["train", "--out", str(tr), "--data", str(gen / "train.csv"), *TRAIN_FLAGS]) == 0
         ev = tmp_path / "eval"
         argv = ["eval", "--checkpoint", str(tr / "checkpoint.txt"), "--data", str(gen / "test.csv")]
         assert main([*argv, "--direction", "vis2nir", "--out", str(ev)]) == 0
@@ -569,7 +647,7 @@ class TestBadInput:
         save_checkpoint(tmp_path / "c.txt", init_encoder([4, 3], 0),
                         ModalityPrototypeMatrix(w_mod), IdentityPrototypeMatrix(w_id))
         gen = tmp_path / "gen"
-        assert main(["gen-data", "--out", str(gen), *FAST_FLAGS]) == 0
+        assert main(["gen-data", "--out", str(gen), *DATA_FLAGS]) == 0
         capsys.readouterr()
         monkeypatch.setattr(cli, "cross_modal_eval", lambda *args: pytest.fail("gallery ranked"))
         out = tmp_path / "out"
@@ -595,8 +673,8 @@ class TestOutputContract:
     @pytest.fixture
     def eval_argv(self, tmp_path):
         gen, tr = tmp_path / "gen", tmp_path / "train"
-        assert main(["gen-data", "--out", str(gen), "--split", *FAST_FLAGS]) == 0
-        assert main(["train", "--out", str(tr), "--data", str(gen / "train.csv"), *FAST_FLAGS]) == 0
+        assert main(["gen-data", "--out", str(gen), "--split", *DATA_FLAGS]) == 0
+        assert main(["train", "--out", str(tr), "--data", str(gen / "train.csv"), *TRAIN_FLAGS]) == 0
         return ["eval", "--checkpoint", str(tr / "checkpoint.txt"), "--data", str(gen / "test.csv")]
 
     @pytest.mark.parametrize("direction", ["both", "vis2nir", "nir2vis"])
@@ -647,7 +725,7 @@ class TestOutputContract:
 
         monkeypatch.setattr(cli, "save_checkpoint", failing_checkpoint)
         out = tmp_path / "train"
-        assert main(["train", "--out", str(out), *FAST_FLAGS]) == 3
+        assert main([*FAST_RUNS["train"], "--out", str(out)]) == 3
         assert "num_identities = 6" in (out / "config.txt").read_text()
         assert not (out / "metadata.json").exists()
 

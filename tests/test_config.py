@@ -17,6 +17,13 @@ from sasoftmax.experiments import (
 )
 from sasoftmax.trainer import TrainConfig
 
+KEYS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def load(path, base=None):
+    """`path` over `base` (the defaults) with every key readable."""
+    return load_config_file(path, base or ExperimentConfig(), KEYS)
+
 
 class TestExperimentConfig:
     def test_defaults_derive_valid_subconfigs(self):
@@ -79,7 +86,7 @@ class TestExperimentConfig:
         path = tmp_path / "c.txt"
         path.write_text("embed_dim = 0\n")
         with pytest.raises(ContractViolation, match="embed_dim .* got 0"):
-            load_config_file(path)
+            load(path)
 
     def test_seed_list(self):
         assert ExperimentConfig(seeds="4,5,6").seed_list() == [4, 5, 6]
@@ -87,7 +94,7 @@ class TestExperimentConfig:
     def test_empty_hidden_dims_means_linear(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("hidden_dims =\nmilestones = 40\n")
-        cfg = load_config_file(path)
+        cfg = load(path)
         assert cfg.hidden_dims == ()
         assert cfg.milestones == (40,)
 
@@ -96,13 +103,13 @@ class TestConfigFile:
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(alpha=0.5, hidden_dims=(32, 16), milestones=(), shared_offset=True)
         path = tmp_path / "config.txt"
-        save_config_file(cfg, path)
-        assert load_config_file(path) == cfg
+        save_config_file(cfg, path, KEYS)
+        assert load(path) == cfg
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# comment\n\nalpha = 0.3  # trailing\nepochs=7\n")
-        cfg = load_config_file(path)
+        cfg = load(path)
         assert cfg.alpha == 0.3
         assert cfg.epochs == 7
 
@@ -110,23 +117,36 @@ class TestConfigFile:
         path = tmp_path / "c.txt"
         path.write_text("no_such_key = 1\n")
         with pytest.raises(ContractViolation):
-            load_config_file(path)
+            load(path)
+
+    def test_key_not_read_rejected_by_its_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("alpha = 0.3\n\nseeds = 1\n")
+        with pytest.raises(ContractViolation, match="c.txt:3: unknown key 'seeds' for this command$"):
+            load_config_file(path, ExperimentConfig(), {"alpha": 0.7})
+        path.write_text("alpha = 0.3\n")
+        assert load_config_file(path, ExperimentConfig(), {"alpha": 0.7}).alpha == 0.3
+
+    def test_saves_only_the_given_keys_sorted(self, tmp_path):
+        path = tmp_path / "config.txt"
+        save_config_file(ExperimentConfig(hidden_dims=(3, 2)), path, ["seeds", "hidden_dims"])
+        assert path.read_text() == "hidden_dims = 3,2\nseeds = 1,2,3\n"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("alpha 0.3\n")
         with pytest.raises(ContractViolation):
-            load_config_file(path)
+            load(path)
 
     def test_bool_parsing(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("shared_offset = true\n")
-        assert load_config_file(path).shared_offset is True
+        assert load(path).shared_offset is True
         path.write_text("shared_offset = 0\n")
-        assert load_config_file(path, ExperimentConfig(shared_offset=True)).shared_offset is False
+        assert load(path, ExperimentConfig(shared_offset=True)).shared_offset is False
         path.write_text("shared_offset = maybe\n")
         with pytest.raises(ContractViolation):
-            load_config_file(path)
+            load(path)
 
 
 _CONFIG_VALUES = st.one_of(
@@ -162,7 +182,7 @@ class TestLoadConfigFileFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz.txt"
         path.write_bytes(data)
         try:
-            cfg = load_config_file(path)
+            cfg = load(path)
         except ContractViolation:
             return
         assert isinstance(cfg, ExperimentConfig)

@@ -464,6 +464,27 @@ class TestRankingPool:
             tracemalloc.stop()
         assert n * n * 8 < extra <= (n + 2 * _RANK_BLOCK) * n * 8 + forward + 1_000_000
 
+    def test_memory_below_the_pool_size_holds_no_unit_rows_beside_a_product(self):
+        """Below _POOL_MIN_SIMS only cosine_matrix builds unit rows, so at
+        its peak the embeddings are held three times over (as computed,
+        split by modality, and as the product's unit rows), not four. Wide
+        embeddings make a copy outweigh the product and its blocks."""
+        ds = generate_synthetic(
+            SynthConfig(num_identities=100, samples_per_identity_per_modality=3, input_dim=8, seed=9)
+        )
+        params = init_encoder([8, 512], 0)
+        n = len(ds) // 2
+        copy = len(ds) * 512 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cross_modal_eval(params, ds, list(Direction))
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert copy > (n + 2 * _RANK_BLOCK) * n * 8
+        assert extra <= 3 * copy + (n + 2 * _RANK_BLOCK) * n * 8
+
 
 class TestHistograms:
     def test_partition_all_cross_pairs(self):
@@ -644,7 +665,9 @@ class TestCrossModalEval:
 
     def test_one_forward_and_a_product_only_below_the_pool_size(self, monkeypatch):
         """Each direction is one cmc_map call. Below _POOL_MIN_SIMS it ranks
-        one cosine_matrix product; from there on, its blocks compute theirs."""
+        one cosine_matrix product; from there on, its blocks compute theirs.
+        Every row's norm is checked once up front, and again only inside a
+        cosine_matrix product."""
         ds = generate_synthetic(
             SynthConfig(num_identities=6, samples_per_identity_per_modality=3, input_dim=4, seed=5)
         )
@@ -659,15 +682,19 @@ class TestCrossModalEval:
 
             return wrapper
 
-        for name in ("encoder_forward", "cosine_matrix", "cmc_map"):
+        names = ("encoder_forward", "cosine_matrix", "cmc_map", "_row_norms")
+        for name in names:
             monkeypatch.setattr(evaluation, name, counted(name))
         # 18 x 18 similarities per direction
         for min_sims, products in ((18 * 18 + 1, 2), (18 * 18, 0)):
             monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", min_sims)
-            calls.update(dict.fromkeys(("encoder_forward", "cosine_matrix", "cmc_map"), 0))
+            calls.update(dict.fromkeys(names, 0))
             rep = cross_modal_eval(init_encoder([4, 3], 2), ds, list(Direction))
             assert set(rep.ranked) == set(Direction)
-            assert calls == {"encoder_forward": 1, "cosine_matrix": products, "cmc_map": 2}
+            assert calls == {
+                "encoder_forward": 1, "cosine_matrix": products, "cmc_map": 2,
+                "_row_norms": 2 + 2 * products,
+            }
 
     def test_reverse_direction_equals_its_own_product(self):
         """NIR -> VIS ranks its own NIR x VIS product; the result is the one
@@ -747,7 +774,8 @@ class TestStreamedPanels:
         sim = cosine_matrix(v, n)
         # at this shape each panel is its rows of the whole product, and the
         # NIR x VIS product is the VIS x NIR one transposed
-        unit_v, unit_n = evaluation._unit_rows(v, "query"), evaluation._unit_rows(n, "gallery")
+        unit_v = v / evaluation._row_norms(v, "query")[:, None]
+        unit_n = n / evaluation._row_norms(n, "gallery")[:, None]
         for product, whole in ((evaluation._Product(unit_v, unit_n), sim),
                                (evaluation._Product(unit_n, unit_v), sim.T)):
             assert product.shape == whole.shape
@@ -787,6 +815,23 @@ class TestStreamedPanels:
         ds.features[np.flatnonzero(ds.modalities == int(modality))[k]] = 0.0
         stream_panels(monkeypatch, 3)
         monkeypatch.setattr(evaluation, "_Product", lambda *a: pytest.fail("panel computed"))
+        with pytest.raises(DegenerateNormError, match=f"^{message}$"):
+            cross_modal_eval(params, ds, directions)
+
+    @pytest.mark.parametrize(
+        "modality, message",
+        [(Modality.VIS, "query row 4 has near-zero norm"),
+         (Modality.NIR, "gallery row 9 has near-zero norm")],
+    )
+    @DIRECTION_LISTS
+    def test_zero_row_named_by_its_modality_below_the_pool_size(
+        self, monkeypatch, modality, message, directions
+    ):
+        """Named as from _POOL_MIN_SIMS on, before any cosine_matrix
+        product, which would name the rows by their role in a direction."""
+        params, ds = panel_case(5, 13)
+        ds.features[np.flatnonzero(ds.modalities == int(modality))[int(message.split()[2])]] = 0.0
+        monkeypatch.setattr(evaluation, "cosine_matrix", lambda *a: pytest.fail("product computed"))
         with pytest.raises(DegenerateNormError, match=f"^{message}$"):
             cross_modal_eval(params, ds, directions)
 

@@ -23,6 +23,9 @@ from sasoftmax.trainer import TrainConfig
 from conftest import random_instance
 
 FD_TOL = 1e-6
+# the head-only losses' hyper-parameters as training runs them by default
+AM = (TrainConfig().am_margin, TrainConfig().am_scale)
+CIRCLE = (TrainConfig().circle_gamma, TrainConfig().circle_margin)
 
 
 def id_head(arr):
@@ -698,13 +701,13 @@ class TestAmSoftmax:
     def test_finite_difference(self):
         for seed in range(5):
             x, _, w_id, ids, _, _, _ = random_instance(seed)
-            res = am_softmax_loss(x, w_id, ids)
+            res = am_softmax_loss(x, w_id, ids, *AM)
             fd_x = central_difference(
-                lambda a: am_softmax_loss(a, w_id, ids).value, x
+                lambda a: am_softmax_loss(a, w_id, ids, *AM).value, x
             )
             assert relative_error(res.grad_embeddings, fd_x) <= FD_TOL
             fd_w = central_difference(
-                lambda a: am_softmax_loss(x, id_head(a), ids).value, w_id.W
+                lambda a: am_softmax_loss(x, id_head(a), ids, *AM).value, w_id.W
             )
             assert relative_error(res.grad_identity_prototypes, fd_w) <= FD_TOL
 
@@ -712,9 +715,9 @@ class TestAmSoftmax:
         x = np.ones((1, 2))
         w = id_head(np.ones((2, 2)))
         with pytest.raises(ContractViolation):
-            am_softmax_loss(x, w, np.array([0]), margin=-0.1)
+            am_softmax_loss(x, w, np.array([0]), margin=-0.1, scale=AM[1])
         with pytest.raises(ContractViolation):
-            am_softmax_loss(x, w, np.array([0]), scale=0.0)
+            am_softmax_loss(x, w, np.array([0]), margin=AM[0], scale=0.0)
 
 
 class TestCircleLoss:
@@ -739,31 +742,31 @@ class TestCircleLoss:
 
     def test_gamma_monotone_on_suboptimal_instance(self):
         x, _, w_id, ids, _, _, _ = random_instance(9)
-        values = [circle_loss(x, w_id, ids, gamma=g).value for g in (32.0, 64.0, 128.0)]
+        values = [circle_loss(x, w_id, ids, g, CIRCLE[1]).value for g in (32.0, 64.0, 128.0)]
         diffs = np.diff(values)
         assert np.all(diffs > 0) or np.all(diffs < 0)
 
     def test_finite_difference(self):
         for seed in range(5):
             x, _, w_id, ids, _, _, _ = random_instance(seed)
-            res = circle_loss(x, w_id, ids)
-            fd_x = central_difference(lambda a: circle_loss(a, w_id, ids).value, x)
+            res = circle_loss(x, w_id, ids, *CIRCLE)
+            fd_x = central_difference(lambda a: circle_loss(a, w_id, ids, *CIRCLE).value, x)
             assert relative_error(res.grad_embeddings, fd_x) <= FD_TOL
             fd_w = central_difference(
-                lambda a: circle_loss(x, id_head(a), ids).value, w_id.W
+                lambda a: circle_loss(x, id_head(a), ids, *CIRCLE).value, w_id.W
             )
             assert relative_error(res.grad_identity_prototypes, fd_w) <= FD_TOL
 
     def test_needs_two_classes(self):
         with pytest.raises(ContractViolation):
-            circle_loss(np.ones((1, 2)), id_head(np.ones((2, 1))), np.array([0]))
+            circle_loss(np.ones((1, 2)), id_head(np.ones((2, 1))), np.array([0]), *CIRCLE)
 
 
 class TestHeadOnlyLossResult:
     @pytest.mark.parametrize("loss", [am_softmax_loss, circle_loss])
     def test_value_is_loss_softmax_and_flows_to_the_identity_head(self, loss):
         x, _, w_id, ids, _, _, _ = random_instance(2)
-        res = loss(x, w_id, ids)
+        res = loss(x, w_id, ids, *(AM if loss is am_softmax_loss else CIRCLE))
         assert res.components == {"loss_softmax": res.value}
         assert res.grad_modality_prototypes is None
         assert res.grad_identity_prototypes.shape == w_id.W.shape
@@ -846,8 +849,8 @@ class TestSoftmaxFamilyProperties:
             ce_value(x, w_mod, y_w),
             ce_value(x, w_mod, y_f, drop=y_w),
             ce_value(x, w_mod, y_w, drop=y_f),
-            am_softmax_loss(x, w_id, ids).value,
-            circle_loss(x, w_id, ids).value,
+            am_softmax_loss(x, w_id, ids, *AM).value,
+            circle_loss(x, w_id, ids, *CIRCLE).value,
             combined_loss(x, w_mod, w_id, ids, mods, cfg).value,
         ):
             assert np.isfinite(value)
