@@ -6,7 +6,8 @@ take the keys each reads (CONFIG_KEYS) as flags: --protocol picks the base
 config (the CLI defaults or the desk protocol), a key=value config file
 overrides it, and flags override both. Their output directories receive
 those keys' effective values (config.txt) to reproduce the run. Any other
-key, or a config flag to eval, gradcheck or diagnose, is a usage error.
+key, or a config flag to eval, gradcheck or diagnose, is a usage error; so
+is a data key (one of gen-data's) to train --data, which reads the file.
 Timestamps live only in metadata.json. Every command computes first
 and writes last: the output directory is created only once the work is
 done, so bad input or a failed computation leaves no output behind. Each
@@ -69,6 +70,10 @@ def _default_out_root() -> Path:
     return Path(os.environ.get("SAS_OUT_DIR", "out"))
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, keys: dict) -> None:
     parser.add_argument(
         "--protocol",
@@ -79,11 +84,25 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys: dict) -> None:
     parser.add_argument("--config", type=Path, help="key=value config file")
     for key, default in keys.items():
         metavar = "BOOL" if isinstance(default, bool) else None
-        parser.add_argument("--" + key.replace("_", "-"), metavar=metavar)
+        parser.add_argument(_flag(key), metavar=metavar)
 
 
-def _effective_config(args, keys: dict) -> ExperimentConfig:
-    """Protocol base, then the config file, then flags; later ones win."""
+def _config_keys(args) -> dict:
+    """The keys this run reads: its command's, less the data keys when train
+    reads its samples from --data."""
+    keys = CONFIG_KEYS[args.command]
+    if args.command == "train" and args.data is not None:
+        keys = {key: default for key, default in keys.items() if key not in CONFIG_KEYS["gen-data"]}
+    return keys
+
+
+def _effective_config(args) -> ExperimentConfig:
+    """Protocol base, then the config file, then flags; later ones win. A
+    flag of a key the run does not read is a usage error."""
+    keys = _config_keys(args)
+    for key in CONFIG_KEYS[args.command]:
+        if key not in keys and getattr(args, key) is not None:
+            raise ContractViolation(f"{_flag(key)}: not read by train --data, which reads the file")
     cfg = PROTOCOLS[args.protocol]()
     if args.config is not None:
         cfg = load_config_file(args.config, cfg, keys)
@@ -91,7 +110,7 @@ def _effective_config(args, keys: dict) -> ExperimentConfig:
     for key, default in keys.items():
         raw = getattr(args, key)
         if raw is not None:
-            overrides[key] = coerce(raw, default, "--" + key.replace("_", "-"))
+            overrides[key] = coerce(raw, default, _flag(key))
     return replace(cfg, **overrides)
 
 
@@ -105,7 +124,7 @@ def _prepare_out(args, name: str, cfg: ExperimentConfig | None = None):
     out.mkdir(parents=True, exist_ok=True)
     (out / "metadata.json").unlink(missing_ok=True)
     if cfg is not None:
-        save_config_file(cfg, out / "config.txt", CONFIG_KEYS[args.command])
+        save_config_file(cfg, out / "config.txt", _config_keys(args))
     yield out
     save_json({"created_unix": time.time(), "command": name}, out / "metadata.json")
 
@@ -302,7 +321,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command in CONFIG_KEYS:
-            return args.func(args, _effective_config(args, CONFIG_KEYS[args.command]))
+            return args.func(args, _effective_config(args))
         return args.func(args)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

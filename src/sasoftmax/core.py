@@ -193,10 +193,15 @@ def _save_samples_csv(path, identities, modalities, values: np.ndarray, prefix: 
     header = ",".join(["id", "modality"] + [f"{prefix}{i}" for i in range(values.shape[1])])
     with atomic_write(path) as fh:
         fh.write(header + "\r\n")
-        fh.writelines(
-            f"{ident},{_MODALITY_CODE[mod]},{','.join(map(repr, row))}\r\n"
-            for ident, mod, row in zip(identities.tolist(), modalities.tolist(), values.tolist())
-        )
+        # 1,024 rows at a time, so that only a chunk is ever held as Python floats
+        for lo in range(0, len(values), 1024):
+            chunk = slice(lo, lo + 1024)
+            fh.writelines(
+                f"{ident},{_MODALITY_CODE[mod]},{','.join(map(repr, row))}\r\n"
+                for ident, mod, row in zip(
+                    identities[chunk].tolist(), modalities[chunk].tolist(), values[chunk].tolist()
+                )
+            )
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:

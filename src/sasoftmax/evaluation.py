@@ -19,8 +19,8 @@ from .errors import ContractViolation, DegenerateNormError
 from .losses import NORM_EPS, _safe_norms
 
 HIST_BINS = np.linspace(-1.0, 1.0, 61)  # 60 fixed bins, comparable across runs
-# Query rows cmc_map ranks as one block; its sorted copy is _RANK_BLOCK x
-# gallery floats.
+# Query rows cmc_map ranks as one block of _RANK_BLOCK x gallery floats,
+# sorted in place when a _Product computed it.
 _RANK_BLOCK = 128
 # Similarities from which cmc_map ranks its blocks on a thread pool, one
 # worker per CPU; the blocks in flight then hold up to workers x _RANK_BLOCK
@@ -172,19 +172,22 @@ def cmc_map(sim, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, pairs=None):
 
     `sim` is the query x gallery matrix, or a _Product, whose rows each
     block computes as it ranks them. Each block of _RANK_BLOCK query rows is
-    sorted once; one searchsorted per row then locates the row's relevant
-    values, and, when `counts` is given (an int64 array of len(HIST_BINS)),
-    the histogram edges too: `counts` receives, per edge, how many
-    similarities of the whole matrix lie below it (the last edge closed), so
-    np.diff(counts) equals np.histogram(sim, HIST_BINS)[0]. When `pairs` is
-    given (a float array with one entry per same-identity pair), it receives
-    their similarities row-major, columns ascending: the order in which a
-    boolean same-identity mask lists them.
+    sorted once: a computed block in place, a block of the caller's matrix
+    as a copy, so `sim` is never written. Only a tie reads the unsorted
+    rows, and they are then fetched again: a _Product recomputes the block
+    by the same call, so with the same bits. One searchsorted per row then
+    locates the row's relevant values, and, when `counts` is given (an int64
+    array of len(HIST_BINS)), the histogram edges too: `counts` receives,
+    per edge, how many similarities of the whole matrix lie below it (the
+    last edge closed), so np.diff(counts) equals np.histogram(sim,
+    HIST_BINS)[0]. When `pairs` is given (a float array with one entry per
+    same-identity pair), it receives their similarities row-major, columns
+    ascending: the order in which a boolean same-identity mask lists them.
 
     From _POOL_MIN_SIMS similarities on, the blocks are ranked on a thread
     pool of one worker per CPU (NumPy's sort, search and product release the
-    GIL), with OpenBLAS held to one thread, so up to that many blocks are
-    held at once. Each block writes its own queries' results and pairs and
+    GIL), with OpenBLAS held to one thread, so one block per worker is held
+    at once. Each block writes its own queries' results and pairs and
     returns its edge counts, which are added in block order: every output
     is the bits the inline loop gives.
     """
@@ -203,12 +206,19 @@ def cmc_map(sim, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, pairs=None):
         """Rank queries lo.. of one block into first_hits and aps; return
         the block's edge counts."""
         block = sim[lo : lo + _RANK_BLOCK]
-        ascending = np.sort(block, axis=1)
         n_b = len(block)
         m = size[lo : lo + n_b]
         first = np.cumsum(m) - m  # each row's first pair
         rows, cols = _pair_columns(order, start[lo : lo + n_b], m)
         vals = block[rows, cols]
+        # rows a _Product computed belong to this block and are sorted in
+        # place; a view of the caller's matrix is sorted as a copy
+        if isinstance(sim, _Product):
+            block.sort(axis=1)
+            ascending = block
+        else:
+            ascending = np.sort(block, axis=1)
+        del block  # the tie loop fetches the unsorted rows again
         if pairs is not None:
             pairs[pair_at[lo] : pair_at[lo] + len(vals)] = vals
         # row r's search keys: its relevant values, then the edges
@@ -227,7 +237,12 @@ def cmc_map(sim, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, pairs=None):
         below = below[val_at]
         ranks = n_g - below
         upper = ascending[rows, np.minimum(below + 1, n_g - 1)]
-        for t in np.flatnonzero((below + 1 < n_g) & ~(upper > vals)).tolist():
+        tied = np.flatnonzero((below + 1 < n_g) & ~(upper > vals))
+        if tied.size:
+            # a view again, or the product's rows recomputed by the same call
+            # at the same BLAS thread count: the bits sorted above
+            block = sim[lo : lo + _RANK_BLOCK]
+        for t in tied.tolist():
             r, v = rows[t], vals[t]
             right = np.searchsorted(ascending[r], v, "right")
             ranks[t] = n_g + 1 - right + np.count_nonzero(block[r, : cols[t]] == v)
@@ -336,7 +351,7 @@ def cross_modal_eval(params: EncoderParams, dataset: Dataset, directions) -> Eva
             raise ContractViolation(
                 f"identity {min(missing)} has no {target} gallery item ({direction.value})"
             )
-    emb, _ = encoder_forward(params, dataset.features)
+    emb = encoder_forward(params, dataset.features)[0]  # the cache is let go before ranking
     v, n = emb[vis], emb[nir]
     # every row checked once, named as in a VIS x NIR product, before any product;
     # both directions hold n_vis x n_nir similarities, so both pool or neither

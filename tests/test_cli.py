@@ -319,6 +319,44 @@ class TestCommandInputs:
         assert len(lines) == 1 and named in lines[0], lines
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config file"])
+    @pytest.mark.parametrize("key", sorted(KEYS["gen-data"]))
+    def test_data_key_to_train_data_is_a_usage_error(self, tmp_path, capsys, key, where):
+        """train --data reads its samples from the file, so a data key, as a
+        flag or on a config file line, exits 1 with one line naming it and
+        no output directory."""
+        gen = tmp_path / "gen"
+        assert main(["gen-data", "--out", str(gen), *DATA_FLAGS]) == 0
+        capsys.readouterr()
+        value = str(getattr(ExperimentConfig(), key))
+        out = tmp_path / "out"
+        argv = ["train", "--data", str(gen / "data.csv"), *TRAIN_FLAGS, "--out", str(out)]
+        if where == "flag":
+            argv += [flag(key), value]
+            named = f"error: {flag(key)}: not read by train --data"
+        else:
+            (tmp_path / "c.txt").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "c.txt")]
+            named = f"c.txt:1: unknown key '{key}' for this command"
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and named in lines[0], lines
+        assert not out.exists()
+
+    def test_train_data_config_omits_the_data_keys_and_reproduces_the_run(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert main(["gen-data", "--out", str(gen), *DATA_FLAGS]) == 0
+        own = ["train", "--data", str(gen / "data.csv")]
+        first, second = tmp_path / "one", tmp_path / "two"
+        assert main([*own, *TRAIN_FLAGS, "--out", str(first)]) == 0
+        lines = (first / "config.txt").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in lines] == sorted(KEYS["train"] - KEYS["gen-data"])
+        assert main([*own, "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir() if p.name != "metadata.json")
+        assert names == sorted(p.name for p in second.iterdir() if p.name != "metadata.json")
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -31,6 +31,8 @@ from sasoftmax.evaluation import (
     save_histogram_csv,
 )
 
+from conftest import csv_writer_bytes
+
 
 def probe(emb, ids, mods) -> float:
     """The per-epoch probe on a plan built for these labels alone."""
@@ -249,6 +251,18 @@ def force_pool(monkeypatch, workers):
     monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
 
 
+def traced_peak(run) -> int:
+    """Bytes `run()` allocated at its peak beyond what was held before it,
+    as tracemalloc counts them (NumPy reports its arrays' data to it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def ranked_twice(sim, q_ids, g_ids):
     """cmc_map's (cmc, map, counts), inline and then on a 3-thread pool.
     Both times `pairs` receives the bits of sim[same-identity mask], in the
@@ -332,6 +346,64 @@ class TestRankingPool:
         assert mean_ap == inline[1]
         np.testing.assert_array_equal(counts, inline[2])
 
+    @pytest.mark.parametrize("transposed", [False, True], ids=["matrix", "transposed-view"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_callers_matrix_is_left_as_it_was(self, monkeypatch, workers, transposed):
+        """Blocks of an ndarray `sim` are views of it, sorted as copies: its
+        bytes, ties and NaN included, are the same after ranking."""
+        ids, mods, sim = edge_case_similarities(
+            2 * _RANK_BLOCK + 5, 2 * _RANK_BLOCK + 9, extra=[np.nan]
+        )
+        vis_ids, nir_ids = ids[mods == int(Modality.VIS)], ids[mods == int(Modality.NIR)]
+        args = (sim.T, nir_ids, vis_ids) if transposed else (sim, vis_ids, nir_ids)
+        before = sim.tobytes()
+        force_pool(monkeypatch, workers)
+        cmc_map(*args, counts=np.zeros(len(HIST_BINS), dtype=np.int64))
+        assert sim.tobytes() == before
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_ties_in_a_computed_block_rank_as_in_the_whole_product(self, monkeypatch, workers):
+        """Duplicated VIS rows either side of a block boundary and duplicated
+        NIR rows, of the same and of other identities, tie relevant items in
+        every block of both directions. Each such block is sorted in place
+        and computed again for its ties; the ranking is the whole products'
+        bits and the oracle's."""
+        rng = np.random.default_rng(3)
+        n_vis, n_nir = _RANK_BLOCK + 2, 24
+        ids = np.concatenate([np.arange(n_vis) % 12, np.arange(n_nir) % 12])
+        mods = np.repeat([int(Modality.VIS), int(Modality.NIR)], [n_vis, n_nir])
+        feats = rng.normal(size=(n_vis + n_nir, 8))
+        feats[[_RANK_BLOCK, _RANK_BLOCK + 1]] = feats[_RANK_BLOCK - 1]  # identities 8, 9 and 7
+        nir = n_vis + np.array([3, 4, 5, 17, 8, 9])  # pairs of identities 3|4, 5|5 and 8|9
+        feats[nir[1::2]] = feats[nir[::2]]
+        params, ds = init_encoder([8, 6], 4), Dataset(feats, ids, mods, 12, 8)
+        emb = encoder_forward(params, feats)[0]
+        vis = mods == int(Modality.VIS)
+        v, n, vis_ids, nir_ids = emb[vis], emb[~vis], ids[vis], ids[~vis]
+        whole = {Direction.VIS_TO_NIR: (cosine_matrix(v, n), vis_ids, nir_ids),
+                 Direction.NIR_TO_VIS: (cosine_matrix(n, v), nir_ids, vis_ids)}
+        force_pool(monkeypatch, workers)
+        computed = []
+        product_rows = evaluation._Product.__getitem__
+        monkeypatch.setattr(
+            evaluation._Product, "__getitem__",
+            lambda self, rows: computed.append(rows) or product_rows(self, rows),
+        )
+        ranked = cross_modal_eval(params, ds, list(Direction)).ranked
+        # every block (two VIS queries' and one NIR queries') computed twice
+        assert sorted((r.start, r.stop) for r in computed) == sorted(
+            2 * [(0, _RANK_BLOCK), (_RANK_BLOCK, 2 * _RANK_BLOCK), (0, _RANK_BLOCK)]
+        )
+        for direction, (sim, q_ids, g_ids) in whole.items():
+            assert np.unique(sim, axis=1).shape[1] < sim.shape[1]  # tied columns
+            cmc, mean_ap = ranked[direction]
+            ref_cmc, ref_map = cmc_map(sim, q_ids, g_ids)
+            np.testing.assert_array_equal(cmc, ref_cmc)
+            assert mean_ap == ref_map
+            oracle_cmc, oracle_map = brute_force_cmc_map(sim, q_ids, g_ids)
+            np.testing.assert_allclose(cmc, oracle_cmc, atol=1e-12)
+            assert mean_ap == pytest.approx(oracle_map, abs=1e-12)
+
     @pytest.mark.parametrize(
         "n_q, n_g, workers, pooled",
         [(300, 2, 2, True), (299, 2, 2, False), (300, 2, 1, False), (_RANK_BLOCK, 5, 2, False)],
@@ -357,7 +429,7 @@ class TestRankingPool:
         assert evaluation._cpu_count() == 1
 
     @staticmethod
-    def gallery(n_per_modality=3 * _RANK_BLOCK + 7):
+    def gallery(n_per_modality=3 * _RANK_BLOCK + 7, hidden=None):
         ds = generate_synthetic(
             SynthConfig(
                 num_identities=n_per_modality // 3,
@@ -366,7 +438,7 @@ class TestRankingPool:
                 seed=9,
             )
         )
-        return init_encoder([8, 6], 4), ds
+        return init_encoder([8, *([hidden] if hidden else []), 6], 4), ds
 
     def test_public_functions_stay_on_the_calling_thread(self, monkeypatch):
         """Every public package function, wrapped at each lookup site as a
@@ -425,28 +497,55 @@ class TestRankingPool:
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_memory_is_two_blocks_per_worker(self, monkeypatch, workers):
+    def test_memory_is_one_block_per_worker(self, monkeypatch, workers):
         """Beyond its inputs, cross_modal_eval holds the forward pass's
         embeddings three times over (as computed, split by modality, and as
-        unit rows) and, per worker, one block of the product, its sorted
-        copy and a few arrays of the block's histogram-edge search: under a
-        quarter of the dense VIS x NIR matrix, which it never builds."""
+        unit rows) and, per worker, one block of the product, sorted in
+        place, and a few arrays of the block's histogram-edge search: under
+        a quarter of the dense VIS x NIR matrix, which it never builds."""
         monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
         params, ds = self.gallery(3600)
+        n = self.pooled_size(ds)
+        extra = traced_peak(lambda: cross_modal_eval(params, ds, list(Direction)))
+        assert extra <= self.one_block_per_worker(workers, n, params, ds)
+        assert extra < n * n * 8 / 4
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_memory_while_ranking_holds_no_hidden_activations(self, monkeypatch, workers):
+        """The forward pass's cache is let go before ranking: from the first
+        cmc_map call on, a 256-wide hidden layer's activations (15 MB here)
+        are not held, and the budget counts none."""
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
+        params, ds = self.gallery(3600, hidden=256)
+        n = self.pooled_size(ds)
+        calls = []
+
+        def first_call_resets_the_peak(*args, **kwargs):
+            if not calls:
+                tracemalloc.reset_peak()
+            calls.append(1)
+            return cmc_map(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "cmc_map", first_call_resets_the_peak)
+        extra = traced_peak(lambda: cross_modal_eval(params, ds, list(Direction)))
+        budget = self.one_block_per_worker(workers, n, params, ds)
+        assert len(calls) == 2 and len(ds.features) * 256 * 8 > budget
+        assert extra <= budget
+
+    @staticmethod
+    def pooled_size(ds) -> int:
+        """Rows per modality, equal in both, with each direction a _Product."""
         n = int(np.count_nonzero(ds.modalities == int(Modality.VIS)))
         assert n == int(np.count_nonzero(ds.modalities == int(Modality.NIR)))
-        assert n * n >= evaluation._POOL_MIN_SIMS  # each direction a _Product
+        assert n * n >= evaluation._POOL_MIN_SIMS
+        return n
+
+    @staticmethod
+    def one_block_per_worker(workers, n, params, ds) -> int:
+        """Per worker one n-wide block and its edge search, three copies of
+        the embeddings, and 1 MB."""
         forward = 3 * len(ds.features) * params.weights[-1].shape[1] * 8
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            cross_modal_eval(params, ds, list(Direction))
-            extra = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        blocks = workers * _RANK_BLOCK * (2 * n + 4 * len(HIST_BINS)) * 8
-        assert extra <= blocks + forward + 1_000_000
-        assert extra < n * n * 8 / 4
+        return workers * _RANK_BLOCK * (n + 4 * len(HIST_BINS)) * 8 + forward + 1_000_000
 
     def test_memory_is_one_product_below_the_pool_size(self):
         """A direction below _POOL_MIN_SIMS is one cosine_matrix product,
@@ -455,13 +554,7 @@ class TestRankingPool:
         n = int(np.count_nonzero(ds.modalities == int(Modality.VIS)))
         assert n * n < evaluation._POOL_MIN_SIMS
         forward = 3 * len(ds.features) * params.weights[-1].shape[1] * 8
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            cross_modal_eval(params, ds, list(Direction))
-            extra = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        extra = traced_peak(lambda: cross_modal_eval(params, ds, list(Direction)))
         assert n * n * 8 < extra <= (n + 2 * _RANK_BLOCK) * n * 8 + forward + 1_000_000
 
     def test_memory_below_the_pool_size_holds_no_unit_rows_beside_a_product(self):
@@ -475,13 +568,7 @@ class TestRankingPool:
         params = init_encoder([8, 512], 0)
         n = len(ds) // 2
         copy = len(ds) * 512 * 8
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            cross_modal_eval(params, ds, list(Direction))
-            extra = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        extra = traced_peak(lambda: cross_modal_eval(params, ds, list(Direction)))
         assert copy > (n + 2 * _RANK_BLOCK) * n * 8
         assert extra <= 3 * copy + (n + 2 * _RANK_BLOCK) * n * 8
 
@@ -999,6 +1086,17 @@ class TestPrototypeDiagnostics:
 
 
 class TestExportEmbeddings:
+    def test_converts_rows_in_chunks_with_csv_writer_bytes(self, tmp_path):
+        """20,000 x 16 embeddings: the writer's peak stays under what the
+        whole matrix takes as Python floats, and its bytes are csv.writer's."""
+        emb = np.random.default_rng(2).normal(size=(20_000, 16))
+        ids, mods = np.arange(20_000) // 4, np.arange(20_000) % 2
+        ds = Dataset(emb, ids, mods, 5_000, 16)
+        path = tmp_path / "emb.csv"
+        as_floats = traced_peak(emb.tolist)
+        assert traced_peak(lambda: export_embeddings(emb, ds, path)) < as_floats
+        assert path.read_bytes() == csv_writer_bytes(ids, mods, emb, "e")
+
     def test_header_only_for_empty_dataset(self, tmp_path):
         ds = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=int), 1, 3)
         path = tmp_path / "emb.csv"
