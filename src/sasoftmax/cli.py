@@ -15,7 +15,8 @@ file is written whole (core.atomic_write), and metadata.json comes last, so
 a directory without it is incomplete.
 
 Exit codes: 0 success, 1 contract violation (including usage errors),
-2 numeric failure (including an exhausted witness search), 3 I/O failure.
+2 numeric failure (including an exhausted witness search), 3 I/O failure
+or a size that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -331,6 +332,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

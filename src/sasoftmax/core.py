@@ -5,7 +5,9 @@ columns [0, N) are visible prototypes, columns [N, 2N) are infrared ones.
 All label arithmetic in the package relies on this layout.
 
 Every artifact the package writes goes through `atomic_write`, so the
-encoding, newlines, float and JSON layout are decided here once.
+encoding, newlines, float and JSON layout are decided here once. The CPU
+count and the OpenBLAS thread pin, which cmc_map's thread pool and the
+job runner's processes share, are here too.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +149,61 @@ def rewrite_labels_batch(
     own = ids + mods * num_identities
     cross = ids + (1 - mods) * num_identities
     return own, cross
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+@cache
+def _openblas():
+    """(library file, get_num_threads, set_num_threads) of the OpenBLAS that
+    NumPy's wheel bundles, or None where there is none. Looked up on first
+    use, so importing the package loads nothing."""
+    import ctypes
+
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return lib.name, get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS held to one thread inside the block, and its thread count
+    restored on every exit. Between threaded calls its worker thread spins,
+    competing for the CPUs with cmc_map's threads or the job runner's
+    processes, and a product's bits can depend on the thread count. Does
+    nothing where no OpenBLAS is found."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    _, get, put = blas
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+def _check_bytes(what: str, nbytes: int) -> None:
+    """MemoryError naming `what` when `nbytes`, counted before allocating,
+    exceed what an array can address: NumPy would raise a bare ValueError."""
+    if nbytes > sys.maxsize:
+        raise MemoryError(f"{what} need {nbytes} bytes, more than an array can address")
 
 
 @contextmanager

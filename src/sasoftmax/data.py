@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Modality
+from .core import Dataset, Modality, _check_bytes
 from .errors import ContractViolation
 
 
@@ -49,12 +49,17 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
-    rng = np.random.default_rng(config.seed)
     n, k, dim = (
         config.num_identities,
         config.samples_per_identity_per_modality,
         config.input_dim,
     )
+    _check_bytes(
+        f"num_identities x 2 x samples_per_identity_per_modality x input_dim = "
+        f"{n} x 2 x {k} x {dim} features",
+        n * 2 * k * dim * np.dtype(float).itemsize,
+    )
+    rng = np.random.default_rng(config.seed)
     centers = rng.normal(size=(n, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     if config.shared_offset:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 CLI exit codes map onto these: ContractViolation -> 1, NumericError
-(including an exhausted witness search) -> 2, I/O errors (plain OSError) -> 3.
+(including an exhausted witness search) -> 2, I/O errors (plain OSError) and
+MemoryError (a size that cannot be allocated) -> 3.
 """
 
 

@@ -4,14 +4,12 @@ histograms over cross-modality pairs, and prototype-geometry diagnostics.
 
 from __future__ import annotations
 
-import functools
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import core
 from .core import Dataset, IdentityPrototypeMatrix, Modality, ModalityPrototypeMatrix
 from .core import _save_samples_csv, save_rows_csv
 from .encoder import EncoderParams, encoder_forward
@@ -79,46 +77,6 @@ class _Product:
         return self.q[rows] @ self.g.T
 
 
-@functools.cache
-def _openblas():
-    """(library file, get_num_threads, set_num_threads) of the OpenBLAS that
-    NumPy's wheel bundles, or None where there is none. Looked up on first
-    use, so importing the package loads nothing."""
-    import ctypes
-    from pathlib import Path
-
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return lib.name, get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """OpenBLAS held to one thread inside the block, and its thread count
-    restored on every exit. Between threaded calls its worker thread spins,
-    competing with the ranking pool for the CPUs. Does nothing where no
-    OpenBLAS is found."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    _, get, put = blas
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
-
-
 def _identity_groups(q_ids: np.ndarray, g_ids: np.ndarray):
     """Gallery columns grouped by identity, ascending within each group, and
     each query's group in that order: its start and its size, 0 when the
@@ -146,20 +104,12 @@ def _pair_columns(order: np.ndarray, start: np.ndarray, size: np.ndarray):
     return rows, order[np.repeat(start, size) + within]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _pool_workers(n_q: int, n_g: int) -> int:
     """Threads cmc_map ranks an n_q x n_g matrix on: one per CPU and block,
     from _POOL_MIN_SIMS similarities on; 1 means inline."""
     if n_q * n_g < _POOL_MIN_SIMS:
         return 1
-    return min(_cpu_count(), -(-n_q // _RANK_BLOCK))
+    return min(core._cpu_count(), -(-n_q // _RANK_BLOCK))
 
 
 def cmc_map(sim, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, pairs=None):
@@ -262,7 +212,7 @@ def cmc_map(sim, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, pairs=None):
         # imported here, as it imports logging: no cost to a start-up that never pools
         from concurrent.futures import ThreadPoolExecutor
 
-        with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        with core._one_blas_thread(), ThreadPoolExecutor(workers) as pool:
             per_block = list(pool.map(rank_block, blocks))
     else:
         per_block = [rank_block(lo) for lo in blocks]

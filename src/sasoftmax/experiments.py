@@ -7,10 +7,13 @@ before grid points; the order is kept so that `sweep_runs.csv` keeps its bytes.
 
 from __future__ import annotations
 
+import mmap
+import signal
 from dataclasses import replace
 
 import numpy as np
 
+from . import core
 from .config import ExperimentConfig
 from .core import atomic_write
 from .core import save_rows_csv  # noqa: F401  re-exported: the writer of experiment rows
@@ -22,7 +25,7 @@ from .evaluation import (
     histogram_overlap,
     prototype_diagnostics,
 )
-from .trainer import VARIANTS, train
+from .trainer import VARIANTS, batch_schedule, train
 
 # the variants trained with the combined SAS-family loss, in table order
 ABLATION_VARIANTS = tuple(v for v, switches in VARIANTS.items() if switches is not None)
@@ -101,17 +104,100 @@ def _run_jobs(cfg: ExperimentConfig, jobs: list) -> list[dict]:
     config the job trains, its variant included. Before training anything it
     rules out no jobs (an empty seed list), a variant-dependent bad value
     (SAS_FM_AST with beta 0) in any job's loss mapping, and P above the train
-    identities; values out of range already failed when each config was built."""
+    identities; values out of range already failed when each config was built.
+
+    The jobs run on W = min(CPUs, jobs) processes: this one and W - 1 forked
+    children, which share the split and every seed's batch schedule, drawn
+    here first. Job i runs here when (n - 1 - i) % W == 0, so this process
+    always runs the last job: a tracer sees only the calling process, and
+    the ablation's last variant, SAS_FM_WM, is the only one that reaches the
+    weight-masked loss. Each job runs with OpenBLAS on one thread, so a row's
+    bits do not depend on W. With one CPU, one job or no `fork`, W is 1 and
+    no child is made. A job that raises stops every later job in job order
+    from starting; the first failing job's exception, type and message
+    unchanged, reaches the caller once the other processes are done. No
+    child outlives the call, whether it returns or raises, ^C included."""
     split = make_split(cfg)
     if not jobs:
         raise ContractViolation("seeds: needs at least one seed, got an empty list")
     for point, _, _ in jobs:
         point.loss_config()
-    if cfg.p > split[0].num_identities:
-        raise ContractViolation("P exceeds the number of identities")
-    return [
-        {**run_single(point, point.variant, seed, split), **extra} for point, seed, extra in jobs
-    ]
+    for point, seed, _ in jobs:  # P above the train identities fails here
+        batch_schedule(split[0], replace(point, seed=seed))
+    workers = min(core._cpu_count(), len(jobs))
+    fork = _fork_context() if workers > 1 else None
+    workers = workers if fork is not None else 1
+    children = []
+    # one byte per job, shared with the children: 1 once the job has failed
+    with mmap.mmap(-1, len(jobs)) as failed:
+        try:
+            for share in range(1, workers):
+                receive, send = fork.Pipe(duplex=False)
+                child = fork.Process(
+                    target=_child, args=(send, jobs, split, workers, share, failed), daemon=True
+                )
+                child.start()
+                send.close()
+                children.append((child, receive))
+            outcomes = _run_share(jobs, split, workers, 0, failed)
+            for share, (child, receive) in enumerate(children, 1):
+                try:
+                    outcomes.update(receive.recv())
+                except EOFError:  # it ended before reporting: each of its jobs failed
+                    child.join()
+                    lost = ChildProcessError(f"a job process ended with exit code {child.exitcode}")
+                    outcomes.update(dict.fromkeys(_share(len(jobs), workers, share), lost))
+                child.join()
+        finally:
+            for child, receive in children:
+                child.terminate()  # no signal to one already joined
+                child.join()
+                child.close()
+                receive.close()
+    errors = [outcomes[i] for i in sorted(outcomes) if isinstance(outcomes[i], Exception)]
+    if errors:
+        raise errors[0]
+    return [outcomes[i] for i in range(len(jobs))]
+
+
+def _fork_context():
+    """multiprocessing's `fork` context, or None where there is no fork."""
+    # imported here: at module level it slowed every start-up by about 30% of desk's set-up
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _share(n: int, workers: int, share: int) -> range:
+    """Indices of the jobs of process `share` (0: the caller), ascending."""
+    return range((n - 1 - share) % workers, n, workers)
+
+
+def _run_share(jobs: list, split, workers: int, share: int, failed) -> dict:
+    """{job index: its row, or the exception it raised} over the share's
+    jobs, each on one OpenBLAS thread; none starts once an earlier job in
+    job order has failed, in any process."""
+    outcomes = {}
+    for i in _share(len(jobs), workers, share):
+        if failed.find(b"\x01", 0, i) != -1:
+            break
+        point, seed, extra = jobs[i]
+        try:
+            with core._one_blas_thread():
+                outcomes[i] = {**run_single(point, point.variant, seed, split), **extra}
+        except Exception as exc:
+            outcomes[i] = exc
+            failed[i] = 1
+    return outcomes
+
+
+def _child(send, *share) -> None:
+    """A forked child's work: run its share and send the outcomes. ^C is
+    left to the caller, which ends its children."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    send.send(_run_share(*share))
 
 
 def run_ablation(cfg: ExperimentConfig) -> list[dict]:

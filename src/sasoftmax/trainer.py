@@ -14,7 +14,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, IdentityPrototypeMatrix, ModalityPrototypeMatrix, save_rows_csv
+from .core import (
+    Dataset,
+    IdentityPrototypeMatrix,
+    ModalityPrototypeMatrix,
+    _check_bytes,
+    save_rows_csv,
+)
 from .data import pk_sample
 from .encoder import (
     EncoderParams,
@@ -233,7 +239,15 @@ def batch_schedule(dataset: Dataset, config: TrainConfig) -> np.ndarray:
     steps = config.epochs * config.batches_per_epoch
     key = (config.p, config.k, config.seed, steps)
     if key not in dataset._schedules:
-        schedule = np.empty((steps, 2 * config.p * config.k), dtype=np.intp)
+        # pk_sample's own check, made before a P-sized schedule is allocated
+        if config.p > dataset.num_identities:
+            raise ContractViolation("P exceeds the number of identities")
+        width = 2 * config.p * config.k
+        _check_bytes(
+            f"epochs x batches_per_epoch x 2PK = {steps} x {width} batch indices",
+            steps * width * np.dtype(np.intp).itemsize,
+        )
+        schedule = np.empty((steps, width), dtype=np.intp)
         batch_seed = np.random.default_rng(config.seed + 3_000_003)
         for row in schedule:
             row[:] = pk_sample(dataset, config.p, config.k, int(batch_seed.integers(2**63)))
@@ -258,7 +272,7 @@ def train(dataset: Dataset, config: TrainConfig):
             metrics = train_step(state, dataset, idx, config, lr, workspace)
             for key, val in metrics.items():
                 epoch_metrics[key] = epoch_metrics.get(key, 0.0) + val
-        emb, _ = encoder_forward(state.params, dataset.features)
+        emb = encoder_forward(state.params, dataset.features)[0]  # the cache is let go
         probe = mean_intra_cross_cosine(emb, plan)
         rec = {k: epoch_metrics.get(k, 0.0) / config.batches_per_epoch for k in TRAINLOG_FIELDS[2:-1]}
         rec.update({"epoch": epoch, "lr": lr, "probe_cosine": probe})

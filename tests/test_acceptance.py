@@ -28,7 +28,7 @@ from sasoftmax.experiments import (
     summarize,
 )
 from sasoftmax.gradcheck import check_all_losses, check_pipeline
-from sasoftmax import evaluation
+from sasoftmax import core
 from sasoftmax.evaluation import cmc_map
 from sasoftmax.trainer import train
 from test_eval import brute_force_cmc_map
@@ -91,7 +91,7 @@ def test_wide_rows_bit_identical_to_references(tmp_path):
     digest = work.outputs(ctx, rows, 0)["digest"]
     expected = json.loads((PERFBENCH / "references" / "wide_train.json").read_text())[str(seed)]
     # the wide products round differently at another OpenBLAS thread count
-    blas = evaluation._openblas()
+    blas = core._openblas()
     blas = "no OpenBLAS found" if blas is None else f"{blas[0]} at {blas[1]()} threads"
     report("golden wide rows", digest == expected["digest"], f"seed {seed} digest {digest}, {blas}")
     assert digest == expected["digest"], f"seed {seed} digest {digest} with {blas}"

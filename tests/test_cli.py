@@ -626,6 +626,8 @@ class TestBadInput:
               for value in ("inf", "nan", "-1", "0")],
             # direction is `sas eval --direction`, not a config key
             (["train", "--epochs", "1"], "direction = both\n", "unknown key 'direction'"),
+            # P is checked before the schedule's 6.4e19 bytes are counted
+            (["train", "--protocol", "desk", "--p", "1000000000000000"], None, "P exceeds"),
         ],
     )
     def test_exits_1_with_one_line_naming_the_value(
@@ -701,6 +703,32 @@ class TestBadInput:
         assert done.returncode == 2
         lines = done.stderr.strip().splitlines()
         assert len(lines) == 1 and "no failure witness within 1 attempts" in lines[0]
+        assert not out.exists()
+
+
+class TestUnallocatableSizes:
+    """A size whose arrays cannot be allocated exits 3 with one line, before
+    any output. Every size here is past 2^60 bytes, so none is ever
+    allocated: the byte count is checked first, or the allocator refuses."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            # counted before allocating: the byte count overflows an array's size
+            (["train", "--protocol", "desk", "--epochs", "1000000000000000"], "batch indices"),
+            (["ablation", "--protocol", "desk", "--epochs", "1000000000000000"], "batch indices"),
+            (["gen-data", "--num-identities", "1000000000000000"], "features"),
+            # 1.4e18 bytes (2^60.3): NumPy's own MemoryError
+            (["train", "--protocol", "desk", "--epochs", str(2**47)], "Unable to allocate"),
+        ],
+    )
+    def test_exits_3_with_one_line(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 3
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("out of memory: ") and name in lines[0]
         assert not out.exists()
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sasoftmax import evaluation
+from sasoftmax import core, evaluation
 from sasoftmax.core import Dataset, IdentityPrototypeMatrix, Modality, ModalityPrototypeMatrix
 from sasoftmax.data import SynthConfig, generate_synthetic
 from sasoftmax.encoder import EncoderParams, encoder_forward, init_encoder
@@ -248,7 +248,7 @@ def force_pool(monkeypatch, workers):
     """Rank every matrix on a pool of `workers` threads, and hand cmc_map
     each direction of cross_modal_eval as a _Product."""
     monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", 0)
-    monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(core, "_cpu_count", lambda: workers)
 
 
 def traced_peak(run) -> int:
@@ -412,7 +412,7 @@ class TestRankingPool:
         """A pool only for a matrix of at least _POOL_MIN_SIMS similarities,
         more than one CPU and more than one block."""
         monkeypatch.setattr(evaluation, "_POOL_MIN_SIMS", 600)
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(core, "_cpu_count", lambda: workers)
         made = []
         pool_class = futures.ThreadPoolExecutor
         monkeypatch.setattr(
@@ -422,11 +422,11 @@ class TestRankingPool:
         assert made == ([min(workers, -(-n_q // _RANK_BLOCK))] if pooled else [])
 
     def test_cpu_count_is_the_affinity_set(self, monkeypatch):
-        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert evaluation._cpu_count() == 3
-        monkeypatch.delattr(evaluation.os, "sched_getaffinity")
-        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
-        assert evaluation._cpu_count() == 1
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert core._cpu_count() == 3
+        monkeypatch.delattr(core.os, "sched_getaffinity")
+        monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+        assert core._cpu_count() == 1
 
     @staticmethod
     def gallery(n_per_modality=3 * _RANK_BLOCK + 7, hidden=None):
@@ -503,7 +503,7 @@ class TestRankingPool:
         unit rows) and, per worker, one block of the product, sorted in
         place, and a few arrays of the block's histogram-edge search: under
         a quarter of the dense VIS x NIR matrix, which it never builds."""
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(core, "_cpu_count", lambda: workers)
         params, ds = self.gallery(3600)
         n = self.pooled_size(ds)
         extra = traced_peak(lambda: cross_modal_eval(params, ds, list(Direction)))
@@ -515,7 +515,7 @@ class TestRankingPool:
         """The forward pass's cache is let go before ranking: from the first
         cmc_map call on, a 256-wide hidden layer's activations (15 MB here)
         are not held, and the budget counts none."""
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(core, "_cpu_count", lambda: workers)
         params, ds = self.gallery(3600, hidden=256)
         n = self.pooled_size(ds)
         calls = []
@@ -931,49 +931,49 @@ class TestOneBlasThread:
     def fake_blas(monkeypatch):
         threads = [2]
         monkeypatch.setattr(
-            evaluation, "_openblas",
+            core, "_openblas",
             lambda: ("fake", lambda: threads[0], lambda n: threads.__setitem__(0, n)),
         )
         return threads
 
     def test_restored_after_a_normal_block(self, monkeypatch):
         threads = self.fake_blas(monkeypatch)
-        with evaluation._one_blas_thread():
+        with core._one_blas_thread():
             assert threads == [1]
         assert threads == [2]
 
     def test_restored_after_a_block_that_raises(self, monkeypatch):
         threads = self.fake_blas(monkeypatch)
         with pytest.raises(KeyError):
-            with evaluation._one_blas_thread():
+            with core._one_blas_thread():
                 assert threads == [1]
                 raise KeyError("boom")
         assert threads == [2]
 
     def test_pins_the_library_numpy_loaded(self):
-        blas = evaluation._openblas()
+        blas = core._openblas()
         if blas is None:  # NumPy bundles no OpenBLAS here: nothing to pin
-            with evaluation._one_blas_thread():
+            with core._one_blas_thread():
                 pass
             return
         _, get, _ = blas
         before = get()
-        with evaluation._one_blas_thread():
+        with core._one_blas_thread():
             assert get() == 1
         assert get() == before
 
     def test_outputs_unchanged_where_no_openblas_is_found(self, monkeypatch):
         force_pool(monkeypatch, 2)
         params, ds = TestRankingPool.gallery()
-        blas = evaluation._openblas()
+        blas = core._openblas()
         pinned = []
         if blas is not None:
             name, get, put = blas
             recorded = (name, get, lambda n: pinned.append(n) or put(n))
-            monkeypatch.setattr(evaluation, "_openblas", lambda: recorded)
+            monkeypatch.setattr(core, "_openblas", lambda: recorded)
         rep = cross_modal_eval(params, ds, list(Direction))
         assert pinned == ([] if blas is None else [1, get()] * 2)  # per direction
-        monkeypatch.setattr(evaluation, "_openblas", lambda: None)
+        monkeypatch.setattr(core, "_openblas", lambda: None)
         bare = cross_modal_eval(params, ds, list(Direction))
         for direction in Direction:
             np.testing.assert_array_equal(rep.ranked[direction][0], bare.ranked[direction][0])

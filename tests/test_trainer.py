@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -467,6 +468,28 @@ class TestTrain:
         monkeypatch.setattr(trainer, "batch_schedule", lambda d, c: schedule)
         train(ds, cfg)
         np.testing.assert_array_equal(np.array(seen), schedule)
+
+    def test_probe_cache_not_held_through_the_next_epoch(self, monkeypatch):
+        """The per-epoch probe keeps only its embeddings: at each step of
+        epoch 2 the memory held exceeds that at the first step by less than
+        half of the probe's 256-wide hidden activations (4.1 MB here)."""
+        ds = generate_synthetic(
+            SynthConfig(num_identities=50, samples_per_identity_per_modality=20, input_dim=8, seed=5)
+        )
+        cfg = tiny_config(epochs=2, batches_per_epoch=3, hidden_dims=(256,), embed_dim=8)
+        held = []
+        step = trainer.train_step
+        monkeypatch.setattr(
+            trainer, "train_step",
+            lambda *a: held.append(tracemalloc.get_traced_memory()[0]) or step(*a),
+        )
+        tracemalloc.start()
+        try:
+            train(ds, cfg)
+        finally:
+            tracemalloc.stop()
+        hidden = len(ds) * 256 * 8
+        assert max(held[cfg.batches_per_epoch:]) - held[0] < hidden / 2
 
 
 class TestScheduleMemo:
