@@ -111,12 +111,15 @@ def _run_jobs(cfg: ExperimentConfig, jobs: list) -> list[dict]:
     here first. Job i runs here when (n - 1 - i) % W == 0, so this process
     always runs the last job: a tracer sees only the calling process, and
     the ablation's last variant, SAS_FM_WM, is the only one that reaches the
-    weight-masked loss. Each job runs with OpenBLAS on one thread, so a row's
-    bits do not depend on W. With one CPU, one job or no `fork`, W is 1 and
-    no child is made. A job that raises stops every later job in job order
-    from starting; the first failing job's exception, type and message
-    unchanged, reaches the caller once the other processes are done. No
-    child outlives the call, whether it returns or raises, ^C included."""
+    weight-masked loss. OpenBLAS is held to one thread from before the fork
+    until the children are joined, so a row's bits do not depend on W. Its
+    count is set once, not around each job: restoring it re-creates its
+    worker thread, which then spins for a while on the CPU another process's
+    job needs. With one CPU, one job or no `fork`, W is 1 and no child is
+    made. A job that raises stops every later job in job order from
+    starting; the first failing job's exception, type and message unchanged,
+    reaches the caller once the other processes are done. No child outlives
+    the call, whether it returns or raises, ^C included."""
     split = make_split(cfg)
     if not jobs:
         raise ContractViolation("seeds: needs at least one seed, got an empty list")
@@ -129,7 +132,7 @@ def _run_jobs(cfg: ExperimentConfig, jobs: list) -> list[dict]:
     workers = workers if fork is not None else 1
     children = []
     # one byte per job, shared with the children: 1 once the job has failed
-    with mmap.mmap(-1, len(jobs)) as failed:
+    with mmap.mmap(-1, len(jobs)) as failed, core._one_blas_thread():
         try:
             for share in range(1, workers):
                 receive, send = fork.Pipe(duplex=False)
@@ -177,16 +180,15 @@ def _share(n: int, workers: int, share: int) -> range:
 
 def _run_share(jobs: list, split, workers: int, share: int, failed) -> dict:
     """{job index: its row, or the exception it raised} over the share's
-    jobs, each on one OpenBLAS thread; none starts once an earlier job in
-    job order has failed, in any process."""
+    jobs; none starts once an earlier job in job order has failed, in any
+    process."""
     outcomes = {}
     for i in _share(len(jobs), workers, share):
         if failed.find(b"\x01", 0, i) != -1:
             break
         point, seed, extra = jobs[i]
         try:
-            with core._one_blas_thread():
-                outcomes[i] = {**run_single(point, point.variant, seed, split), **extra}
+            outcomes[i] = {**run_single(point, point.variant, seed, split), **extra}
         except Exception as exc:
             outcomes[i] = exc
             failed[i] = 1

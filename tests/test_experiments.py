@@ -212,6 +212,21 @@ class TestJobPool:
         assert threads == [4]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blas_thread_count_set_once_per_call(self, monkeypatch, workers):
+        """The count is set to 1 once before the jobs and restored once
+        after them, not around each job: each restore re-creates OpenBLAS's
+        worker thread, which then spins beside the other processes' jobs."""
+        counts = []
+        monkeypatch.setattr(
+            core, "_openblas", lambda: ("fake", lambda: 4, counts.append)
+        )
+        monkeypatch.setattr(core, "_cpu_count", lambda: workers)
+        fake_jobs(monkeypatch, "ablation", lambda i, v, s: {"variant": v, "seed": s})
+        run_ablation(small_protocol())
+        assert counts == [1, 4]
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("workers", [2, 3, 8])
     @pytest.mark.parametrize("name", RUNS)
     def test_first_failing_job_in_job_order_reaches_the_caller(self, monkeypatch, workers, name):
