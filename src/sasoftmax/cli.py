@@ -7,7 +7,9 @@ config (the CLI defaults or the desk protocol), a key=value config file
 overrides it, and flags override both. Their output directories receive
 those keys' effective values (config.txt) to reproduce the run. Any other
 key, or a config flag to eval, gradcheck or diagnose, is a usage error; so
-is a data key (one of gen-data's) to train --data, which reads the file.
+is a data key (one of gen-data's) to train --data, which reads the file,
+sweep's swept key, and an alpha or beta other than the one the trained
+variant fixes (trainer.VARIANTS), which config.txt then records.
 Timestamps live only in metadata.json. Every command computes first
 and writes last: the output directory is created only once the work is
 done, so bad input or a failed computation leaves no output behind. Each
@@ -44,7 +46,7 @@ from .evaluation import (
     prototype_diagnostics,
     save_histogram_csv,
 )
-from .trainer import TrainConfig, train
+from .trainer import VARIANTS, TrainConfig, train
 
 PROTOCOLS = {"default": ExperimentConfig, "desk": experiments.desk_protocol}
 # each configured command's keys, with defaults: its flags, config-file keys and config.txt lines
@@ -88,31 +90,43 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys: dict) -> None:
         parser.add_argument(_flag(key), metavar=metavar)
 
 
-def _config_keys(args) -> dict:
-    """The keys this run reads: its command's, less the data keys when train
-    reads its samples from --data."""
-    keys = CONFIG_KEYS[args.command]
+def _config_keys(args) -> tuple[dict, str]:
+    """The keys this run reads, and why it reads none of its command's
+    others: the data keys when train reads its samples from --data, or the
+    swept key, which each grid point of a sweep sets."""
+    unread, why = set(), ""
     if args.command == "train" and args.data is not None:
-        keys = {key: default for key, default in keys.items() if key not in CONFIG_KEYS["gen-data"]}
-    return keys
+        unread, why = set(CONFIG_KEYS["gen-data"]), "not read by train --data, which reads the file"
+    elif args.command == "sweep":
+        unread, why = {args.parameter}, f"set by each grid point of sweep --parameter {args.parameter}"
+    return {key: d for key, d in CONFIG_KEYS[args.command].items() if key not in unread}, why
 
 
 def _effective_config(args) -> ExperimentConfig:
     """Protocol base, then the config file, then flags; later ones win. A
-    flag of a key the run does not read is a usage error."""
-    keys = _config_keys(args)
+    flag of a key the run does not read is a usage error, and so is a flag
+    or file key that sets alpha or beta, where the one variant the run
+    trains fixes it, to another value. The config holds the fixed values."""
+    keys, why = _config_keys(args)
     for key in CONFIG_KEYS[args.command]:
         if key not in keys and getattr(args, key) is not None:
-            raise ContractViolation(f"{_flag(key)}: not read by train --data, which reads the file")
-    cfg = PROTOCOLS[args.protocol]()
-    if args.config is not None:
-        cfg = load_config_file(args.config, cfg, keys)
-    overrides = {}
+            raise ContractViolation(f"{_flag(key)}: {why}")
+    overrides = load_config_file(args.config, keys) if args.config is not None else {}
     for key, default in keys.items():
         raw = getattr(args, key)
         if raw is not None:
             overrides[key] = coerce(raw, default, _flag(key))
-    return replace(cfg, **overrides)
+    cfg = replace(PROTOCOLS[args.protocol](), **overrides)
+    variant = cfg.variant if args.command == "train" else None  # an ablation trains five
+    if args.command == "sweep":
+        variant = experiments.SWEEP_PARAMETERS[args.parameter]
+    fixed = {key: v for key, v in (VARIANTS.get(variant) or {}).items() if key in keys}
+    for key, value in fixed.items():
+        if overrides.get(key, value) != value:
+            raise ContractViolation(
+                f"{key}: {variant}, which this run trains, fixes it at {value}; got {overrides[key]}"
+            )
+    return replace(cfg, **fixed)
 
 
 @contextmanager
@@ -125,7 +139,7 @@ def _prepare_out(args, name: str, cfg: ExperimentConfig | None = None):
     out.mkdir(parents=True, exist_ok=True)
     (out / "metadata.json").unlink(missing_ok=True)
     if cfg is not None:
-        save_config_file(cfg, out / "config.txt", _config_keys(args))
+        save_config_file(cfg, out / "config.txt", _config_keys(args)[0])
     yield out
     save_json({"created_unix": time.time(), "command": name}, out / "metadata.json")
 

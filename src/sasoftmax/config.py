@@ -8,7 +8,7 @@ variant=..., seed=...)`) is passed to `train` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .core import atomic_write
 from .data import SynthConfig
@@ -71,9 +71,9 @@ def coerce(raw: str, like, name: str):
         raise ContractViolation(f"{name}: expected {kind}, got {raw!r}") from None
 
 
-def load_config_file(path, base: ExperimentConfig, keys: dict) -> ExperimentConfig:
-    """`base` updated by key=value lines ('#' starts a comment); `keys` maps
-    each key the caller reads to its default, and any other key is rejected."""
+def load_config_file(path, keys: dict) -> dict:
+    """The values set by a file's key=value lines ('#' starts a comment); `keys`
+    maps each key the caller reads to its default, and any other is rejected."""
     overrides = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -90,7 +90,7 @@ def load_config_file(path, base: ExperimentConfig, keys: dict) -> ExperimentConf
         if key not in keys:
             raise ContractViolation(f"{path}:{lineno}: unknown key {key!r} for this command")
         overrides[key] = coerce(raw, keys[key], f"{path}:{lineno}: {key}")
-    return replace(base, **overrides)
+    return overrides
 
 
 def save_config_file(cfg: ExperimentConfig, path, keys) -> None:

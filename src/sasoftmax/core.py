@@ -4,8 +4,9 @@ Column layout of the modality prototype matrix is fixed as visible-first:
 columns [0, N) are visible prototypes, columns [N, 2N) are infrared ones.
 All label arithmetic in the package relies on this layout.
 
-Every artifact the package writes goes through `atomic_write`, so the
-encoding, newlines, float and JSON layout are decided here once. The CPU
+How rows group by a key and which norm is too small for a cosine are
+decided here once, as is, by `atomic_write`, the encoding, newlines, float
+and JSON layout of every artifact the package writes. The CPU
 count and the OpenBLAS thread pin, which cmc_map's thread pool and the
 job runner's processes share, are here too.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, DegenerateNormError
 
 
 class Modality(IntEnum):
@@ -37,6 +38,36 @@ _CODE_MODALITY = {"V": Modality.VIS, "N": Modality.NIR}
 
 _NO_INDICES = np.empty(0, dtype=np.intp)
 _NO_INDICES.flags.writeable = False
+
+NORM_EPS = 1e-12
+
+
+def _checked_norms(x: np.ndarray, axis: int, what: str) -> np.ndarray:
+    """The norms of `x` along `axis`: of its rows for axis 1, of its columns
+    for axis 0. The first of near-zero norm raises DegenerateNormError naming
+    `what` and its index, e.g. "embeddings row 3 has near-zero norm"."""
+    norms = np.linalg.norm(x, axis=axis)
+    small = norms < NORM_EPS
+    if small.any():
+        slot = ("column", "row")[axis]
+        raise DegenerateNormError(f"{what} {slot} {int(small.argmax())} has near-zero norm")
+    return norms
+
+
+def _key_groups(queries: np.ndarray, keys: np.ndarray):
+    """(order, start, size): rows stably sorted by their `keys`, so ascending
+    within each key's group, and for each of `queries` its key's group in
+    that order, by start and size, 0 when no row has the key."""
+    order = np.argsort(keys, kind="stable")
+    found_keys, starts, sizes = np.unique(keys[order], return_index=True, return_counts=True)
+    queries = np.asarray(queries)
+    code = np.searchsorted(found_keys, queries)
+    found = code < len(found_keys)
+    found[found] = found_keys[code[found]] == queries[found]
+    start = np.zeros(len(queries), dtype=np.intp)
+    size = np.zeros(len(queries), dtype=np.intp)
+    start[found], size[found] = starts[code[found]], sizes[code[found]]
+    return order, start, size
 
 
 @dataclass(frozen=True)
@@ -79,10 +110,9 @@ class Dataset:
         """Sample indices per (identity, modality), at slot 2 * identity +
         modality, each ascending and read-only."""
         keys = 2 * np.asarray(self.identities, dtype=np.intp) + self.modalities
-        order = np.argsort(keys, kind="stable")
+        order, start, size = _key_groups(np.arange(2 * self.num_identities), keys)
         order.flags.writeable = False
-        bounds = np.searchsorted(keys[order], np.arange(2 * self.num_identities + 1))
-        return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return [order[lo : lo + n] for lo, n in zip(start.tolist(), size.tolist())]
 
     def indices_of(self, identity: int, modality: Modality) -> np.ndarray:
         """Read-only ascending indices of the samples of one identity in one

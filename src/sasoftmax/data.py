@@ -73,12 +73,8 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     for ident in range(n):
         for mod, sign in ((Modality.VIS, +1.0), (Modality.NIR, -1.0)):
             mean = centers[ident] + sign * half * offsets[ident]
-            noise = (
-                rng.normal(0.0, config.noise_sigma, size=(k, dim))
-                if config.noise_sigma > 0
-                else np.zeros((k, dim))
-            )
-            feats.append(mean[None, :] + noise)
+            # at noise_sigma 0 each draw is +0.0, which leaves the mean's bits
+            feats.append(mean + rng.normal(0.0, config.noise_sigma, size=(k, dim)))
             ids.extend([ident] * k)
             mods.extend([int(mod)] * k)
     return Dataset(

@@ -117,9 +117,9 @@ def sgd_step(
         p -= lr * v
 
 
-def lr_schedule(base_lr: float, epoch: int, milestones: list[int], factor: float = 0.1) -> float:
+def lr_schedule(base_lr: float, epoch: int, milestones, factor: float = 0.1) -> float:
     if list(milestones) != sorted(milestones):
-        raise ContractViolation("milestones must be ascending")
+        raise ContractViolation(f"milestones must be ascending, got {milestones}")
     drops = sum(1 for m in milestones if epoch >= m)
     return base_lr * factor**drops
 

@@ -11,10 +11,9 @@ import numpy as np
 
 from . import core
 from .core import Dataset, IdentityPrototypeMatrix, Modality, ModalityPrototypeMatrix
-from .core import _save_samples_csv, save_rows_csv
+from .core import _checked_norms, _key_groups, _save_samples_csv, save_rows_csv
 from .encoder import EncoderParams, encoder_forward
-from .errors import ContractViolation, DegenerateNormError
-from .losses import NORM_EPS, _safe_norms
+from .errors import ContractViolation
 
 HIST_BINS = np.linspace(-1.0, 1.0, 61)  # 60 fixed bins, comparable across runs
 # Query rows cmc_map ranks as one block of _RANK_BLOCK x gallery floats,
@@ -48,20 +47,9 @@ class EvalReport:
     embeddings: np.ndarray  # the forward pass that was ranked, every sample in order
 
 
-def _row_norms(rows: np.ndarray, name: str) -> np.ndarray:
-    """The norm of each of `rows`. A row of near-zero norm raises
-    DegenerateNormError naming `name` and the row, whether or not any pair
-    would use it."""
-    norms = np.linalg.norm(rows, axis=1)
-    bad = np.nonzero(norms < NORM_EPS)[0]
-    if bad.size:
-        raise DegenerateNormError(f"{name} row {bad[0]} has near-zero norm")
-    return norms
-
-
 def cosine_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Cosines of every (query, gallery) row pair."""
-    q, g = _row_norms(queries, "query"), _row_norms(gallery, "gallery")
+    """Cosines of every (query, gallery) row pair; every row's norm is checked."""
+    q, g = _checked_norms(queries, 1, "query"), _checked_norms(gallery, 1, "gallery")
     return (queries / q[:, None]) @ (gallery / g[:, None]).T
 
 
@@ -75,22 +63,6 @@ class _Product:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         return self.q[rows] @ self.g.T
-
-
-def _identity_groups(q_ids: np.ndarray, g_ids: np.ndarray):
-    """Gallery columns grouped by identity, ascending within each group, and
-    each query's group in that order: its start and its size, 0 when the
-    gallery lacks the query's identity."""
-    order = np.argsort(g_ids, kind="stable")
-    keys, starts, sizes = np.unique(g_ids[order], return_index=True, return_counts=True)
-    q_ids = np.asarray(q_ids)
-    code = np.searchsorted(keys, q_ids)
-    found = code < len(keys)
-    found[found] = keys[code[found]] == q_ids[found]
-    start = np.zeros(len(q_ids), dtype=np.intp)
-    size = np.zeros(len(q_ids), dtype=np.intp)
-    start[found], size[found] = starts[code[found]], sizes[code[found]]
-    return order, start, size
 
 
 def _pair_columns(order: np.ndarray, start: np.ndarray, size: np.ndarray):
@@ -142,7 +114,7 @@ def cmc_map(sim, q_ids: np.ndarray, g_ids: np.ndarray, counts=None, pairs=None):
     is the bits the inline loop gives.
     """
     n_q, n_g = sim.shape
-    order, start, size = _identity_groups(q_ids, g_ids)
+    order, start, size = _key_groups(q_ids, g_ids)
     missing = np.flatnonzero(size == 0)
     if missing.size:
         raise ContractViolation(f"query {missing[0]} has no relevant gallery item")
@@ -237,26 +209,25 @@ def intra_cross_plan(ids: np.ndarray, mods: np.ndarray) -> tuple:
     so a run builds it once: (VIS mask, NIR mask, pair count, groups)."""
     vis = mods == int(Modality.VIS)
     nir = mods == int(Modality.NIR)
-    keys, codes = np.unique(np.concatenate([ids[vis], ids[nir]]), return_inverse=True)
-    v_code, n_code = np.split(codes, [np.count_nonzero(vis)])
-    # rows of each identity, identity by identity, in their original order
-    v_rows, n_rows = np.argsort(v_code, kind="stable"), np.argsort(n_code, kind="stable")
-    nv = np.bincount(v_code, minlength=len(keys))
-    nn = np.bincount(n_code, minlength=len(keys))
-    v_start, n_start = np.cumsum(nv) - nv, np.cumsum(nn) - nn
+    v_ids = ids[vis]
+    # for each VIS row, its NIR partners and its identity's VIS rows, each
+    # group ascending; the rows count within their modality
+    n_rows, n_start, nn = _key_groups(v_ids, ids[nir])
+    v_rows, v_start, nv = _key_groups(v_ids, v_ids)
     # a VIS row's pairs are one run of the flat order, one per NIR partner
-    width = nn[v_code]
-    offset = np.cumsum(width) - width
-    paired = (nv > 0) & (nn > 0)
-    shape_key = nv * (nn.max(initial=0) + 1) + nn
+    offset = np.cumsum(nn) - nn
+    # one lead row per paired identity, identity by identity: its first VIS row
+    lead = v_rows[np.unique(v_start)]
+    lead = lead[nn[lead] > 0]
+    shape_key = nv[lead] * (nn.max(initial=0) + 1) + nn[lead]
     groups = []  # per (#VIS, #NIR) shape: VIS rows, NIR rows, pair positions
-    for key in np.unique(shape_key[paired]):
-        group = np.flatnonzero(paired & (shape_key == key))
+    for key in np.unique(shape_key):
+        group = lead[shape_key == key]
         a, b = int(nv[group[0]]), int(nn[group[0]])
         rows_v = v_rows[v_start[group, None] + np.arange(a)]
         rows_n = n_rows[n_start[group, None] + np.arange(b)]
         groups.append((rows_v, rows_n, offset[rows_v][..., None] + np.arange(b)))
-    return vis, nir, int(width.sum()), groups
+    return vis, nir, int(nn.sum()), groups
 
 
 def mean_intra_cross_cosine(emb: np.ndarray, plan: tuple) -> float:
@@ -267,7 +238,7 @@ def mean_intra_cross_cosine(emb: np.ndarray, plan: tuple) -> float:
     order. Every row's norm is checked, paired or not."""
     vis, nir, count, groups = plan
     v, n = emb[vis], emb[nir]
-    v, n = v / _row_norms(v, "query")[:, None], n / _row_norms(n, "gallery")[:, None]
+    v, n = v / _checked_norms(v, 1, "query")[:, None], n / _checked_norms(n, 1, "gallery")[:, None]
     pairs = np.empty(count, dtype=np.result_type(v, n))
     for rows_v, rows_n, at in groups:
         pairs[at] = np.matmul(v[rows_v], n[rows_n].transpose(0, 2, 1))
@@ -305,7 +276,7 @@ def cross_modal_eval(params: EncoderParams, dataset: Dataset, directions) -> Eva
     v, n = emb[vis], emb[nir]
     # every row checked once, named as in a VIS x NIR product, before any product;
     # both directions hold n_vis x n_nir similarities, so both pool or neither
-    vis_norms, nir_norms = _row_norms(v, "query"), _row_norms(n, "gallery")
+    vis_norms, nir_norms = _checked_norms(v, 1, "query"), _checked_norms(n, 1, "gallery")
     pooled = len(v) * len(n) >= _POOL_MIN_SIMS
     if pooled:
         v, n = v / vis_norms[:, None], n / nir_norms[:, None]
@@ -320,7 +291,7 @@ def cross_modal_eval(params: EncoderParams, dataset: Dataset, directions) -> Eva
         sim = _Product(q, g) if pooled else cosine_matrix(q, g)
         first = not ranked
         if first:  # the same-identity pairs, row-major in this direction
-            groups = _identity_groups(q_ids, g_ids)
+            groups = _key_groups(q_ids, g_ids)
             intra_sims = np.empty(int(groups[2].sum()))
         ranked[direction] = cmc_map(sim, q_ids, g_ids, counts=counts if first else None,
                                     pairs=intra_sims if first else None)
@@ -340,13 +311,13 @@ def prototype_diagnostics(
 ) -> dict:
     """Per-identity cosines between the two modality prototypes and the
     identity prototype, plus their means. A column of near-zero norm raises
-    DegenerateNormError naming its head."""
+    DegenerateNormError naming its head and its identity."""
     n = modality_prototypes.num_identities
     if identity_prototypes.num_identities != n:
         raise ContractViolation("prototype heads disagree on identity count")
     heads = {"visible modality": modality_prototypes.visible(),
              "infrared modality": modality_prototypes.infrared(), "identity": identity_prototypes.W}
-    pv, pn, ps = (m / _safe_norms(m, 0, f"{head} prototype columns") for head, m in heads.items())
+    pv, pn, ps = (m / _checked_norms(m, 0, f"{head} prototype") for head, m in heads.items())
     cos_vs = np.einsum("di,di->i", pv, ps)
     cos_ns = np.einsum("di,di->i", pn, ps)
     cos_vn = np.einsum("di,di->i", pv, pn)

@@ -219,19 +219,14 @@ def summarize(rows: list[dict], group_key: str = "variant", metrics=None) -> lis
             "hist_overlap",
             "proto_cos_vis_nir",
         ]
-    order = []
-    groups: dict = {}
+    groups: dict = {}  # keeps first-seen order
     for row in rows:
-        key = row[group_key]
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(row[group_key], []).append(row)
     out = []
-    for key in order:
-        rec = {group_key: key, "num_seeds": len(groups[key])}
+    for key, members in groups.items():
+        rec = {group_key: key, "num_seeds": len(members)}
         for m in metrics:
-            vals = np.array([r[m] for r in groups[key]])
+            vals = np.array([r[m] for r in members])
             rec[f"{m}_mean"] = float(vals.mean())
             rec[f"{m}_std"] = float(vals.std())
         out.append(rec)

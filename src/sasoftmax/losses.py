@@ -25,20 +25,21 @@ a throwaway one. No view into the workspace escapes in what a call returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import IdentityPrototypeMatrix, ModalityPrototypeMatrix, rewrite_labels_batch
-from .errors import ContractViolation, DegenerateNormError, NumericError
+from .core import _checked_norms
+from .errors import ContractViolation, NumericError
 
-NORM_EPS = 1e-12
 _FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass
 class CombinedLossConfig:
-    """Mixing weights and mask switches for the full objective."""
+    """Mixing weights and mask switches for the full objective; the owner of the weights' ranges."""
 
     alpha: float = 0.7
     beta: float = 1.0
@@ -47,9 +48,11 @@ class CombinedLossConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ContractViolation("alpha must lie in [0, 1]")
+            raise ContractViolation(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not math.isfinite(self.beta):
+            raise ContractViolation(f"beta must be finite, got {self.beta}")
         if self.beta < 0.0:
-            raise ContractViolation("beta must be non-negative")
+            raise ContractViolation(f"beta must be non-negative, got {self.beta}")
 
 
 @dataclass
@@ -181,13 +184,6 @@ class LossWorkspace:
         return self.buffers[name]
 
 
-def _safe_norms(x: np.ndarray, axis: int, what: str) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=axis)
-    if np.any(norms < NORM_EPS):
-        raise DegenerateNormError(f"near-zero norm in {what}")
-    return norms
-
-
 def ast_loss(embeddings: np.ndarray, prototypes: ModalityPrototypeMatrix, y_f: np.ndarray):
     """Absolute-similarity penalty: mean of (1 - cos) between each embedding
     and its cross-modality target column. Returns (value, dL/dembeddings);
@@ -196,13 +192,23 @@ def ast_loss(embeddings: np.ndarray, prototypes: ModalityPrototypeMatrix, y_f: n
     y_f = _check_labels(y_f, w.shape[1], "yF")
     b = embeddings.shape[0]
     targets = w[:, y_f].T  # B x d
-    xn = _safe_norms(embeddings, 1, "embeddings")
-    wn = _safe_norms(targets, 1, "target prototypes")
+    xn = _checked_norms(embeddings, 1, "embeddings")
+    wn = _checked_norms(targets, 1, "target prototypes")
     dots = np.einsum("ij,ij->i", embeddings, targets)
     cos = dots / (xn * wn)
     # d cos / dx_i = W/( |W||x| ) - cos * x / |x|^2
     dcos_dx = targets / (xn * wn)[:, None] - cos[:, None] * embeddings / (xn**2)[:, None]
     return float(np.mean(1.0 - cos)), -dcos_dx / b
+
+
+def _head_cosines(embeddings: np.ndarray, w: np.ndarray):
+    """(cos, xhat, what, xn, wn): the identity head's cosines, then the rest
+    of what `_cosine_backprop` takes, in its order."""
+    xn = _checked_norms(embeddings, 1, "embeddings")
+    wn = _checked_norms(w, 0, "identity prototype")
+    xhat = embeddings / xn[:, None]
+    what = w / wn[None, :]
+    return xhat @ what, xhat, what, xn, wn
 
 
 def _cosine_backprop(dcos, cos, xhat, what, xn, wn):
@@ -230,17 +236,12 @@ def am_softmax_loss(
         raise ContractViolation("require margin >= 0 and scale > 0")
     w = prototypes.W
     labels = _check_labels(labels, w.shape[1])
-    b = embeddings.shape[0]
-    xn = _safe_norms(embeddings, 1, "embeddings")
-    wn = _safe_norms(w, 0, "prototype columns")
-    xhat = embeddings / xn[:, None]
-    what = w / wn[None, :]
-    cos = xhat @ what
-    logits = scale * cos
-    logits[np.arange(b), labels] -= scale * margin
+    cosines = _head_cosines(embeddings, w)
+    logits = scale * cosines[0]
+    logits[np.arange(embeddings.shape[0]), labels] -= scale * margin
     value, g = masked_ce(logits, labels)
     g *= scale  # dL/dcos
-    grad_x, grad_w = _cosine_backprop(g, cos, xhat, what, xn, wn)
+    grad_x, grad_w = _cosine_backprop(g, *cosines)
     return LossResult(value, {"loss_softmax": value}, grad_x, None, grad_w)
 
 
@@ -266,12 +267,9 @@ def circle_loss(
     if w.shape[1] < 2:
         raise ContractViolation("circle loss needs at least 2 classes")
     labels = _check_labels(labels, w.shape[1])
-    b, n = embeddings.shape[0], w.shape[1]
-    xn = _safe_norms(embeddings, 1, "embeddings")
-    wn = _safe_norms(w, 0, "prototype columns")
-    xhat = embeddings / xn[:, None]
-    what = w / wn[None, :]
-    cos = xhat @ what
+    b = embeddings.shape[0]
+    cosines = _head_cosines(embeddings, w)
+    cos = cosines[0]
     rows = np.arange(b)
     op, on = 1.0 + margin, -margin
     dp, dn = 1.0 - margin, margin
@@ -280,11 +278,9 @@ def circle_loss(
     ap = np.maximum(op - sp, 0.0)
     logit_p = -gamma * ap * (sp - dp)
 
-    neg_mask = np.ones((b, n), dtype=bool)
-    neg_mask[rows, labels] = False
     an = np.maximum(cos - on, 0.0)
     logit_n = gamma * an * (cos - dn)
-    logit_n = np.where(neg_mask, logit_n, -np.inf)
+    logit_n[rows, labels] = -np.inf  # the own column is no negative
     mx = logit_n.max(axis=1)
     lse_n = mx + np.log(np.exp(logit_n - mx[:, None]).sum(axis=1))
 
@@ -299,7 +295,7 @@ def circle_loss(
     dlogit_p = gamma * ((ap > 0.0) * (sp - dp) - ap)
     dcos = soft_n * dlogit_n * sig[:, None] / b
     dcos[rows, labels] = sig * dlogit_p / b
-    grad_x, grad_w = _cosine_backprop(dcos, cos, xhat, what, xn, wn)
+    grad_x, grad_w = _cosine_backprop(dcos, *cosines)
     return LossResult(value, {"loss_softmax": value}, grad_x, None, grad_w)
 
 

@@ -102,19 +102,13 @@ class TrainConfig:
             raise ContractViolation("epochs must be >= 0, batches_per_epoch > 0")
         if self.p <= 0 or self.k <= 0:
             raise ContractViolation("P and K must be positive")
-        # the variant-free ranges, checked when the config is built; the
-        # variant-dependent "SAS_FM_AST requires beta > 0" is in loss_config
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ContractViolation(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.beta >= 0.0:
-            raise ContractViolation(f"beta must be non-negative, got {self.beta}")
+        # losses owns the weights' ranges; "SAS_FM_AST requires beta > 0" is in loss_config
+        CombinedLossConfig(self.alpha, self.beta)
         if not self.base_lr > 0.0:
             raise ContractViolation(f"base_lr: learning rate must be positive, got {self.base_lr}")
         if not self.lr_factor > 0.0:
             raise ContractViolation(f"lr_factor must be positive, got {self.lr_factor}")
-        if list(self.milestones) != sorted(self.milestones):
-            raise ContractViolation(f"milestones must be ascending, got {self.milestones}")
-        # the rate is monotone in the epoch: the last one underflows or overflows first
+        # lr_schedule owns the milestone order; the last epoch's rate under- or overflows first
         try:
             last_lr = lr_schedule(self.base_lr, self.epochs - 1, self.milestones, self.lr_factor)
         except OverflowError:  # lr_factor ** drops
@@ -265,7 +259,7 @@ def train(dataset: Dataset, config: TrainConfig):
     log = TrainLog()
     workspace = LossWorkspace()  # the run's loss buffers, reused by every step
     for epoch in range(config.epochs):
-        lr = lr_schedule(config.base_lr, epoch, list(config.milestones), config.lr_factor)
+        lr = lr_schedule(config.base_lr, epoch, config.milestones, config.lr_factor)
         epoch_metrics: dict[str, float] = {}
         for b in range(config.batches_per_epoch):
             idx = schedule[epoch * config.batches_per_epoch + b]

@@ -1,5 +1,5 @@
 """Every public name of the package, and every defaulted parameter of one,
-has a user outside the tests.
+has a user outside the tests; every private name has one in the package.
 
 Each public top-level function or class in src/sasoftmax, and each public
 method or property of a public class there, must be referenced in
@@ -19,6 +19,11 @@ overrides is a constant dressed as an option: every caller gets one value.
 A call is matched to a definition by its bare or attribute name; a call with
 `*args` passes every positional parameter and one with `**kwargs` every
 parameter.
+
+Each private, non-dunder top-level function or class in src/sasoftmax, and
+each such method of a class there, must be referenced in src/sasoftmax
+outside its own definition, by the same rules. A helper that a change
+superseded then cannot linger.
 """
 
 import ast
@@ -36,6 +41,11 @@ def _public(node) -> bool:
     return not node.name.startswith("_")
 
 
+def _private(node) -> bool:
+    dunder = node.name.startswith("__") and node.name.endswith("__")
+    return node.name.startswith("_") and not dunder
+
+
 def definitions():
     """(qualified name, bare name, path, first line, last line, is_method,
     node) for every public definition the rule covers."""
@@ -51,12 +61,29 @@ def definitions():
                         yield qual, item.name, path, item.lineno, item.end_lineno, True, item
 
 
-def references():
+def private_definitions():
+    """(qualified name, bare name, path, first line, last line, is_method)
+    for every private, non-dunder top-level definition and method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if _private(node):
+                qual = f"{path.stem}.{node.name}"
+                yield qual, node.name, path, node.lineno, node.end_lineno, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _private(item):
+                        qual = f"{path.stem}.{node.name}.{item.name}"
+                        yield qual, item.name, path, item.lineno, item.end_lineno, True
+
+
+def references(users=USERS):
     """Two maps, bare names and attribute names, each name -> [(path, line)]
-    of its references."""
+    of its references in `users`."""
     names: dict[str, list] = {}
     attrs: dict[str, list] = {}
-    for path in USERS:
+    for path in users:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.setdefault(node.id, []).append((path, node.lineno))
@@ -87,6 +114,26 @@ def test_the_search_sees_the_package():
     # a guard that found no definitions would pass vacuously
     names = {qual for qual, *_ in definitions()}
     assert {"losses.combined_loss", "core.Dataset.indices_of", "cli.main"} <= names
+
+
+def unused_private_names() -> list[str]:
+    names, attrs = references(sorted(PACKAGE.glob("*.py")))
+    unused = []
+    for qual, name, path, first, last, is_method in private_definitions():
+        refs = attrs.get(name, []) + ([] if is_method else names.get(name, []))
+        if not [(p, line) for p, line in refs if not (p == path and first <= line <= last)]:
+            unused.append(qual)
+    return unused
+
+
+def test_every_private_name_is_used_by_the_package():
+    assert unused_private_names() == []
+
+
+def test_the_private_search_sees_the_package():
+    names = {qual for qual, *_ in private_definitions()}
+    assert {"core._key_groups", "core.Dataset._pools", "evaluation._Product"} <= names
+    assert not any(qual.endswith(("__init__", "__getitem__")) for qual in names)
 
 
 def defaulted_parameters():

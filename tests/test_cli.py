@@ -202,19 +202,78 @@ class TestConfigHandling:
 
     def test_effective_config_reproduces_run(self, tmp_path):
         """For each configured command, config.txt lists exactly its keys,
-        and fed back with the command's own flags it reproduces every
-        artifact's bytes."""
+        less a sweep's swept key, and fed back with the command's own flags
+        it reproduces every artifact's bytes."""
         for command, argv in FAST_RUNS.items():
             first, second = tmp_path / command / "one", tmp_path / command / "two"
             assert main([*argv, "--out", str(first)]) == 0
             lines = (first / "config.txt").read_text().splitlines()
-            assert [line.split(" = ")[0] for line in lines] == sorted(KEYS[command])
+            swept = {"alpha"} if command == "sweep" else set()
+            assert [line.split(" = ")[0] for line in lines] == sorted(KEYS[command] - swept)
             own = argv[:argv.index(DATA_FLAGS[0])]
             assert main([*own, "--config", str(first / "config.txt"), "--out", str(second)]) == 0
             names = sorted(p.name for p in first.iterdir() if p.name != "metadata.json")
             assert names == sorted(p.name for p in second.iterdir() if p.name != "metadata.json")
             for name in names:
                 assert (first / name).read_bytes() == (second / name).read_bytes(), (command, name)
+
+
+class TestValuesTheRunSets:
+    """alpha and beta where the variant a run trains fixes them
+    (trainer.VARIANTS), and a sweep's swept key, are set by the run itself."""
+
+    FAST = [*DATA_FLAGS, *TRAIN_FLAGS]
+
+    @pytest.mark.parametrize(
+        "argv, config_text, line",
+        [
+            (["train", "--variant", "SOFTMAX", "--alpha", "0.3"], None,
+             "alpha: SOFTMAX, which this run trains, fixes it at 0.0; got 0.3"),
+            (["train", "--variant", "SAS"], "beta = 2\n",
+             "beta: SAS, which this run trains, fixes it at 0.0; got 2.0"),
+            (["sweep", "--parameter", "alpha", "--grid", "0.2", "--seeds", "1", "--alpha", "0.5"], None,
+             "--alpha: set by each grid point of sweep --parameter alpha"),
+            (["sweep", "--parameter", "alpha", "--grid", "0.2", "--seeds", "1"], "alpha = 0.5\n",
+             "c.txt:1: unknown key 'alpha' for this command"),
+            # alpha's grid trains SAS_FM, which fixes beta
+            (["sweep", "--parameter", "alpha", "--grid", "0.2", "--seeds", "1", "--beta", "2"], None,
+             "beta: SAS_FM, which this run trains, fixes it at 0.0; got 2.0"),
+        ],
+        ids=["train-flag", "train-file", "sweep-swept-flag", "sweep-swept-file", "sweep-fixed-flag"],
+    )
+    def test_setting_one_to_another_value_exits_1(
+        self, tmp_path, monkeypatch, capsys, argv, config_text, line
+    ):
+        monkeypatch.chdir(tmp_path)
+        if config_text is not None:
+            (tmp_path / "c.txt").write_text(config_text)
+            argv = [*argv, "--config", "c.txt"]
+        out = tmp_path / "out"
+        assert main([*argv, *self.FAST, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+        assert not out.exists()
+
+    def test_train_config_records_the_weights_the_variant_trains_with(self, tmp_path):
+        """The defaults' alpha 0.7 and beta 1.0 are not what SOFTMAX trains
+        with; a flag that sets the fixed value changes no trained bit."""
+        plain, same = tmp_path / "plain", tmp_path / "same"
+        for out, flags in ((plain, []), (same, ["--alpha", "0", "--beta", "0.0"])):
+            assert main(["train", "--variant", "SOFTMAX", *flags, *self.FAST, "--out", str(out)]) == 0
+        lines = (plain / "config.txt").read_text().splitlines()
+        assert {"alpha = 0.0", "beta = 0.0"} <= set(lines)
+        for name in ("checkpoint.txt", "trainlog.csv", "config.txt"):
+            assert (plain / name).read_bytes() == (same / name).read_bytes()
+
+    def test_sweep_config_leaves_out_the_swept_key(self, tmp_path):
+        out = tmp_path / "sw"
+        argv = ["sweep", "--parameter", "alpha", "--grid", "0.2,0.4", "--seeds", "1", *self.FAST]
+        assert main([*argv, "--out", str(out)]) == 0
+        lines = (out / "config.txt").read_text().splitlines()
+        assert "alpha" not in [line.split(" = ")[0] for line in lines]
+        assert "beta = 0.0" in lines
+        rows = (out / "sweep_runs.csv").read_text().splitlines()
+        column = rows[0].split(",").index("value")
+        assert [row.split(",")[column] for row in rows[1:]] == ["0.2", "0.4"]
 
 
 class TestProtocol:
@@ -236,7 +295,9 @@ class TestProtocol:
         cfg = desk_protocol(seeds="1,2", epochs=2)
         save_rows_csv(run_sweep(cfg, "beta", [0.0, 0.5]), tmp_path / "lib.csv")
         assert (out / "sweep_runs.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
-        save_config_file(cfg, tmp_path / "lib.txt", cli.CONFIG_KEYS["sweep"])
+        # the swept key is left out
+        keys = {key: d for key, d in cli.CONFIG_KEYS["sweep"].items() if key != "beta"}
+        save_config_file(cfg, tmp_path / "lib.txt", keys)
         assert (out / "config.txt").read_bytes() == (tmp_path / "lib.txt").read_bytes()
 
 
@@ -671,9 +732,9 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "head, column, name",
         [
-            ("identity", 2, "identity prototype columns"),
-            ("modality", 1, "visible modality prototype columns"),
-            ("modality", 5, "infrared modality prototype columns"),
+            ("identity", 2, "identity prototype column 2"),
+            ("modality", 1, "visible modality prototype column 1"),
+            ("modality", 5, "infrared modality prototype column 1"),
         ],
     )
     def test_degenerate_checkpoint_fails_before_ranking(
@@ -694,7 +755,7 @@ class TestBadInput:
         argv = ["eval", "--checkpoint", str(tmp_path / "c.txt"), "--data", str(gen / "data.csv")]
         assert main([*argv, "--out", str(out)]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
-        assert lines == [f"numeric failure: near-zero norm in {name}"]
+        assert lines == [f"numeric failure: {name} has near-zero norm"]
         assert not out.exists()
 
     def test_exhausted_witness_search_exits_2(self, tmp_path):

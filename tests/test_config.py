@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import math
 
@@ -22,7 +22,7 @@ KEYS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 def load(path, base=None):
     """`path` over `base` (the defaults) with every key readable."""
-    return load_config_file(path, base or ExperimentConfig(), KEYS)
+    return replace(base or ExperimentConfig(), **load_config_file(path, KEYS))
 
 
 class TestExperimentConfig:
@@ -123,9 +123,9 @@ class TestConfigFile:
         path = tmp_path / "c.txt"
         path.write_text("alpha = 0.3\n\nseeds = 1\n")
         with pytest.raises(ContractViolation, match="c.txt:3: unknown key 'seeds' for this command$"):
-            load_config_file(path, ExperimentConfig(), {"alpha": 0.7})
+            load_config_file(path, {"alpha": 0.7})
         path.write_text("alpha = 0.3\n")
-        assert load_config_file(path, ExperimentConfig(), {"alpha": 0.7}).alpha == 0.3
+        assert load_config_file(path, {"alpha": 0.7}) == {"alpha": 0.3}
 
     def test_saves_only_the_given_keys_sorted(self, tmp_path):
         path = tmp_path / "config.txt"

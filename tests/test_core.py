@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -12,7 +14,18 @@ from sasoftmax.core import (
     rewrite_labels_batch,
     save_dataset_csv,
 )
-from sasoftmax.errors import ContractViolation
+from sasoftmax.encoder import EncoderParams
+from sasoftmax.errors import ContractViolation, DegenerateNormError
+from sasoftmax.evaluation import (
+    Direction,
+    cosine_matrix,
+    cross_modal_eval,
+    intra_cross_plan,
+    mean_intra_cross_cosine,
+    prototype_diagnostics,
+)
+from sasoftmax.losses import am_softmax_loss, ast_loss, circle_loss
+from sasoftmax.trainer import TrainConfig, init_train_state, train_step
 
 from conftest import csv_writer_bytes
 
@@ -271,6 +284,99 @@ class TestAtomicWrite:
                 raise KeyboardInterrupt
         assert path.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+# Four identities, each with two VIS rows and then two NIR rows; yF, the
+# cross-modality column of each row, is [4, 5, 6, 7, 4, 5, 6, 7, 0, 1, 2, 3, 0, 1, 2, 3]
+IDS = np.tile(np.arange(4), 4)
+MODS = np.repeat([int(Modality.VIS), int(Modality.NIR)], 8)
+Y_F = IDS + (1 - MODS) * 4
+_rng = np.random.default_rng(0)
+ROWS, W_MOD, W_ID = _rng.normal(size=(16, 3)), _rng.normal(size=(3, 8)), _rng.normal(size=(3, 4))
+
+
+def zeroed(x, axis, i):
+    """A copy of `x` with its row (axis 1) or column (axis 0) `i` zero."""
+    x = x.copy()
+    if axis:
+        x[i] = 0.0
+    else:
+        x[:, i] = 0.0
+    return x
+
+
+def diagnostics(w_mod, w_id):
+    return prototype_diagnostics(ModalityPrototypeMatrix(w_mod), IdentityPrototypeMatrix(w_id))
+
+
+def head_loss(loss, rows, w_id, *hyper):
+    """An identity-head-only loss of `rows`, labelled IDS, on the head `w_id`."""
+    return loss(rows, IdentityPrototypeMatrix(w_id), IDS, *hyper)
+
+
+def evaluate(rows):
+    identity = EncoderParams([np.eye(3)], [np.zeros(3)])
+    return cross_modal_eval(identity, Dataset(rows, IDS, MODS, 4, 3), list(Direction))
+
+
+def step(rows, batch):
+    """One SAS_FM_AST step of a linear encoder, whose biases start at zero:
+    a zero feature row is a zero embedding."""
+    cfg = TrainConfig(hidden_dims=(), embed_dim=3, seed=0)
+    ds = Dataset(rows, IDS, MODS, 4, 3)
+    train_step(init_train_state(ds, cfg), ds, batch, cfg, lr=0.1)
+
+
+class TestNearZeroNormNamedAtEverySite:
+    """Every cosine checks its norms with core._checked_norms, which names
+    what it checked and the index of the first row or column of near-zero
+    norm, whether or not a pair would use it."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: cosine_matrix(zeroed(ROWS, 1, 2), ROWS), "query row 2 has near-zero norm"),
+            (lambda: cosine_matrix(ROWS, zeroed(ROWS, 1, 4)), "gallery row 4 has near-zero norm"),
+            # rows counted within their modality: VIS row 5 is row 5, NIR row 2 is row 10
+            (lambda: evaluate(zeroed(ROWS, 1, 5)), "query row 5 has near-zero norm"),
+            (lambda: evaluate(zeroed(ROWS, 1, 10)), "gallery row 2 has near-zero norm"),
+            (lambda: mean_intra_cross_cosine(zeroed(ROWS, 1, 11), intra_cross_plan(IDS, MODS)),
+             "gallery row 3 has near-zero norm"),
+            (lambda: diagnostics(zeroed(W_MOD, 0, 1), W_ID),
+             "visible modality prototype column 1 has near-zero norm"),
+            (lambda: diagnostics(zeroed(W_MOD, 0, 6), W_ID),
+             "infrared modality prototype column 2 has near-zero norm"),
+            (lambda: diagnostics(W_MOD, zeroed(W_ID, 0, 3)),
+             "identity prototype column 3 has near-zero norm"),
+            (lambda: ast_loss(zeroed(ROWS, 1, 7), ModalityPrototypeMatrix(W_MOD), Y_F),
+             "embeddings row 7 has near-zero norm"),
+            # column 2 is the target of rows 10 and 14: the first is named
+            (lambda: ast_loss(ROWS, ModalityPrototypeMatrix(zeroed(W_MOD, 0, 2)), Y_F),
+             "target prototypes row 10 has near-zero norm"),
+            (lambda: head_loss(am_softmax_loss, zeroed(ROWS, 1, 3), W_ID, 0.3, 15.0),
+             "embeddings row 3 has near-zero norm"),
+            (lambda: head_loss(am_softmax_loss, ROWS, zeroed(W_ID, 0, 1), 0.3, 15.0),
+             "identity prototype column 1 has near-zero norm"),
+            (lambda: head_loss(circle_loss, zeroed(ROWS, 1, 9), W_ID, 32.0, 0.25),
+             "embeddings row 9 has near-zero norm"),
+            (lambda: head_loss(circle_loss, ROWS, zeroed(W_ID, 0, 2), 32.0, 0.25),
+             "identity prototype column 2 has near-zero norm"),
+            # the batch's row, then the batch itself
+            (lambda: step(zeroed(ROWS, 1, 6), np.array([5, 2, 6, 0])),
+             "embeddings row 2 has near-zero norm; offending batch indices: [5, 2, 6, 0]"),
+        ],
+        ids=[
+            "cosine_matrix-query", "cosine_matrix-gallery", "cross_modal_eval-vis",
+            "cross_modal_eval-nir", "mean_intra_cross_cosine", "prototype_diagnostics-visible",
+            "prototype_diagnostics-infrared", "prototype_diagnostics-identity",
+            "ast_loss-embeddings", "ast_loss-targets", "am_softmax_loss-embeddings",
+            "am_softmax_loss-columns", "circle_loss-embeddings", "circle_loss-columns",
+            "train_step",
+        ],
+    )
+    def test_message_names_the_first_bad_index(self, call, message):
+        with pytest.raises(DegenerateNormError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_every_public_name_resolves():

@@ -769,7 +769,7 @@ class TestCrossModalEval:
 
             return wrapper
 
-        names = ("encoder_forward", "cosine_matrix", "cmc_map", "_row_norms")
+        names = ("encoder_forward", "cosine_matrix", "cmc_map", "_checked_norms")
         for name in names:
             monkeypatch.setattr(evaluation, name, counted(name))
         # 18 x 18 similarities per direction
@@ -780,7 +780,7 @@ class TestCrossModalEval:
             assert set(rep.ranked) == set(Direction)
             assert calls == {
                 "encoder_forward": 1, "cosine_matrix": products, "cmc_map": 2,
-                "_row_norms": 2 + 2 * products,
+                "_checked_norms": 2 + 2 * products,
             }
 
     def test_reverse_direction_equals_its_own_product(self):
@@ -861,8 +861,8 @@ class TestStreamedPanels:
         sim = cosine_matrix(v, n)
         # at this shape each panel is its rows of the whole product, and the
         # NIR x VIS product is the VIS x NIR one transposed
-        unit_v = v / evaluation._row_norms(v, "query")[:, None]
-        unit_n = n / evaluation._row_norms(n, "gallery")[:, None]
+        unit_v = v / evaluation._checked_norms(v, 1, "query")[:, None]
+        unit_n = n / evaluation._checked_norms(n, 1, "gallery")[:, None]
         for product, whole in ((evaluation._Product(unit_v, unit_n), sim),
                                (evaluation._Product(unit_n, unit_v), sim.T)):
             assert product.shape == whole.shape

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -511,6 +512,22 @@ class TestCombinedLoss:
             CombinedLossConfig(alpha=1.5)
         with pytest.raises(ContractViolation):
             CombinedLossConfig(beta=-0.1)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (dict(alpha=float("nan")), "alpha must lie in [0, 1], got nan"),
+            (dict(beta=float("nan")), "beta must be finite, got nan"),
+            (dict(beta=float("inf")), "beta must be finite, got inf"),
+            (dict(beta=float("-inf")), "beta must be finite, got -inf"),
+            (dict(beta=-0.1), "beta must be non-negative, got -0.1"),
+        ],
+    )
+    def test_non_finite_or_negative_weight_rejected(self, weights, message):
+        """A NaN beta would otherwise switch the AST term off (nan > 0 is
+        false) and return a NaN value beside finite gradients."""
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            CombinedLossConfig(**{"alpha": 0.5, "beta": 1.0, **weights})
 
 
 COMBINED_VARIANTS = ("SOFTMAX", "SAS", "SAS_FM", "SAS_FM_AST", "SAS_FM_WM")

@@ -367,7 +367,7 @@ class TestOneLossEvaluation:
             train_step(state, ds, batch, cfg, lr=0.05)
         assert isinstance(info.value, NumericError)  # the CLI's exit 2
         message = str(info.value)
-        assert "near-zero norm in embeddings" in message
+        assert "embeddings row 0 has near-zero norm" in message
         assert f"offending batch indices: {batch.tolist()}" in message
         assert "\n" not in message
         for a, b in zip(state.params.weights + state.params.biases, w0 + b0):
